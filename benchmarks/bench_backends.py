@@ -35,7 +35,10 @@ differs:
    design; see docs/performance.md for the floor analysis.)
 
 Predictors are constructed outside the timed region; npz load time is
-charged to the replay columns (the real workflow cost).
+charged to the replay columns (the real workflow cost).  Trace capture
+(``capture_trace``: the interpreter run plus branch classification) is
+timed per program in its own table and under ``"capture"`` in the JSON,
+in seconds and kinstr/s.
 
 Run directly (``python benchmarks/bench_backends.py [--quick]``) or via
 pytest.  ``--json PATH`` additionally writes the machine-readable
@@ -79,7 +82,8 @@ LIGHT_WIDTH = 1
 #: Payload for the realistic context table.
 CONTEXT_PRESET = "tage_l"
 #: Asserted floor for batch-kernel replay vs trace on the tage_l table
-#: (full run and ``--kernels-smoke``).  Measured headroom is ~2.6x; the
+#: (full run and ``--kernels-smoke``).  Measured 2.1-2.3x (2.5-2.6x
+#: before the predecoded interpreter sped up ``trace``); the
 #: scalar-by-design mispredict/stale-window floor rules out the 10x that
 #: the light table's record-skipping enjoys (docs/performance.md).
 KERNEL_FLOOR = 2.0
@@ -106,9 +110,65 @@ def _run_replay_scalar(predictor, source, limits):
     )
 
 
+def _capture(workloads, tmp):
+    """Capture and save every workload's trace into ``tmp``.
+
+    Returns the JSON payload: per program, its instructions and the
+    seconds of ``capture_trace`` alone (the interpreter run plus branch
+    classification, which a ``replay`` of a live program pays on every
+    run; the npz save is not included).
+    """
+    rows = []
+    total_s = 0.0
+    for name in workloads:
+        program = build_micro(name, scale=SCALE)
+        t0 = time.perf_counter()
+        trace = capture_trace(program, max_instructions=BUDGET)
+        seconds = time.perf_counter() - t0
+        total_s += seconds
+        trace.save(Path(tmp) / f"{name}.npz")
+        rows.append(
+            {
+                "workload": name,
+                "instructions": trace.instruction_count,
+                "seconds": round(seconds, 4),
+                "kinstr_per_s": round(trace.instruction_count / seconds / 1e3, 1),
+            }
+        )
+    total_instr = sum(row["instructions"] for row in rows)
+    return {
+        "rows": rows,
+        "total_instructions": total_instr,
+        "total_seconds": round(total_s, 4),
+        "kinstr_per_s": round(total_instr / total_s / 1e3, 1),
+    }
+
+
+def _capture_table(payload):
+    lines = [
+        "trace capture: capture_trace per program (interpreter + classification)",
+        "-" * 72,
+        f"{'workload':16s} {'instructions':>12s} {'capture s':>10s} {'kinstr/s':>9s}",
+    ]
+    total = dict(
+        workload="total",
+        instructions=payload["total_instructions"],
+        seconds=payload["total_seconds"],
+        kinstr_per_s=payload["kinstr_per_s"],
+    )
+    for row in payload["rows"] + [total]:
+        lines.append(
+            f"{row['workload']:16s} {row['instructions']:12d} "
+            f"{row['seconds']:10.4f} {row['kinstr_per_s']:9.1f}"
+        )
+    lines.append("")
+    return lines
+
+
 def _measure(workloads, build_predictor, backends, tmp):
     """One table: run every workload through every backend.
 
+    Expects each workload's trace in ``tmp`` (see :func:`_capture`).
     Returns ``(rows, totals, total_branches)`` where each row is
     ``(name, branches, mispredicts, {backend: seconds})``.  Asserts that
     every trace-driven backend reproduces the trace backend's counts bit
@@ -120,11 +180,8 @@ def _measure(workloads, build_predictor, backends, tmp):
     total_branches = 0
     for name in workloads:
         program = build_micro(name, scale=SCALE)
-        npz = Path(tmp) / f"{name}.npz"
-        if not npz.exists():
-            capture_trace(program, max_instructions=BUDGET).save(npz)
         live = WorkloadSource(name=name, program=program)
-        stored = WorkloadSource(name=name, trace_path=npz)
+        stored = WorkloadSource(name=name, trace_path=Path(tmp) / f"{name}.npz")
 
         sig = {}
         cell = {}
@@ -217,7 +274,9 @@ def _table_payload(rows, totals, total_branches, backends):
 
 
 def run_benchmark(quick: bool = False):
-    """Returns ``(text, data)``: the printable tables + the JSON payload."""
+    """Returns ``(text, data, failures)``: the printable tables, the JSON
+    payload, and the full run's missed acceptance floors (empty when all
+    hold; a quick run asserts none)."""
     workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
     lines = [
         f"suite: {len(workloads)} micro workloads, scale={SCALE}, "
@@ -235,6 +294,8 @@ def run_benchmark(quick: bool = False):
         "tables": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
+        data["capture"] = _capture(workloads, tmp)
+        lines += _capture_table(data["capture"])
         rows, totals, branches = _measure(
             workloads, build_light, ("trace", "replay"), tmp
         )
@@ -290,13 +351,16 @@ def run_benchmark(quick: bool = False):
             context["speedup_kernels_vs_trace"] = round(kernel_speedup, 3)
             context["speedup_kernels_vs_scalar"] = round(kernel_vs_scalar, 3)
             data["tables"]["context"] = context
+    failures = []
     if not quick:
-        assert speedup >= 3.0, f"replay speedup {speedup:.2f}x < 3x"
-        assert kernel_speedup >= KERNEL_FLOOR, (
-            f"batch-kernel replay {kernel_speedup:.2f}x < {KERNEL_FLOOR}x "
-            f"vs trace on {CONTEXT_PRESET}"
-        )
-    return "\n".join(lines), data
+        if speedup < 3.0:
+            failures.append(f"replay speedup {speedup:.2f}x < 3x")
+        if kernel_speedup < KERNEL_FLOOR:
+            failures.append(
+                f"batch-kernel replay {kernel_speedup:.2f}x < {KERNEL_FLOOR}x "
+                f"vs trace on {CONTEXT_PRESET}"
+            )
+    return "\n".join(lines), data, failures
 
 
 def _derived_kernel_names(predictor):
@@ -326,12 +390,14 @@ def run_kernels_smoke():
         "",
     ]
     with tempfile.TemporaryDirectory() as tmp:
+        capture = _capture(FULL_WORKLOADS, tmp)
         rows, totals, branches = _measure(
             FULL_WORKLOADS,
             lambda: presets.build(CONTEXT_PRESET),
             ("trace", "replay"),
             tmp,
         )
+    lines += _capture_table(capture)
     lines += _table(
         "batch-kernel replay vs trace",
         rows,
@@ -356,14 +422,16 @@ def run_kernels_smoke():
             "max_instructions": BUDGET,
             "quick": False,
         },
+        "capture": capture,
         "tables": {"kernels_smoke": table},
     }
     return "\n".join(lines), data, speedup
 
 
 def test_backends(report):
-    text, _data = run_benchmark(quick=False)
+    text, _data, failures = run_benchmark(quick=False)
     report("backends", text)
+    assert not failures, "; ".join(failures)
 
 
 def main() -> int:
@@ -398,7 +466,7 @@ def main() -> int:
             f"on {CONTEXT_PRESET}"
         )
         return 0
-    text, data = run_benchmark(quick=args.quick)
+    text, data, failures = run_benchmark(quick=args.quick)
     print(text)
     if args.json:
         Path(args.json).write_text(json.dumps(data, indent=2) + "\n")
@@ -408,6 +476,8 @@ def main() -> int:
         (RESULTS_DIR / "backends.json").write_text(
             json.dumps(data, indent=2) + "\n"
         )
+    # Asserted after the write, so the results record a missed floor too.
+    assert not failures, "; ".join(failures)
     return 0
 
 

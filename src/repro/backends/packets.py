@@ -60,8 +60,10 @@ def interpreter_stream(
     program: Program, max_instructions: int
 ) -> Iterator[ArchRecord]:
     """Architectural records straight from the ISA interpreter."""
+    is_cond = [instr.is_cond_branch for instr in program.instructions]
     for record in Interpreter(program).run(max_instructions):
-        yield (record.pc, record.next_pc, record.instr.is_cond_branch, record.taken)
+        pc = record.pc
+        yield (pc, record.next_pc, is_cond[pc], record.taken)
 
 
 @dataclass

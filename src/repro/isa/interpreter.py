@@ -3,12 +3,22 @@
 The speculative core model in :mod:`repro.frontend` fetches down predicted
 paths; the interpreter defines what the *correct* path is, one dynamic
 instruction at a time.  It is also usable standalone for workload unit tests.
+
+The program is decoded once per interpreter into per-PC tuples of a small
+int opcode, register indices (``None`` read as ``r0``), immediate and
+target, and one dispatch loop over local variables executes them for both
+:meth:`Interpreter.step` and :meth:`Interpreter.run`.  Decoding folds away
+everything the static instruction already decides: a write to ``r0`` (or to
+no register) becomes a non-writing opcode, a missing direct target becomes a
+raising one, and immediates are pre-masked to the word width.  Registers
+always hold unsigned 64-bit values, so only ``DIV``, ``BLT`` and ``BGE``
+need a signed view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import operator
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import Instruction, Opcode, NUM_REGS
 from repro.isa.program import Program
@@ -19,13 +29,7 @@ _WORD_MASK = (1 << WORD_BITS) - 1
 _SIGN_BIT = 1 << (WORD_BITS - 1)
 
 
-def _to_signed(value: int) -> int:
-    value &= _WORD_MASK
-    return (value ^ _SIGN_BIT) - _SIGN_BIT
-
-
-@dataclass(frozen=True)
-class DynInstr:
+class DynInstr(NamedTuple):
     """One dynamic (architecturally executed) instruction.
 
     ``taken`` is meaningful only for conditional branches.  ``next_pc`` is
@@ -46,6 +50,66 @@ class InterpreterError(Exception):
     """Raised on architecturally invalid execution (bad PC, missing target)."""
 
 
+# Predecoded opcodes, most frequent first: the dispatch chain tests them in
+# this order.  ``J``/``JR`` are JAL/JALR without a link write, ``NOP`` and
+# ``LD_NOWRITE`` absorb writes to r0, and ``*_NO_TARGET`` raise when they
+# would redirect.
+(
+    _ADDI, _BLT, _LD, _LI, _BNE, _BEQ, _J, _ANDI, _ADD, _XORI, _JR, _MUL,
+    _SHR, _ST, _BGE, _SUB, _AND, _OR, _XOR, _SHL, _DIV, _JAL, _JALR, _NOP,
+    _LD_NOWRITE, _HALT, _BRANCH_NO_TARGET, _JAL_NO_TARGET,
+) = range(28)
+
+_DIRECT = {
+    Opcode.ADDI: _ADDI, Opcode.LI: _LI, Opcode.ANDI: _ANDI,
+    Opcode.XORI: _XORI, Opcode.ADD: _ADD, Opcode.SUB: _SUB,
+    Opcode.AND: _AND, Opcode.OR: _OR, Opcode.XOR: _XOR, Opcode.SHL: _SHL,
+    Opcode.SHR: _SHR, Opcode.MUL: _MUL, Opcode.DIV: _DIV, Opcode.LD: _LD,
+    Opcode.ST: _ST, Opcode.BEQ: _BEQ, Opcode.BNE: _BNE, Opcode.BLT: _BLT,
+    Opcode.BGE: _BGE, Opcode.JAL: _JAL, Opcode.JALR: _JALR,
+    Opcode.NOP: _NOP, Opcode.HALT: _HALT,
+}
+
+#: Register-writing opcodes and what they become when ``rd`` is r0/None.
+_NO_WRITE = {
+    _ADDI: _NOP, _LI: _NOP, _ANDI: _NOP, _XORI: _NOP, _ADD: _NOP,
+    _SUB: _NOP, _AND: _NOP, _OR: _NOP, _XOR: _NOP, _SHL: _NOP, _SHR: _NOP,
+    _MUL: _NOP, _DIV: _NOP, _LD: _LD_NOWRITE, _JAL: _J, _JALR: _JR,
+}
+
+#: Taken-conditions of the conditional branches on unsigned register
+#: values; flipping the sign bit turns unsigned order into signed order.
+_BRANCH_CONDITION = {
+    _BEQ: operator.eq,
+    _BNE: operator.ne,
+    _BLT: lambda a, b: a ^ _SIGN_BIT < b ^ _SIGN_BIT,
+    _BGE: lambda a, b: a ^ _SIGN_BIT >= b ^ _SIGN_BIT,
+}
+
+#: One predecoded slot: (opcode, rd, rs1, rs2, imm, target, instruction).
+Decoded = Tuple[int, int, int, int, object, Optional[int], Instruction]
+
+
+def _decode(instr: Instruction) -> Decoded:
+    op = _DIRECT[instr.op]
+    rd = instr.rd or 0
+    imm: object = instr.imm & _WORD_MASK
+    target = instr.target
+    if rd == 0 and op in _NO_WRITE:
+        op = _NO_WRITE[op]
+    if target is None:
+        if op in _BRANCH_CONDITION:
+            op, imm = _BRANCH_NO_TARGET, _BRANCH_CONDITION[op]
+        elif op in (_J, _JAL):
+            op = _JAL_NO_TARGET
+    return (op, rd, instr.rs1 or 0, instr.rs2 or 0, imm, target, instr)
+
+
+def _predecode(program: Program) -> Dict[int, Decoded]:
+    """Decoded slots keyed by PC; a PC outside the program has no slot."""
+    return dict(enumerate(map(_decode, program.instructions)))
+
+
 class Interpreter:
     """Executes a :class:`Program`, yielding :class:`DynInstr` records."""
 
@@ -56,117 +120,131 @@ class Interpreter:
         self.pc = program.entry
         self.halted = False
         self._seq = 0
-
-    # ------------------------------------------------------------------
-    def read_reg(self, index: Optional[int]) -> int:
-        if index is None:
-            return 0
-        return 0 if index == 0 else self.regs[index]
-
-    def write_reg(self, index: Optional[int], value: int) -> None:
-        if index is not None and index != 0:
-            self.regs[index] = value & _WORD_MASK
+        self._code = _predecode(program)
 
     # ------------------------------------------------------------------
     def step(self) -> Optional[DynInstr]:
         """Execute one instruction; return its record, or None when halted."""
-        if self.halted:
-            return None
-        instr = self.program.fetch(self.pc)
-        if instr is None:
-            raise InterpreterError(
-                f"{self.program.name}: PC {self.pc} outside program "
-                f"(len {len(self.program)})"
-            )
-
-        pc = self.pc
-        next_pc = pc + 1
-        taken = False
-        mem_addr: Optional[int] = None
-        op = instr.op
-        a = _to_signed(self.read_reg(instr.rs1))
-        b = _to_signed(self.read_reg(instr.rs2))
-
-        if op is Opcode.ADD:
-            self.write_reg(instr.rd, a + b)
-        elif op is Opcode.SUB:
-            self.write_reg(instr.rd, a - b)
-        elif op is Opcode.AND:
-            self.write_reg(instr.rd, a & b)
-        elif op is Opcode.OR:
-            self.write_reg(instr.rd, a | b)
-        elif op is Opcode.XOR:
-            self.write_reg(instr.rd, a ^ b)
-        elif op is Opcode.SHL:
-            self.write_reg(instr.rd, a << (b & 63))
-        elif op is Opcode.SHR:
-            self.write_reg(instr.rd, (a & _WORD_MASK) >> (b & 63))
-        elif op is Opcode.MUL:
-            self.write_reg(instr.rd, a * b)
-        elif op is Opcode.DIV:
-            self.write_reg(instr.rd, a // b if b else 0)
-        elif op is Opcode.ADDI:
-            self.write_reg(instr.rd, a + instr.imm)
-        elif op is Opcode.ANDI:
-            self.write_reg(instr.rd, a & instr.imm)
-        elif op is Opcode.XORI:
-            self.write_reg(instr.rd, a ^ instr.imm)
-        elif op is Opcode.LI:
-            self.write_reg(instr.rd, instr.imm)
-        elif op is Opcode.LD:
-            mem_addr = (a + instr.imm) & _WORD_MASK
-            self.write_reg(instr.rd, self.memory.get(mem_addr, 0))
-        elif op is Opcode.ST:
-            mem_addr = (a + instr.imm) & _WORD_MASK
-            self.memory[mem_addr] = self.read_reg(instr.rs2)
-        elif op is Opcode.BEQ:
-            taken = a == b
-        elif op is Opcode.BNE:
-            taken = a != b
-        elif op is Opcode.BLT:
-            taken = a < b
-        elif op is Opcode.BGE:
-            taken = a >= b
-        elif op is Opcode.JAL:
-            if instr.target is None:
-                raise InterpreterError("JAL with no target")
-            self.write_reg(instr.rd, pc + 1)
-            next_pc = instr.target
-        elif op is Opcode.JALR:
-            self.write_reg(instr.rd, pc + 1)
-            next_pc = self.read_reg(instr.rs1) & _WORD_MASK
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.HALT:
-            self.halted = True
-        else:  # pragma: no cover - exhaustive over Opcode
-            raise InterpreterError(f"unimplemented opcode {op}")
-
-        if instr.is_cond_branch and taken:
-            if instr.target is None:
-                raise InterpreterError("conditional branch with no target")
-            next_pc = instr.target
-
-        record = DynInstr(
-            seq=self._seq,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            taken=taken,
-            mem_addr=mem_addr,
-        )
-        self._seq += 1
-        self.pc = next_pc
-        return record
+        for record in self.run(1):
+            return record
+        return None
 
     def run(self, max_instructions: int = 10_000_000) -> Iterator[DynInstr]:
-        """Yield dynamic instructions until HALT or the instruction cap."""
+        """Yield dynamic instructions until HALT or the instruction cap.
+
+        This is the one dispatch loop (``step`` runs it for one
+        instruction).  Architectural state is written back before every
+        yield, and re-read after it if another call executed instructions
+        meanwhile, so ``step`` and ``run`` calls interleave into one
+        continuous stream.
+        """
+        if self.halted:
+            return
+        code = self._code
+        regs = self.regs
+        memory = self.memory
+        load = memory.get
+        new = tuple.__new__
+        mask = _WORD_MASK
+        sign = _SIGN_BIT
+        pc = self.pc
+        seq = self._seq
         for _ in range(max_instructions):
-            record = self.step()
-            if record is None:
-                return
+            try:
+                op, rd, rs1, rs2, imm, target, instr = code[pc]
+            except KeyError:
+                raise InterpreterError(
+                    f"{self.program.name}: PC {pc} outside program "
+                    f"(len {len(self.program)})"
+                ) from None
+            next_pc = pc + 1
+            taken = False
+            mem_addr = None
+            if op == _ADDI:
+                regs[rd] = (regs[rs1] + imm) & mask
+            elif op == _BLT:
+                if regs[rs1] ^ sign < regs[rs2] ^ sign:
+                    taken = True
+                    next_pc = target
+            elif op == _LD:
+                mem_addr = (regs[rs1] + imm) & mask
+                regs[rd] = load(mem_addr, 0) & mask
+            elif op == _LI:
+                regs[rd] = imm
+            elif op == _BNE:
+                if regs[rs1] != regs[rs2]:
+                    taken = True
+                    next_pc = target
+            elif op == _BEQ:
+                if regs[rs1] == regs[rs2]:
+                    taken = True
+                    next_pc = target
+            elif op == _J:
+                next_pc = target
+            elif op == _ANDI:
+                regs[rd] = regs[rs1] & imm
+            elif op == _ADD:
+                regs[rd] = (regs[rs1] + regs[rs2]) & mask
+            elif op == _XORI:
+                regs[rd] = regs[rs1] ^ imm
+            elif op == _JR:
+                next_pc = regs[rs1]
+            elif op == _MUL:
+                regs[rd] = (regs[rs1] * regs[rs2]) & mask
+            elif op == _SHR:
+                regs[rd] = regs[rs1] >> (regs[rs2] & 63)
+            elif op == _ST:
+                mem_addr = (regs[rs1] + imm) & mask
+                memory[mem_addr] = regs[rs2]
+            elif op == _BGE:
+                if regs[rs1] ^ sign >= regs[rs2] ^ sign:
+                    taken = True
+                    next_pc = target
+            elif op == _SUB:
+                regs[rd] = (regs[rs1] - regs[rs2]) & mask
+            elif op == _AND:
+                regs[rd] = regs[rs1] & regs[rs2]
+            elif op == _OR:
+                regs[rd] = regs[rs1] | regs[rs2]
+            elif op == _XOR:
+                regs[rd] = regs[rs1] ^ regs[rs2]
+            elif op == _SHL:
+                regs[rd] = (regs[rs1] << (regs[rs2] & 63)) & mask
+            elif op == _DIV:
+                divisor = (regs[rs2] ^ sign) - sign
+                if divisor:
+                    regs[rd] = (((regs[rs1] ^ sign) - sign) // divisor) & mask
+                else:
+                    regs[rd] = 0
+            elif op == _JAL:
+                regs[rd] = next_pc
+                next_pc = target
+            elif op == _JALR:
+                # Link first: with rd == rs1 the target is the new link.
+                regs[rd] = next_pc
+                next_pc = regs[rs1]
+            elif op == _NOP:
+                pass
+            elif op == _LD_NOWRITE:
+                mem_addr = (regs[rs1] + imm) & mask
+            elif op == _HALT:
+                self.halted = True
+            elif op == _BRANCH_NO_TARGET:
+                if imm(regs[rs1], regs[rs2]):
+                    raise InterpreterError("conditional branch with no target")
+            else:  # _JAL_NO_TARGET
+                raise InterpreterError("JAL with no target")
+            record = new(DynInstr, (seq, pc, instr, next_pc, taken, mem_addr))
+            seq += 1
+            self.pc = pc = next_pc
+            self._seq = seq
             yield record
-            if self.halted:
+            if self._seq != seq:  # a step() ran in between
+                if self.halted:
+                    return
+                pc = self.pc
+                seq = self._seq
+            elif op == _HALT:
                 return
 
 

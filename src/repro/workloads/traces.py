@@ -154,36 +154,38 @@ def _slot_tables(program: Program) -> Tuple[np.ndarray, np.ndarray]:
     return kinds, targets
 
 
+#: Trace type code of each slot kind (``SLOT_PLAIN`` never indexes it).
+_TYPE_OF_SLOT = np.array(
+    [0, TYPE_COND, TYPE_JAL, TYPE_CALL, TYPE_JALR, TYPE_RET], dtype=np.uint8
+)
+
+
 def capture_trace(program: Program, max_instructions: int = 5_000_000) -> BranchTrace:
-    """Execute ``program`` and record every control-flow transfer."""
-    pcs, types, taken, targets = [], [], [], []
-    count = 0
-    for record in Interpreter(program).run(max_instructions):
-        count += 1
-        instr = record.instr
-        if instr.is_cond_branch:
-            kind = TYPE_COND
-        elif instr.is_call:
-            kind = TYPE_CALL
-        elif instr.is_ret:
-            kind = TYPE_RET
-        elif instr.is_indirect:
-            kind = TYPE_JALR
-        elif instr.is_jump:
-            kind = TYPE_JAL
-        else:
-            continue
-        pcs.append(record.pc)
-        types.append(kind)
-        taken.append(record.taken or instr.is_jump)
-        targets.append(record.next_pc)
+    """Execute ``program`` and record every control-flow transfer.
+
+    Records are classified through the static slot-kind table, built once
+    per program: the per-record loop only filters control-flow PCs, and the
+    type and jump-taken columns are derived from it afterwards.
+    """
     slot_kinds, slot_targets = _slot_tables(program)
+    is_cfi = (slot_kinds != SLOT_PLAIN).tolist()
+    pcs, taken, targets = [], [], []
+    record = None
+    for record in Interpreter(program).run(max_instructions):
+        pc = record.pc
+        if is_cfi[pc]:
+            pcs.append(pc)
+            taken.append(record.taken)
+            targets.append(record.next_pc)
+    pcs_col = np.asarray(pcs, dtype=np.int64)
+    types = _TYPE_OF_SLOT[slot_kinds[pcs_col]]
     return BranchTrace(
-        pcs=np.asarray(pcs, dtype=np.int64),
-        types=np.asarray(types, dtype=np.uint8),
-        taken=np.asarray(taken, dtype=bool),
+        pcs=pcs_col,
+        types=types,
+        # Jumps are always taken; a conditional branch's record says.
+        taken=np.asarray(taken, dtype=bool) | (types != TYPE_COND),
         targets=np.asarray(targets, dtype=np.int64),
-        instruction_count=count,
+        instruction_count=0 if record is None else record.seq + 1,
         entry_pc=program.entry,
         slot_kinds=slot_kinds,
         slot_targets=slot_targets,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import Instruction, Opcode, ProgramBuilder, RA, run_program
+from repro.isa import Instruction, Opcode, Program, ProgramBuilder, RA, run_program
 from repro.isa.interpreter import Interpreter, InterpreterError
 
 
@@ -245,3 +245,97 @@ class TestInstructionProperties:
         assert Instruction(Opcode.MUL).latency == 3
         assert Instruction(Opcode.DIV).latency == 12
         assert Instruction(Opcode.LD).latency == 2
+
+
+class TestEdgeSemantics:
+    """Corner cases the workload-level gates never reach."""
+
+    def test_jalr_rd_equals_rs1_links_before_reading_target(self):
+        b = ProgramBuilder("t")
+        b.li(1, 4)
+        b.jalr(1, rd=1)  # link (2) lands in r1 before r1 is read
+        b.li(2, 111)
+        b.halt()
+        b.li(2, 222)  # pc 4: only a read-before-write ordering gets here
+        b.halt()
+        interp = Interpreter(b.build())
+        trace = list(interp.run())
+        assert trace[1].next_pc == 2
+        assert interp.regs[1] == 2
+        assert interp.regs[2] == 111
+
+    def test_jal_without_target_raises(self):
+        program = Program([Instruction(Opcode.JAL, rd=RA)])
+        interp = Interpreter(program)
+        with pytest.raises(InterpreterError, match="JAL with no target"):
+            interp.step()
+        assert interp.regs[RA] == 0  # no link written
+        assert interp.pc == 0
+
+    def test_taken_branch_without_target_raises(self):
+        program = Program(
+            [Instruction(Opcode.LI, rd=1, imm=1), Instruction(Opcode.BEQ, rs1=1, rs2=1)]
+        )
+        interp = Interpreter(program)
+        interp.step()
+        with pytest.raises(InterpreterError, match="conditional branch"):
+            interp.step()
+        assert interp.pc == 1
+
+    def test_not_taken_branch_without_target_falls_through(self):
+        program = Program(
+            [
+                Instruction(Opcode.LI, rd=1, imm=1),
+                Instruction(Opcode.BNE, rs1=1, rs2=1),
+                Instruction(Opcode.HALT),
+            ]
+        )
+        trace = run_program(program)
+        assert [r.pc for r in trace] == [0, 1, 2]
+        assert trace[1].next_pc == 2 and not trace[1].taken
+
+    @pytest.mark.parametrize(
+        "amount, shl, shr",
+        [
+            (64, 5, 5),
+            (66, 20, 1),
+            (127, 1 << 63, 0),
+            (-1, 1 << 63, 0),  # -1 & 63 == 63
+        ],
+    )
+    def test_shift_amount_uses_low_six_bits(self, amount, shl, shr):
+        interp = run_and_regs(
+            lambda b: b.li(1, 5).li(2, amount).shl(3, 1, 2).shr(4, 1, 2)
+        )
+        assert interp.regs[3] == shl
+        assert interp.regs[4] == shr
+
+    def test_store_of_negative_register_is_unsigned(self):
+        interp = run_and_regs(
+            lambda b: b.li(1, 100).li(2, -5).st(2, 1, 0).ld(3, 1, 0)
+        )
+        assert interp.memory[100] == (1 << 64) - 5
+        assert interp.regs[3] == (1 << 64) - 5
+
+    def test_interleaved_step_and_run_share_one_sequence(self):
+        b = ProgramBuilder("t")
+        for value in range(8):
+            b.li(1, value)
+        b.halt()
+        interp = Interpreter(b.build())
+        seqs = [interp.step().seq, interp.step().seq]
+        seqs += [r.seq for r in interp.run(2)]
+        gen = interp.run()
+        seqs.append(next(gen).seq)
+        seqs.append(interp.step().seq)  # while a run() is suspended
+        seqs += [r.seq for r in gen]
+        assert seqs == list(range(9))
+        assert interp.halted and interp.step() is None
+        assert [r.pc for r in run_program(b.build())] == seqs
+
+    def test_dyninstr_is_immutable(self):
+        record = run_program(Program([Instruction(Opcode.HALT)]))[0]
+        with pytest.raises(AttributeError):
+            record.pc = 5
+        with pytest.raises(AttributeError):
+            record.taken = True
