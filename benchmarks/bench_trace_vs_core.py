@@ -4,7 +4,7 @@ The paper's premise is that software trace simulators "cannot model
 microarchitectural behaviors like speculation and superscalar execution"
 and mismeasure predictor accuracy.  Because this repository implements both
 methodologies over the *same* predictor pipelines, the modelling gap is
-directly measurable: run each workload through the trace simulator and
+directly measurable: run each workload through the ``trace`` backend and
 through the full speculative core and compare accuracies.
 
 Shape under test: a nonzero gap exists on workloads with mispredictions
@@ -14,8 +14,7 @@ latency, reports different — typically higher — accuracy).
 
 import pytest
 
-from repro import presets
-from repro.eval import run_workload, trace_accuracy
+from repro.eval import run_workload
 from repro.workloads import build_specint
 
 BENCHES = ("perlbench", "omnetpp", "xz")
@@ -26,7 +25,7 @@ def gap_results(scale):
     rows = {}
     for bench in BENCHES:
         program = build_specint(bench, scale=scale)
-        trace = trace_accuracy(presets.build("tage_l"), program)
+        trace = run_workload("tage_l", program, backend="trace")
         core = run_workload("tage_l", program)
         rows[bench] = (trace, core)
     return rows
@@ -40,10 +39,10 @@ def test_trace_vs_core(benchmark, report, gap_results):
     ]
     gaps = []
     for bench, (trace, core) in rows.items():
-        gap = (trace.accuracy - core.branch_accuracy) * 100
+        gap = (trace.branch_accuracy - core.branch_accuracy) * 100
         gaps.append(gap)
         lines.append(
-            f"{bench:12s} {trace.accuracy * 100:9.2f}% "
+            f"{bench:12s} {trace.branch_accuracy * 100:9.2f}% "
             f"{core.branch_accuracy * 100:9.2f}% {gap:+8.2f} "
             f"{trace.mpki:11.2f} {core.mpki:10.2f}"
         )
@@ -52,4 +51,4 @@ def test_trace_vs_core(benchmark, report, gap_results):
     assert any(abs(g) > 0.05 for g in gaps)
     # But the two methodologies agree on the big picture (same predictor!).
     for bench, (trace, core) in rows.items():
-        assert abs(trace.accuracy - core.branch_accuracy) < 0.15
+        assert abs(trace.branch_accuracy - core.branch_accuracy) < 0.15

@@ -10,8 +10,9 @@
     against ``cycle`` stays measurable.
 ``replay``
     Trace-driven execution over stored ``BranchTrace`` npz columns with no
-    interpreter in the loop and branchless packets skipped; bit-identical
-    branch/mispredict counts to ``trace``, several times the throughput.
+    interpreter in the loop, one columnar walker that skips branchless
+    packets and batch-predicts pure ones; bit-identical branch/mispredict
+    counts to ``trace``, several times the throughput.
 
 See ``docs/backends.md`` for the contract and validity envelope of each.
 """
@@ -34,7 +35,7 @@ from repro.backends.packets import (
 )
 from repro.backends.cycle import CycleBackend
 from repro.backends.trace import TraceBackend
-from repro.backends.replay import ReplayBackend, trace_packets, trace_stream
+from repro.backends.replay import ReplayBackend, trace_packets
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -53,5 +54,4 @@ __all__ = [
     "interpreter_stream",
     "program_packets",
     "trace_packets",
-    "trace_stream",
 ]

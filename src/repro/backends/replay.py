@@ -3,7 +3,8 @@
 Drives a composed predictor directly from stored
 :class:`~repro.workloads.traces.BranchTrace` npz columns — the
 CBP/ChampSim-style workflow that makes large-scale predictor studies
-tractable.  Two properties make it fast:
+tractable.  One walker, :func:`drive_columns`, does all of it, and three
+properties make it fast:
 
 1. **No ISA execution.**  The architectural PC stream is fully determined
    by the trace's entry PC plus its control-flow records (non-CFI
@@ -14,25 +15,24 @@ tractable.  Two properties make it fast:
 2. **Plain runs are consumed arithmetically.**  Between two control-flow
    records every executed address is statically branch-free, so every
    aligned packet that fits entirely inside the gap is branchless; the
-   columnar walker (:func:`drive_columns`) accounts those packets with
-   integer arithmetic — no per-instruction records, no predictor query
-   (exact by the ``branchless_inert`` contract, rule CON008).  Only
-   packets containing a control-flow record reach the predictor, so
-   replay cost is proportional to *branchy* packets only.
+   walker accounts those packets with integer arithmetic — no
+   per-instruction records, no predictor query (exact by the
+   ``branchless_inert`` contract, rule CON008).  The skip is off for a
+   component that learns on branchless packets or an attached telemetry
+   collector, and suspended inside a no-replay stale-history window.
+3. **Branchy packets are batch-predicted** by the segment engine
+   (:mod:`repro.kernels.engine`) when every component has a columnar
+   kernel; the scalar body walks only the impure packets.
 
-Both transformations are exact: replay reproduces the ``trace`` backend's
-branch and mispredict counts bit for bit (asserted by the test suite and
-``benchmarks/bench_backends.py``).  Whenever the fast path is not
-provable — a component that learns on branchless packets, an attached
-telemetry collector — replay falls back to the shared
-:func:`~repro.backends.packets.drive_stream` walker over the
-reconstructed record stream, so the two code paths can never diverge
-silently.
+All three are exact: replay reproduces the ``trace`` backend's branch and
+mispredict counts bit for bit (asserted against the shared
+:func:`~repro.backends.packets.drive_stream` walker by the test suite,
+the ``backends`` fuzz oracle and ``benchmarks/bench_backends.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.backends.base import (
     ExecutionBackend,
@@ -41,12 +41,7 @@ from repro.backends.base import (
     counts_result,
     register_backend,
 )
-from repro.backends.packets import (
-    ArchRecord,
-    PacketCache,
-    WalkCounts,
-    drive_stream,
-)
+from repro.backends.packets import PacketCache, WalkCounts
 from repro.core.composer import ComposedPredictor
 from repro.core.prediction import INVALID_SLOT, PLAIN_SLOT, PreDecodedSlot
 from repro.eval.metrics import RunResult
@@ -84,54 +79,6 @@ _SCALAR_QUOTA = 8
 #: its yield through the scalar path, so the driver walks
 #: ``_DISENGAGE_QUOTA`` packets scalar between probes instead.
 _DISENGAGE_QUOTA = 24
-
-
-def trace_stream(
-    trace: BranchTrace, max_instructions: Optional[int] = None
-) -> Iterator[ArchRecord]:
-    """Reconstruct the architectural record stream from a branch trace.
-
-    Between consecutive control-flow records the PC advances sequentially,
-    so every non-CFI record is ``(pc, pc + 1, False, False)``; each CFI
-    record carries its stored direction and next PC (the trace stores
-    ``next_pc`` for not-taken branches too, so no fall-through special
-    case is needed).
-    """
-    total = trace.instruction_count
-    n = total if max_instructions is None else min(total, max_instructions)
-    n_br = len(trace)
-    pc = trace.entry_pc
-    emitted = 0
-    base = 0
-    while emitted < n:
-        if base < n_br:
-            end = min(base + _CHUNK, n_br)
-            pcs = trace.pcs[base:end].tolist()
-            conds = (trace.types[base:end] == TYPE_COND).tolist()
-            takens = trace.taken[base:end].tolist()
-            targets = trace.targets[base:end].tolist()
-            base = end
-        else:
-            # No control flow left: the tail is purely sequential.
-            while emitted < n:
-                yield (pc, pc + 1, False, False)
-                emitted += 1
-                pc += 1
-            return
-        for i in range(len(pcs)):
-            branch_pc = pcs[i]
-            while pc != branch_pc:
-                yield (pc, pc + 1, False, False)
-                emitted += 1
-                pc += 1
-                if emitted >= n:
-                    return
-            next_pc = targets[i]
-            yield (pc, next_pc, conds[i], takens[i])
-            emitted += 1
-            pc = next_pc
-            if emitted >= n:
-                return
 
 
 def trace_packets(trace: BranchTrace, fetch_width: int) -> PacketCache:
@@ -183,30 +130,30 @@ def drive_columns(
 ) -> WalkCounts:
     """Drive ``predictor`` straight off the branch columns of ``trace``.
 
-    Record-free equivalent of
-    :func:`~repro.backends.packets.drive_stream` with ``skip_inert`` for a
-    :attr:`~repro.core.composer.ComposedPredictor.branchless_inert`
-    predictor: between two control-flow records the PC stream is a known
-    sequential run, so every aligned packet that fits entirely before the
-    next branch PC is branchless and state-neutral — its instructions are
-    *counted*, never walked.  Only packets containing a branch record (and
-    plain packets inside an active no-replay stale-history window, which
-    must still be queried, §VI-B) go through the standard
-    predict/resolve/commit protocol, replicating ``drive_stream``'s walk
-    record for record.  Callers must check ``branchless_inert`` and that
-    no telemetry collector is attached before using this walker.
+    Replicates :func:`~repro.backends.packets.drive_stream`'s commit-order
+    walk record for record, reconstructing the record stream on the fly:
+    between two control-flow records the PC advances sequentially.
+
+    The walker decides the arithmetic skip itself.  It is on when the
+    predictor is
+    :attr:`~repro.core.composer.ComposedPredictor.branchless_inert` and
+    no telemetry collector is attached (a collector counts every packet).
+    Then every aligned packet that fits entirely before the next branch PC
+    is branchless and state-neutral, so its instructions are *counted*,
+    never walked — except inside an active no-replay stale-history window,
+    where every query must still happen (§VI-B).  With the skip off, every
+    packet goes through the predictor.
 
     With a :class:`~repro.kernels.engine.SegmentEngine` (built by
-    :func:`repro.kernels.engine.engine_for` when every component
-    advertises a ``columnar_kernel``), branchy packets are additionally
-    batch-predicted in vectorized segments between mispredicts; the
-    scalar loop here remains the fallback inside impure regions and
-    stale-history windows.
+    :func:`repro.kernels.engine.engine_for`) and the skip on, the engine
+    first tries to batch-predict a window of upcoming branch records
+    before each scalar fetch, committing the maximal pure prefix in one
+    step (:meth:`~repro.kernels.engine.SegmentEngine.run`).  The scalar
+    body resumes at the first impure packet — the mispredicting or
+    state-writing one — so resolve/repair ordering is untouched.  Stale
+    windows disable the engine until they drain.  ``engine=None`` pins
+    the scalar walk.
     """
-    if engine is not None:
-        return _drive_columns_kernels(
-            predictor, trace, packets, engine, max_instructions
-        )
     total = trace.instruction_count
     n = total if max_instructions is None else min(total, max_instructions)
     width = packets.fetch_width
@@ -214,37 +161,90 @@ def drive_columns(
     predict = predictor.predict
     commit = predictor.commit_packet
     resolve = predictor.resolve_mispredict
+    skip = predictor.branchless_inert and predictor.telemetry is None
+    if not skip:
+        engine = None
 
     n_br = len(trace)
 
-    def chunks():
-        for start in range(0, n_br, _CHUNK):
-            end = min(start + _CHUNK, n_br)
-            yield (
-                trace.pcs[start:end].tolist(),
-                (trace.types[start:end] == TYPE_COND).tolist(),
-                trace.taken[start:end].tolist(),
-                trace.targets[start:end].tolist(),
-            )
+    def load(start: int):
+        """The branch columns of one chunk from ``start``, as lists."""
+        end = min(start + _CHUNK, n_br)
+        return (
+            trace.pcs[start:end].tolist(),
+            (trace.types[start:end] == TYPE_COND).tolist(),
+            trace.taken[start:end].tolist(),
+            trace.targets[start:end].tolist(),
+        )
 
-    chunk_iter = chunks()
-    first = next(chunk_iter, None)
-    if first is None:
-        b_pcs, b_conds, b_takens, b_targets = (), (), (), ()
-    else:
-        b_pcs, b_conds, b_takens, b_targets = first
+    # The next branch record is ``chunk_start + ci``.
+    chunk_start = 0
     ci = 0
+    b_pcs, b_conds, b_takens, b_targets = load(0)
     next_branch = b_pcs[0] if b_pcs else None
+
+    if engine is not None:
+        from repro.kernels.engine import TraceColumns
+
+        cols = TraceColumns.from_trace(trace)
+        engage_min = engine.engage_min
+    window = _WINDOW_START
+    scalar_quota = 0
+    accept_avg = float(_WINDOW_START)
+    probe_backoff = 1
 
     instructions = 0
     branches = 0
     mispredicts = 0
     pc = trace.entry_pc
     while instructions < n:
+        if (
+            engine is not None
+            and scalar_quota == 0
+            and next_branch is not None
+            and not predictor.stale_window_active
+        ):
+            bi = chunk_start + ci
+            seg = engine.run(cols, pc, bi, min(window, n_br - bi), n - instructions)
+            accept_avg = 0.5 * accept_avg + 0.5 * seg.records
+            if seg.packets:
+                instructions += seg.instructions
+                branches += seg.branches
+                pc = seg.next_pc
+                window = min(max(2 * seg.records, _WINDOW_MIN), _WINDOW_MAX)
+                bi += seg.records
+                if bi < n_br:
+                    if bi - chunk_start >= len(b_pcs):
+                        chunk_start = bi - bi % _CHUNK
+                        b_pcs, b_conds, b_takens, b_targets = load(chunk_start)
+                    ci = bi - chunk_start
+                    next_branch = b_pcs[ci]
+                else:
+                    next_branch = None
+            if accept_avg < engage_min:
+                # Mispredict-dense region: segments are too short to
+                # amortize attempts; walk scalar between probes, backing
+                # off while the region stays dense.
+                scalar_quota = _DISENGAGE_QUOTA * probe_backoff
+                probe_backoff = min(probe_backoff * 2, 8)
+                continue
+            if seg.packets:
+                probe_backoff = 1
+            if seg.impure_next:
+                # The next packet is known to mispredict or write state:
+                # walk exactly it scalar, then retry.
+                scalar_quota = 1
+            elif not seg.packets:
+                # Nothing pure up front for window-shape reasons: walk
+                # scalar for a while before the next (costly) attempt.
+                window = max(window // 2, _WINDOW_MIN)
+                scalar_quota = _SCALAR_QUOTA
+            continue
+
         fetch_pc = pc
         span = width - (fetch_pc % width)
         gap = n if next_branch is None else next_branch - fetch_pc
-        if gap >= span and not predictor.stale_window_active:
+        if skip and gap >= span and not predictor.stale_window_active:
             # Whole packet is branch-free: account it without walking.
             if instructions + span <= n:
                 instructions += span
@@ -253,8 +253,9 @@ def drive_columns(
                 instructions = n
             continue
 
-        slots, _has_cfi = packet(fetch_pc)
-        result = predict(fetch_pc, slots, None)
+        if scalar_quota:
+            scalar_quota -= 1
+        result = predict(fetch_pc, packet(fetch_pc), None)
         final_slots = result.final.slots
         mispredict_info = None
         consumed = 0
@@ -265,187 +266,13 @@ def drive_columns(
                 is_cond = b_conds[ci]
                 taken = b_takens[ci]
                 ci += 1
-                if ci == len(b_pcs):
-                    refill = next(chunk_iter, None)
-                    ci = 0
-                    if refill is None:
-                        b_pcs = ()
-                        next_branch = None
-                    else:
-                        b_pcs, b_conds, b_takens, b_targets = refill
-                        next_branch = b_pcs[0]
-                else:
+                if ci < len(b_pcs):
                     next_branch = b_pcs[ci]
-            else:
-                next_pc = pc + 1
-                is_cond = False
-                taken = False
-            slot_idx = consumed
-            instructions += 1
-            if is_cond:
-                branches += 1
-                if final_slots[slot_idx].taken != taken:
-                    mispredicts += 1
-                    if mispredict_info is None:
-                        mispredict_info = (
-                            slot_idx,
-                            taken,
-                            next_pc if taken else None,
-                        )
-            consumed += 1
-            ends_packet = (
-                next_pc != pc + 1
-                or consumed >= span
-                or (mispredict_info is not None and result.cut == slot_idx)
-            )
-            pc = next_pc
-            if ends_packet or instructions >= n:
-                break
-        if mispredict_info is not None:
-            slot_idx, taken, target = mispredict_info
-            resolve(result.ftq_id, slot_idx, taken, target)
-        commit(result.ftq_id)
-    return WalkCounts(instructions, branches, mispredicts)
-
-
-def _drive_columns_kernels(
-    predictor: ComposedPredictor,
-    trace: BranchTrace,
-    packets: PacketCache,
-    engine,
-    max_instructions: Optional[int] = None,
-) -> WalkCounts:
-    """:func:`drive_columns` with vectorized pure-packet segments.
-
-    Identical walk semantics, with one addition: whenever the scalar loop
-    is about to fetch a branchy packet, the segment engine first tries to
-    batch-predict a window of upcoming branch records against the frozen
-    tables and commit the maximal pure prefix in one step
-    (:meth:`~repro.kernels.engine.SegmentEngine.run`).  The scalar body
-    then resumes at the first impure packet — the mispredicting or
-    state-writing one — so resolve/repair ordering is untouched.  Stale
-    no-replay history windows disable the engine (and the arithmetic
-    skip) until they drain, exactly like the scalar walker.
-    """
-    from repro.kernels.engine import TraceColumns
-
-    total = trace.instruction_count
-    n = total if max_instructions is None else min(total, max_instructions)
-    width = packets.fetch_width
-    packet = packets.packet
-    predict = predictor.predict
-    commit = predictor.commit_packet
-    resolve = predictor.resolve_mispredict
-
-    cols = TraceColumns.from_trace(trace)
-    n_br = cols.n_records
-
-    b_pcs: list = []
-    b_conds: list = []
-    b_takens: list = []
-    b_targets: list = []
-    chunk_start = 0
-
-    def load_chunk(start: int) -> None:
-        nonlocal chunk_start, b_pcs, b_conds, b_takens, b_targets
-        chunk_start = start
-        end = min(start + _CHUNK, n_br)
-        b_pcs = cols.pcs[start:end].tolist()
-        b_conds = (cols.types[start:end] == TYPE_COND).tolist()
-        b_takens = cols.taken[start:end].tolist()
-        b_targets = cols.targets[start:end].tolist()
-
-    bi = 0
-    if n_br:
-        load_chunk(0)
-    next_branch = b_pcs[0] if n_br else None
-
-    instructions = 0
-    branches = 0
-    mispredicts = 0
-    pc = trace.entry_pc
-    window = _WINDOW_START
-    scalar_quota = 0
-    accept_avg = float(_WINDOW_START)
-    probe_backoff = 1
-    engage_min = engine.engage_min
-    while instructions < n:
-        if (
-            scalar_quota == 0
-            and bi < n_br
-            and not predictor.stale_window_active
-        ):
-            k = min(window, n_br - bi)
-            seg = engine.run(cols, pc, bi, k, n - instructions)
-            accept_avg = 0.5 * accept_avg + 0.5 * seg.records
-            if seg.packets:
-                instructions += seg.instructions
-                branches += seg.branches
-                bi += seg.records
-                pc = seg.next_pc
-                window = min(max(2 * seg.records, _WINDOW_MIN), _WINDOW_MAX)
-                if bi < n_br:
-                    if bi - chunk_start >= len(b_pcs):
-                        load_chunk(bi - bi % _CHUNK)
-                    next_branch = b_pcs[bi - chunk_start]
                 else:
-                    next_branch = None
-                if accept_avg < engage_min:
-                    # Mispredict-dense region: segments are too short to
-                    # amortize attempts; walk scalar between probes,
-                    # backing off while the region stays dense.
-                    scalar_quota = _DISENGAGE_QUOTA * probe_backoff
-                    probe_backoff = min(probe_backoff * 2, 8)
-                elif seg.impure_next:
-                    # The next packet is known to mispredict or write
-                    # state: walk exactly it scalar, then retry.
-                    probe_backoff = 1
-                    scalar_quota = 1
-                else:
-                    probe_backoff = 1
-                    continue
-            elif accept_avg < engage_min:
-                scalar_quota = _DISENGAGE_QUOTA * probe_backoff
-                probe_backoff = min(probe_backoff * 2, 8)
-            elif seg.impure_next:
-                scalar_quota = 1
-            else:
-                # Nothing pure up front for window-shape reasons: walk
-                # scalar for a while before the next (costly) attempt.
-                window = max(window // 2, _WINDOW_MIN)
-                scalar_quota = _SCALAR_QUOTA
-
-        fetch_pc = pc
-        span = width - (fetch_pc % width)
-        gap = n if next_branch is None else next_branch - fetch_pc
-        if gap >= span and not predictor.stale_window_active:
-            if instructions + span <= n:
-                instructions += span
-                pc = fetch_pc + span
-            else:
-                instructions = n
-            continue
-
-        if scalar_quota:
-            scalar_quota -= 1
-        slots, _has_cfi = packet(fetch_pc)
-        result = predict(fetch_pc, slots, None)
-        final_slots = result.final.slots
-        mispredict_info = None
-        consumed = 0
-        while True:
-            if next_branch == pc:
-                ci = bi - chunk_start
-                next_pc = b_targets[ci]
-                is_cond = b_conds[ci]
-                taken = b_takens[ci]
-                bi += 1
-                if bi < n_br:
-                    if bi - chunk_start >= len(b_pcs):
-                        load_chunk(bi)
-                    next_branch = b_pcs[bi - chunk_start]
-                else:
-                    next_branch = None
+                    chunk_start += ci
+                    ci = 0
+                    b_pcs, b_conds, b_takens, b_targets = load(chunk_start)
+                    next_branch = b_pcs[0] if b_pcs else None
             else:
                 next_pc = pc + 1
                 is_cond = False
@@ -493,24 +320,17 @@ class ReplayBackend(ExecutionBackend):
         branch_trace = source.branch_trace(limits.max_instructions)
         collector = attach_collector(predictor, core_config, trace)
         try:
-            packets = trace_packets(branch_trace, predictor.config.fetch_width)
-            if predictor.branchless_inert and predictor.telemetry is None:
-                from repro.kernels.engine import engine_for
+            # Looked up at call time, so a wrapper installed on
+            # ``repro.kernels.engine.engine_for`` sees every cell.
+            from repro.kernels.engine import engine_for
 
-                counts = drive_columns(
-                    predictor,
-                    branch_trace,
-                    packets,
-                    limits.max_instructions,
-                    engine=engine_for(predictor),
-                )
-            else:
-                counts = drive_stream(
-                    predictor,
-                    trace_stream(branch_trace, limits.max_instructions),
-                    packets,
-                    skip_inert=True,
-                )
+            counts = drive_columns(
+                predictor,
+                branch_trace,
+                trace_packets(branch_trace, predictor.config.fetch_width),
+                limits.max_instructions,
+                engine=engine_for(predictor),
+            )
             summary = collector.summary() if collector is not None else None
         finally:
             if collector is not None:

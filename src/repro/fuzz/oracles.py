@@ -7,10 +7,10 @@ reports every disagreement as a :class:`Mismatch`.  The catalog:
 ``backends``
     Bit-identity of the trace-driven family: the ``trace`` backend
     (interpreter stream) versus a save/load ``replay`` of the captured
-    :class:`~repro.workloads.traces.BranchTrace` versus the stream walker
-    with the branchless-skip enabled versus the columnar walker driven
-    both ways — scalar and through the batch-kernel segment engine
-    (``repro.kernels``) — when the composition is eligible.  The
+    :class:`~repro.workloads.traces.BranchTrace` versus the columnar
+    walker driven both ways — scalar and, when the composition is
+    eligible, through the batch-kernel segment engine
+    (``repro.kernels``).  The
     ``cycle`` backend is deliberately *not* in this oracle: its wrong-path
     predictor pollution makes its mispredict counts differ from the
     trace-driven methodology by design (§II-B, ``docs/backends.md``).
@@ -22,8 +22,9 @@ reports every disagreement as a :class:`Mismatch`.  The catalog:
     the run that populated it and a fresh uncached run.
 ``telemetry``
     Attaching a telemetry collector must not change any measured count, on
-    the cycle backend and on replay (where telemetry forces the fallback
-    walker — so this doubles as a columnar-versus-fallback check).
+    the cycle backend and on replay (where telemetry turns the branchless
+    skip and the segment engine off on the same walker — so this doubles
+    as a skip-versus-full-walk check).
 ``check``
     ``repro check`` on the generated topology must report zero
     error-severity diagnostics (warnings are legal for random designs).
@@ -62,8 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import presets
 from repro.backends import RunLimits, get_backend
-from repro.backends.packets import drive_stream
-from repro.backends.replay import drive_columns, trace_packets, trace_stream
+from repro.backends.replay import drive_columns, trace_packets
 from repro.eval.cache import ResultCache, result_to_payload
 from repro.eval.metrics import RunResult
 from repro.eval.parallel import EvalJob, ParallelRunner
@@ -182,7 +182,7 @@ def _walk_signature(counts) -> Dict[str, Any]:
 # Oracles
 # ----------------------------------------------------------------------
 def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
-    """Trace/replay/columnar/stream bit-identity."""
+    """Trace/replay/columnar bit-identity."""
     program = case.program()
     limits = RunLimits(max_instructions=case.max_instructions)
     live = WorkloadSource(name=program.name, program=program)
@@ -190,8 +190,8 @@ def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
     expected = run_signature(reference)
     mismatches: List[Mismatch] = []
 
-    # Save/load round trip, then the replay backend (columnar fast path
-    # when the composition is branchless-inert, fallback walker otherwise).
+    # Save/load round trip, then the replay backend (the branchless skip
+    # only when the composition is branchless-inert).
     trace = capture_trace(program, max_instructions=case.max_instructions)
     npz = scratch / f"case{case.case_id}.npz"
     trace.save(npz)
@@ -208,70 +208,50 @@ def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
             )
         )
 
-    # The shared stream walker with the branchless skip enabled, over the
-    # reconstructed record stream (the non-columnar replay path).
-    predictor = case.build_predictor()
-    walked = drive_stream(
-        predictor,
-        trace_stream(trace, case.max_instructions),
-        trace_packets(trace, predictor.config.fetch_width),
-        skip_inert=True,
+    # The columnar walker both ways: scalar (engine disabled) and with the
+    # batch-kernel segment engine, pinned to the reference independently of
+    # how the replay backend builds its engine.  The walker decides the
+    # branchless skip itself, so the scalar leg also covers non-inert
+    # compositions; the kernel leg needs every component to advertise a
+    # columnar kernel.
+    scalar_pred = case.build_predictor()
+    skipped = drive_columns(
+        scalar_pred,
+        trace,
+        trace_packets(trace, scalar_pred.config.fetch_width),
+        case.max_instructions,
+        engine=None,
     )
-    if _walk_signature(walked) != expected:
+    if _walk_signature(skipped) != expected:
         mismatches.append(
             Mismatch(
                 "backends",
-                "trace-vs-stream-skip",
+                "trace-vs-columnar-skip",
                 expected,
-                _walk_signature(walked),
-                "stream walker with branchless skip diverged",
+                _walk_signature(skipped),
+                "columnar walker (scalar, no kernels) diverged",
             )
         )
-
-    # The columnar walker both ways: scalar (engine disabled) and with the
-    # batch-kernel segment engine, pinned to the reference independently of
-    # how the replay backend gates between them.  Only branchless-inert
-    # compositions may take the columnar walker at all; the kernel leg
-    # additionally needs every component to advertise a columnar kernel.
-    if predictor.branchless_inert:
-        scalar_pred = case.build_predictor()
-        skipped = drive_columns(
-            scalar_pred,
+    kernel_pred = case.build_predictor()
+    engine = engine_for(kernel_pred)
+    if engine is not None:
+        batched = drive_columns(
+            kernel_pred,
             trace,
-            trace_packets(trace, scalar_pred.config.fetch_width),
+            trace_packets(trace, kernel_pred.config.fetch_width),
             case.max_instructions,
-            engine=None,
+            engine=engine,
         )
-        if _walk_signature(skipped) != expected:
+        if _walk_signature(batched) != expected:
             mismatches.append(
                 Mismatch(
                     "backends",
-                    "trace-vs-columnar-skip",
+                    "trace-vs-columnar-kernel",
                     expected,
-                    _walk_signature(skipped),
-                    "columnar walker (scalar, no kernels) diverged",
+                    _walk_signature(batched),
+                    "columnar walker with batch kernels diverged",
                 )
             )
-        kernel_pred = case.build_predictor()
-        engine = engine_for(kernel_pred)
-        if engine is not None:
-            batched = drive_columns(
-                kernel_pred,
-                trace,
-                trace_packets(trace, kernel_pred.config.fetch_width),
-                case.max_instructions,
-                engine=engine,
-            )
-            if _walk_signature(batched) != expected:
-                mismatches.append(
-                    Mismatch(
-                        "backends",
-                        "trace-vs-columnar-kernel",
-                        expected,
-                        _walk_signature(batched),
-                        "columnar walker with batch kernels diverged",
-                    )
-                )
     return mismatches
 
 

@@ -21,15 +21,20 @@ from repro.backends import (
     backend_names,
     get_backend,
 )
-from repro.backends.packets import drive_stream, program_packets
-from repro.backends.replay import drive_columns, trace_packets, trace_stream
+from repro.backends.base import counts_result
+from repro.backends.packets import (
+    WalkCounts,
+    drive_stream,
+    interpreter_stream,
+    program_packets,
+)
+from repro.backends.replay import drive_columns, trace_packets
 from repro.backends.trace import TraceBackend
 from repro.components.library import standard_library
 from repro.core.composer import ComposerConfig, compose
 from repro.core.interface import PredictorComponent, StorageReport
 from repro.eval.runner import run_workload
 from repro.kernels.engine import TraceColumns, engine_for
-from repro.eval.tracesim import TraceResult
 from repro.isa.program import Program
 from repro.workloads.micro import build_micro
 from repro.workloads.registry import (
@@ -39,6 +44,7 @@ from repro.workloads.registry import (
     workload_names,
 )
 from repro.workloads.traces import BranchTrace, capture_trace
+from tests.fixtures import injected_bug
 
 BUDGET = 8_000
 
@@ -100,6 +106,13 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 # Bit-identity of the trace-driven backends
 # ----------------------------------------------------------------------
+class _HonestPhantom(injected_bug.PhantomPhase):
+    """The injected-bug component, declaring that it learns on branchless
+    packets."""
+
+    branchless_inert = False
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("preset", presets.PRESET_NAMES)
     def test_replay_matches_trace_per_preset(
@@ -115,23 +128,33 @@ class TestBitIdentity:
         assert t.backend == "trace" and r.backend == "replay"
 
     def test_columnar_walker_matches_stream_walkers(self, micro_program):
-        """drive_columns == drive_stream, skipping or not."""
+        """drive_columns == drive_stream, with the skip on or off."""
+        from repro.telemetry import TelemetryCollector
+
         trace = capture_trace(micro_program, max_instructions=BUDGET)
         walked = {}
-        for label in ("columns", "skip", "full"):
+        queried = {}
+        for label in ("skip", "full", "stream"):
             predictor = presets.build("b2")
-            packets = trace_packets(trace, predictor.config.fetch_width)
-            if label == "columns":
-                w = drive_columns(predictor, trace, packets, BUDGET)
-            else:
+            width = predictor.config.fetch_width
+            if label == "stream":
                 w = drive_stream(
                     predictor,
-                    trace_stream(trace, BUDGET),
-                    packets,
-                    skip_inert=(label == "skip"),
+                    interpreter_stream(micro_program, BUDGET),
+                    program_packets(micro_program, width),
+                )
+            else:
+                if label == "full":
+                    # A collector counts every packet: the skip turns off.
+                    predictor.attach_telemetry(TelemetryCollector())
+                w = drive_columns(
+                    predictor, trace, trace_packets(trace, width), BUDGET
                 )
             walked[label] = (w.instructions, w.branches, w.mispredicts)
-        assert walked["columns"] == walked["skip"] == walked["full"]
+            queried[label] = predictor.stats.predictions
+        assert walked["skip"] == walked["full"] == walked["stream"]
+        # The full walk queried every packet, the skipping walk fewer.
+        assert queried["full"] == queried["stream"] > queried["skip"]
 
     def test_stale_history_window_gates_the_skip(self, micro_program):
         """``no_replay`` repair keeps post-mispredict queries exact."""
@@ -139,12 +162,16 @@ class TestBitIdentity:
         results = []
         for use_columns in (True, False):
             predictor = presets.build("b2", ghist_repair_mode="no_replay")
-            packets = trace_packets(trace, predictor.config.fetch_width)
+            width = predictor.config.fetch_width
             if use_columns:
-                w = drive_columns(predictor, trace, packets, BUDGET)
+                w = drive_columns(
+                    predictor, trace, trace_packets(trace, width), BUDGET
+                )
             else:
                 w = drive_stream(
-                    predictor, trace_stream(trace, BUDGET), packets
+                    predictor,
+                    interpreter_stream(micro_program, BUDGET),
+                    program_packets(micro_program, width),
                 )
             results.append(
                 (w.instructions, w.branches, w.mispredicts,
@@ -156,6 +183,8 @@ class TestBitIdentity:
     def test_telemetry_forces_the_fallback_walker_and_matches(
         self, micro_program, micro_npz
     ):
+        """An attached collector turns the skip off (every packet is
+        walked), and the counts stay those of the skipping walk."""
         limits = RunLimits(max_instructions=BUDGET)
         stored = WorkloadSource(name="m", trace_path=micro_npz)
         bare = get_backend("replay").run(
@@ -171,6 +200,37 @@ class TestBitIdentity:
         )
         assert counts(bare) == counts(with_tel)
         assert with_tel.telemetry is not None and bare.telemetry is None
+
+    def test_non_inert_component_replays_with_trace_counts(
+        self, micro_program, micro_npz
+    ):
+        """A component that learns on branchless packets and says so is
+        walked on every packet: a stored ``.npz`` replays to the trace
+        backend's counts.  The same component lying about inertness gets
+        its branchless packets skipped and diverges on the same case."""
+        limits = RunLimits(max_instructions=BUDGET)
+        live = WorkloadSource(name="m", program=micro_program)
+        stored = WorkloadSource(name="m", trace_path=micro_npz)
+
+        def trace_and_replay(phantom_cls):
+            library = standard_library()
+            library.register("PHANTOM", phantom_cls)
+
+            def build():
+                return compose(
+                    injected_bug.INJECTED_TOPOLOGY, library, ComposerConfig()
+                )
+
+            assert build().branchless_inert is phantom_cls.branchless_inert
+            t = get_backend("trace").run(build(), live, limits)
+            r = get_backend("replay").run(build(), stored, limits)
+            return counts(t), counts(r)
+
+        honest_trace, honest_replay = trace_and_replay(_HonestPhantom)
+        assert honest_replay == honest_trace
+        lying_trace, lying_replay = trace_and_replay(injected_bug.PhantomPhase)
+        assert lying_trace == honest_trace
+        assert lying_replay != lying_trace
 
     def test_scalar_pipeline_replay_matches_trace(self, micro_program):
         """fetch_width=1: the backend-overhead benchmark configuration."""
@@ -340,9 +400,8 @@ class TestKernelSegmentEdges:
         window length the kernel walk, the scalar columnar walk, and the
         full stream walk agree bit for bit — including segments that end
         exactly where a window opens or closes."""
-        trace = capture_trace(
-            build_micro("counted_loops", scale=0.2), max_instructions=BUDGET
-        )
+        program = build_micro("counted_loops", scale=0.2)
+        trace = capture_trace(program, max_instructions=BUDGET)
         sigs = []
         stale = []
         for mode in ("kernel", "scalar", "stream"):
@@ -351,14 +410,22 @@ class TestKernelSegmentEdges:
                 ghist_repair_mode="no_replay",
                 ghist_corruption_window=window,
             )
-            packets = trace_packets(trace, predictor.config.fetch_width)
+            width = predictor.config.fetch_width
             if mode == "stream":
                 w = drive_stream(
-                    predictor, trace_stream(trace, BUDGET), packets
+                    predictor,
+                    interpreter_stream(program, BUDGET),
+                    program_packets(program, width),
                 )
             else:
                 engine = engine_for(predictor) if mode == "kernel" else None
-                w = drive_columns(predictor, trace, packets, BUDGET, engine=engine)
+                w = drive_columns(
+                    predictor,
+                    trace,
+                    trace_packets(trace, width),
+                    BUDGET,
+                    engine=engine,
+                )
             sigs.append((w.instructions, w.branches, w.mispredicts))
             stale.append(predictor.stats.stale_history_queries)
         assert sigs[0] == sigs[1] == sigs[2], f"window={window}"
@@ -398,16 +465,10 @@ class TestKernelSegmentEdges:
 
 
 class TestMetrics:
-    def test_trace_result_mpki_is_per_instruction(self):
-        result = TraceResult(branches=200, mispredicts=10, instructions=4000)
-        assert result.mpki == pytest.approx(2.5)
-        assert result.mpki_per_branch == pytest.approx(50.0)
-        assert result.accuracy == pytest.approx(0.95)
-
-    def test_trace_result_mpki_zero_without_instruction_count(self):
-        legacy = TraceResult(branches=200, mispredicts=10)
-        assert legacy.mpki == 0.0
-        assert legacy.mpki_per_branch == pytest.approx(50.0)
+    def test_counts_result_rates_handle_zero_denominators(self):
+        empty = counts_result("b2", "m", WalkCounts(0, 0, 0), "trace")
+        assert empty.mpki == 0.0
+        assert empty.branch_accuracy == 1.0
 
     def test_counts_result_mpki_uses_instructions(self, micro_program):
         r = run_workload(

@@ -1,9 +1,9 @@
 """Differential fuzzing subsystem tests.
 
 Fast tier-1 coverage of the generator/oracle/minimizer/reproducer stack,
-the injected-bug fixture proving the oracles have teeth, and regression
-tests riding along (``TraceResult.mpki`` per-instruction semantics,
-schema-2 ``BranchTrace`` round trip through the reproducer format).  The
+the injected-bug fixture proving the oracles have teeth, and a regression
+test riding along (schema-2 ``BranchTrace`` round trip through the
+reproducer format).  The
 long campaign sweeps are marked ``fuzz`` and deselected by default — run
 them with ``pytest -m fuzz``.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.diagnostics import ERROR
 from repro.analysis.topology_check import check_spec
 from repro.cli import main as cli_main
-from repro.eval.tracesim import TraceResult
 from repro.fuzz import (
     FuzzCase,
     FuzzConfig,
@@ -168,10 +167,11 @@ class TestInjectedBug:
     def test_backends_oracle_catches_lying_inert_component(self, tmp_path):
         found = run_oracle("backends", injected_case(), tmp_path)
         subjects = {m.subject for m in found}
-        # Both the replay backend and the skip-enabled stream walker
-        # diverge from the honest commit-order walk.
+        # Both the replay backend and the scalar columnar walker skip the
+        # lying component's branchless packets, so both diverge from the
+        # honest commit-order walk.
         assert "trace-vs-replay" in subjects
-        assert "trace-vs-stream-skip" in subjects
+        assert "trace-vs-columnar-skip" in subjects
 
     def test_minimizer_shrinks_the_failing_case(self, tmp_path):
         result = minimize_case(
@@ -366,26 +366,6 @@ class TestCampaign:
         )
         assert cli_main(["fuzz", "repro", str(path)]) == 0
         assert "CLEAN" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Satellite regressions riding along
-# ----------------------------------------------------------------------
-class TestMetricRegressions:
-    def test_trace_result_mpki_is_per_kilo_instruction(self):
-        # 25 mispredicts over 10_000 instructions: 2.5 MPKI; the legacy
-        # per-branch rate (25/500 per kilo-branch) stays available under
-        # its own name.
-        result = TraceResult(
-            branches=500, mispredicts=25, instructions=10_000
-        )
-        assert result.mpki == pytest.approx(2.5)
-        assert result.mpki_per_branch == pytest.approx(50.0)
-
-    def test_trace_result_rates_handle_zero_denominators(self):
-        empty = TraceResult(branches=0, mispredicts=0, instructions=0)
-        assert empty.mpki == 0.0
-        assert empty.mpki_per_branch == 0.0
 
 
 # ----------------------------------------------------------------------
