@@ -135,7 +135,7 @@ def check_topology(
 
     # TOP002: an arbitration child that answers after its selector is
     # discarded entirely — the selector muxes its predict_in vectors at its
-    # own response stage, and Arbitrate.evaluate replaces all later stages
+    # own response stage, and an Arbitrate node replaces all later stages
     # with the selector's output.
     for node in arbitrates:
         for child in node.children:

@@ -19,7 +19,7 @@ payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 #: The five interface events, in pipeline order.  Telemetry trace records
 #: (:mod:`repro.telemetry.trace`) use these names, with commit-time
@@ -27,14 +27,16 @@ from typing import Optional, Tuple
 EVENT_NAMES = ("predict", "fire", "mispredict", "repair", "update")
 
 
-@dataclass(frozen=True)
-class PredictRequest:
+class PredictRequest(NamedTuple):
     """Inputs available to a sub-component during prediction.
 
     ``ghist`` and ``lhist`` are provided only at the end of the first cycle
     (§III-B, Fig. 2); the composer enforces that single-cycle components do
     not consume them.  ``phist`` is the optional path history (§IV-B3),
     provided on the same timing.
+
+    An immutable named tuple: the composer builds one per fetch packet, and
+    a tuple costs a third of a frozen dataclass to construct.
     """
 
     fetch_pc: int
@@ -94,13 +96,28 @@ class UpdateBundle:
     mispredicted: bool = False
     mispredict_idx: Optional[int] = None
 
-    def with_meta(self, meta: int) -> "UpdateBundle":
-        """A copy of this bundle carrying a specific component's metadata.
 
-        Runs once per component per event, so it bypasses the generated
-        ``__init__`` and clones the instance dict directly.
-        """
-        clone = UpdateBundle.__new__(UpdateBundle)
-        clone.__dict__.update(self.__dict__)
-        clone.meta = meta
-        return clone
+_new_bundle = object.__new__
+
+
+def dispatch_event(
+    hook: str,
+    components: Iterable[object],
+    fields: Dict[str, object],
+    metas: Dict[str, int],
+) -> None:
+    """Call ``component.<hook>`` with a fresh bundle for each component.
+
+    Each component gets its own :class:`UpdateBundle` carrying ``fields``
+    (every bundle field in declaration order, as
+    :func:`repro.core.repair.bundle_fields` builds them) and its own
+    predict-time metadata from ``metas`` (0 if it has none).  Runs for
+    every event of every fetch packet, so it skips the generated
+    ``__init__`` and fills each instance dict directly.
+    """
+    for component in components:
+        bundle = _new_bundle(UpdateBundle)
+        state = bundle.__dict__
+        state.update(fields)
+        state["meta"] = metas.get(component.name, 0)
+        getattr(component, hook)(bundle)

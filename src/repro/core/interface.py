@@ -23,7 +23,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
-from repro._util import mask
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector
 
@@ -235,7 +234,7 @@ class PredictorComponent(abc.ABC):
         metadata than it declared is a contract violation, not a silent
         truncation.
         """
-        if meta < 0 or meta > mask(self.meta_bits):
+        if meta < 0 or meta >> self.meta_bits:
             raise InterfaceError(
                 f"{self.name}: metadata {meta:#x} does not fit the declared "
                 f"{self.meta_bits} bits"

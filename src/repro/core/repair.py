@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.events import UpdateBundle
+from repro.core.events import dispatch_event
 from repro.core.history import LocalHistoryProvider
 from repro.core.history_file import HistoryFileEntry
 from repro.core.interface import PredictorComponent
@@ -68,13 +68,13 @@ class RepairStateMachine:
         """
         if not squashed:
             return 0
+        repair_components = self._repair_components
         for entry in reversed(squashed):
             self._local_history.restore(entry.lhist_index, entry.lhist_snapshot)
-            if self._repair_components:
-                bundle = bundle_from_entry(entry)
-                for component in self._repair_components:
-                    meta = entry.metas.get(component.name, 0)
-                    component.on_repair(bundle.with_meta(meta))
+            if repair_components:
+                dispatch_event(
+                    "on_repair", repair_components, bundle_fields(entry), entry.metas
+                )
         cycles = math.ceil(len(squashed) / self.walk_width)
         self.stats.walks += 1
         self.stats.entries_repaired += len(squashed)
@@ -85,25 +85,31 @@ class RepairStateMachine:
         self.stats = RepairStats()
 
 
-def bundle_from_entry(
+def bundle_fields(
     entry: HistoryFileEntry, mispredicted: bool = False
-) -> UpdateBundle:
-    """Build the common event payload from a history-file entry (§III-E)."""
-    return UpdateBundle(
-        fetch_pc=entry.fetch_pc,
-        width=entry.width,
-        ghist=entry.req_ghist,
-        lhist=entry.lhist_snapshot,
-        phist=entry.phist_snapshot,
-        meta=0,
-        br_mask=entry.br_mask,
-        taken_mask=entry.taken_mask,
-        cfi_idx=entry.cfi_idx,
-        cfi_taken=entry.cfi_taken,
-        cfi_target=entry.cfi_target,
-        cfi_is_br=entry.cfi_is_br,
-        cfi_is_jal=entry.cfi_is_jal,
-        cfi_is_jalr=entry.cfi_is_jalr,
-        mispredicted=mispredicted or entry.mispredicted,
-        mispredict_idx=entry.mispredict_idx,
-    )
+) -> Dict[str, object]:
+    """The common event payload of a history-file entry (§III-E).
+
+    Every :class:`~repro.core.events.UpdateBundle` field in declaration
+    order, with ``meta`` left 0;
+    :func:`~repro.core.events.dispatch_event` gives each component its own
+    bundle of these fields and its own metadata.
+    """
+    return {
+        "fetch_pc": entry.fetch_pc,
+        "width": entry.width,
+        "ghist": entry.req_ghist,
+        "lhist": entry.lhist_snapshot,
+        "phist": entry.phist_snapshot,
+        "meta": 0,
+        "br_mask": entry.br_mask,
+        "taken_mask": entry.taken_mask,
+        "cfi_idx": entry.cfi_idx,
+        "cfi_taken": entry.cfi_taken,
+        "cfi_target": entry.cfi_target,
+        "cfi_is_br": entry.cfi_is_br,
+        "cfi_is_jal": entry.cfi_is_jal,
+        "cfi_is_jalr": entry.cfi_is_jalr,
+        "mispredicted": mispredicted or entry.mispredicted,
+        "mispredict_idx": entry.mispredict_idx,
+    }

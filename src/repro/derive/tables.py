@@ -65,6 +65,26 @@ def field_shape(table: TableSpec, field: FieldSpec) -> Tuple[int, ...]:
     return shape
 
 
+def _row_function(spec: TableSpec):
+    """The function :meth:`DerivedTable.row` calls for ``spec``.
+
+    The declared :meth:`IndexFn.compute` when the scheme has a closed form;
+    otherwise one that refuses.  Resolved once per table, because row
+    selection runs on every scalar lookup and update.
+    """
+    index = spec.index
+    if index is not None and index.scheme not in ("none", "custom"):
+        return index.compute
+    scheme = index.scheme if index is not None else None
+
+    def no_row(fetch_pc, ghist, lhist, phist):
+        raise ValueError(
+            f"table {spec.name!r} declares scheme {scheme!r}: no closed-form row"
+        )
+
+    return no_row
+
+
 class DerivedTable:
     """Runtime storage structure generated from a :class:`TableSpec`."""
 
@@ -88,7 +108,7 @@ class DerivedTable:
         self._sole_bits = spec.fields[0].bits
         self._multiway = spec.ways > 1
         self._is_counter = spec.update == "saturating-counter"
-        self._compute = spec.index.compute if spec.index is not None else None
+        self._row = _row_function(spec)
 
     # -- array access --------------------------------------------------
     def _only_field(self) -> str:
@@ -122,19 +142,7 @@ class DerivedTable:
         self, fetch_pc: int, ghist: int = 0, lhist: int = 0, phist: int = 0
     ) -> int:
         """The row the spec's :class:`IndexFn` closed form selects."""
-        compute = self._compute
-        index = (
-            compute(fetch_pc, ghist, lhist, phist)
-            if compute is not None
-            else None
-        )
-        if index is None:
-            scheme = self.spec.index.scheme if self.spec.index else None
-            raise ValueError(
-                f"table {self.spec.name!r} declares scheme "
-                f"{scheme!r}: no closed-form row"
-            )
-        return index
+        return self._row(fetch_pc, ghist, lhist, phist)
 
     def way_of(self, branch_pc: int) -> int:
         """Way-selection hash for multi-way tables (identity for 1 way)."""

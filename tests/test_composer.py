@@ -6,9 +6,15 @@ import pytest
 from repro import presets
 from repro.components.library import standard_library
 from repro.core import (
+    Arbitrate,
+    ComposedPredictor,
     ComposerConfig,
     InterfaceError,
+    Leaf,
+    Override,
+    PredictorComponent,
     PreDecodedSlot,
+    StorageReport,
     compose,
 )
 
@@ -53,6 +59,52 @@ class TestPredictContract:
     def test_staged_vectors_one_per_stage(self):
         result = mk("GSHARE2").predict(0, [PLAIN] * 4)
         assert len(result.staged) == 2
+
+
+class MetaStub(PredictorComponent):
+    """Passes its first input through and reports a fixed metadata word."""
+
+    def __init__(self, name, latency=2, meta=0, meta_bits=4, n_inputs=1):
+        super().__init__(name, latency, meta_bits=meta_bits, n_inputs=n_inputs)
+        self.meta = meta
+
+    def lookup(self, req, predict_in):
+        return predict_in[0].copy(), self.meta
+
+    def storage(self):
+        return StorageReport(self.name)
+
+
+class TestMetaWidthGate:
+    """``predict`` rejects metadata wider than a component declared, at
+    every position a component can take in a topology."""
+
+    TOO_WIDE = 1 << 4  # one bit past the stubs' 4-bit declaration
+
+    def topologies(self, meta):
+        yield "leaf", Leaf(MetaStub("bad", meta=meta))
+        yield "override head", Override(
+            MetaStub("bad", latency=3, meta=meta), Leaf(MetaStub("lo"))
+        )
+        yield "arbitrate selector", Arbitrate(
+            MetaStub("bad", latency=3, meta=meta, n_inputs=2),
+            [Leaf(MetaStub("a")), Leaf(MetaStub("b"))],
+        )
+
+    @pytest.mark.parametrize("meta", [TOO_WIDE, -1])
+    def test_out_of_range_meta_raises(self, meta):
+        for where, topology in self.topologies(meta):
+            predictor = ComposedPredictor(topology)
+            with pytest.raises(InterfaceError, match="does not fit"):
+                predictor.predict(0, [PLAIN] * 4)
+            assert len(predictor.history_file) == 0, where
+
+    def test_widest_fitting_meta_is_recorded(self):
+        for where, topology in self.topologies(self.TOO_WIDE - 1):
+            predictor = ComposedPredictor(topology)
+            result = predictor.predict(0, [PLAIN] * 4)
+            entry = predictor.history_file.get(result.ftq_id)
+            assert entry.metas["bad"] == self.TOO_WIDE - 1, where
 
 
 class TestPreDecode:
