@@ -1,11 +1,15 @@
 """Tests for history providers, the history file, the RAS, and repair."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.components.ras import ReturnAddressStack
+from repro.core.events import UpdateBundle, dispatch_event
 from repro.core.history import GlobalHistoryProvider, LocalHistoryProvider
-from repro.core.history_file import HistoryFile, HistoryFileError
-from repro.core.repair import RepairStateMachine
+from repro.core.history_file import HistoryFile, HistoryFileEntry, HistoryFileError
+from repro.core.repair import RepairStateMachine, bundle_fields
 
 
 class TestGlobalHistory:
@@ -136,6 +140,49 @@ class TestHistoryFile:
         small = hf.storage(10, 64, 0).total_bits
         big = hf.storage(100, 64, 32).total_bits
         assert big > small
+
+    def test_allocate_fills_every_entry_field(self):
+        # allocate builds the slotted entry positionally: each argument must
+        # land in the field of the same name, and the rest at its default.
+        hf = HistoryFile(4)
+        params = list(inspect.signature(HistoryFile.allocate).parameters)[1:]
+        given = {name: object() for name in params}
+        entry = hf.allocate(**given)
+        for field in dataclasses.fields(HistoryFileEntry):
+            if field.name == "ftq_id":
+                assert entry.ftq_id == 0
+            elif field.name in given:
+                assert getattr(entry, field.name) is given[field.name], field.name
+            else:
+                assert getattr(entry, field.name) == field.default, field.name
+
+
+class TestEventPayload:
+    def test_bundle_fields_cover_every_bundle_field(self):
+        entry = TestHistoryFile()._alloc(HistoryFile(2), cfi_idx=1, cfi_target=7)
+        names = [field.name for field in dataclasses.fields(UpdateBundle)]
+        assert list(bundle_fields(entry)) == names
+        assert bundle_fields(entry, mispredicted=True)["mispredicted"] is True
+
+    def test_each_component_gets_its_own_bundle_and_meta(self):
+        class Sink:
+            def __init__(self, name):
+                self.name = name
+                self.seen = []
+
+            def on_update(self, bundle):
+                self.seen.append(bundle)
+
+        entry = TestHistoryFile()._alloc(HistoryFile(2), fetch_pc=4)
+        sinks = [Sink("a"), Sink("b"), Sink("c")]
+        fields = bundle_fields(entry)
+        dispatch_event("on_update", sinks, fields, {"a": 5, "b": 6})
+        (a,), (b,), (c,) = (sink.seen for sink in sinks)
+        assert len({id(a), id(b), id(c)}) == 3
+        assert (a.meta, b.meta, c.meta) == (5, 6, 0)
+        assert a == UpdateBundle(**{**fields, "meta": 5})
+        a.cfi_target = -1  # one component's bundle is not another's
+        assert b.cfi_target == fields["cfi_target"]
 
 
 class TestRas:

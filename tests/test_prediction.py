@@ -95,6 +95,22 @@ class TestPredictionVector:
         clone.slots[0].taken = True
         assert not vec.slots[0].taken
 
+    @pytest.mark.parametrize("copier", ["slot", "vector"])
+    def test_copies_carry_every_slot_attribute(self, copier):
+        # Both clones set SlotPrediction's attributes one by one; a slot
+        # added to the class and missed by a copy must fail here.
+        names = SlotPrediction.__slots__
+        slot = SlotPrediction()
+        for i, name in enumerate(names):
+            setattr(slot, name, f"value-{i}")
+        if copier == "slot":
+            clone = slot.copy()
+        else:
+            clone = PredictionVector(0, [slot]).copy().slots[0]
+        assert clone is not slot
+        for name in names:
+            assert getattr(clone, name) == getattr(slot, name)
+
 
 class TestStagedPrediction:
     def test_stage_indexing(self):

@@ -9,6 +9,7 @@ from repro.core.interface import InterfaceError, PredictorComponent, StorageRepo
 from repro.core.prediction import PredictionVector
 from repro.core.topology import (
     Arbitrate,
+    EvaluationPlan,
     Leaf,
     Override,
     merge_by_hit,
@@ -56,9 +57,11 @@ REQ = PredictRequest(fetch_pc=0, width=4)
 
 
 def evaluate(node, depth):
+    """Staged predictions (None before any component responds) and metas."""
     metas = {}
-    staged = node.evaluate(REQ, depth, metas)
-    return staged, metas
+    plan = EvaluationPlan(node, depth)
+    values = plan.run(REQ, metas)
+    return [values[i] for i in plan.stages], metas
 
 
 class TestLeaf:
