@@ -21,8 +21,11 @@ properties make it fast:
    component that learns on branchless packets or an attached telemetry
    collector, and suspended inside a no-replay stale-history window.
 3. **Branchy packets are batch-predicted** by the segment engine
-   (:mod:`repro.kernels.engine`) when every component has a columnar
-   kernel; the scalar body walks only the impure packets.
+   (:mod:`repro.kernels.engine`), which runs the composer's evaluation
+   plan over columns when every component has a columnar kernel; the
+   scalar body walks only the impure packets.  One break-even rule decides
+   when to attempt: an attempt that commits fewer than ``_BREAK_EVEN``
+   branch records makes the walker walk scalar for a while first.
 
 All three are exact: replay reproduces the ``trace`` backend's branch and
 mispredict counts bit for bit (asserted against the shared
@@ -63,22 +66,15 @@ from repro.workloads.traces import (
 #: out of the walk loop without materializing huge traces at once.
 _CHUNK = 1 << 16
 
-#: Adaptive segment-engine window (branch records per vectorized attempt).
-#: The next window tracks twice the last acceptance — full acceptance
-#: doubles the window, early cuts shrink it toward the cut distance — so
-#: mispredict-dense regions pay for narrow evaluations only.
-_WINDOW_START = 256
-_WINDOW_MIN = 8
+#: Segment-engine break-even, in branch records: an attempt that commits
+#: fewer did not pay for its fixed numpy cost over walking them scalar.
+#: Attempts that reach it retry at once; attempts that fall short make the
+#: walker walk that many packets scalar first, doubling the wait per
+#: consecutive shortfall.
+_BREAK_EVEN = 16
+#: Largest engine window (branch records per attempt), which bounds one
+#: attempt's arrays, and the longest scalar wait between attempts.
 _WINDOW_MAX = 4096
-#: Walked packets forced through the scalar path after the engine accepts
-#: nothing, amortizing failed vectorized attempts in impure regions.
-_SCALAR_QUOTA = 8
-#: Engine disengagement: when the decayed average acceptance per attempt
-#: drops below the engine's ``engage_min`` (a per-composition break-even
-#: scaled by kernel count), a vectorized attempt costs more than walking
-#: its yield through the scalar path, so the driver walks
-#: ``_DISENGAGE_QUOTA`` packets scalar between probes instead.
-_DISENGAGE_QUOTA = 24
 
 
 def trace_packets(trace: BranchTrace, fetch_width: int) -> PacketCache:
@@ -150,9 +146,11 @@ def drive_columns(
     before each scalar fetch, committing the maximal pure prefix in one
     step (:meth:`~repro.kernels.engine.SegmentEngine.run`).  The scalar
     body resumes at the first impure packet — the mispredicting or
-    state-writing one — so resolve/repair ordering is untouched.  Stale
-    windows disable the engine until they drain.  ``engine=None`` pins
-    the scalar walk.
+    state-writing one — so resolve/repair ordering is untouched.  An
+    attempt that commits fewer than ``_BREAK_EVEN`` records is followed by
+    a scalar wait that doubles per consecutive shortfall (up to
+    ``_WINDOW_MAX`` packets).  Stale windows disable the engine until they
+    drain.  ``engine=None`` pins the scalar walk.
     """
     total = trace.instruction_count
     n = total if max_instructions is None else min(total, max_instructions)
@@ -187,11 +185,11 @@ def drive_columns(
         from repro.kernels.engine import TraceColumns
 
         cols = TraceColumns.from_trace(trace)
-        engage_min = engine.engage_min
-    window = _WINDOW_START
+    # Each window is twice the last attempt's yield, and never below twice
+    # the break-even, so a window at its floor can still reach it.
+    window = 2 * _BREAK_EVEN
+    wait = _BREAK_EVEN
     scalar_quota = 0
-    accept_avg = float(_WINDOW_START)
-    probe_backoff = 1
 
     instructions = 0
     branches = 0
@@ -206,12 +204,10 @@ def drive_columns(
         ):
             bi = chunk_start + ci
             seg = engine.run(cols, pc, bi, min(window, n_br - bi), n - instructions)
-            accept_avg = 0.5 * accept_avg + 0.5 * seg.records
             if seg.packets:
                 instructions += seg.instructions
                 branches += seg.branches
                 pc = seg.next_pc
-                window = min(max(2 * seg.records, _WINDOW_MIN), _WINDOW_MAX)
                 bi += seg.records
                 if bi < n_br:
                     if bi - chunk_start >= len(b_pcs):
@@ -221,24 +217,16 @@ def drive_columns(
                     next_branch = b_pcs[ci]
                 else:
                     next_branch = None
-            if accept_avg < engage_min:
-                # Mispredict-dense region: segments are too short to
-                # amortize attempts; walk scalar between probes, backing
-                # off while the region stays dense.
-                scalar_quota = _DISENGAGE_QUOTA * probe_backoff
-                probe_backoff = min(probe_backoff * 2, 8)
-                continue
-            if seg.packets:
-                probe_backoff = 1
-            if seg.impure_next:
-                # The next packet is known to mispredict or write state:
-                # walk exactly it scalar, then retry.
-                scalar_quota = 1
-            elif not seg.packets:
-                # Nothing pure up front for window-shape reasons: walk
-                # scalar for a while before the next (costly) attempt.
-                window = max(window // 2, _WINDOW_MIN)
-                scalar_quota = _SCALAR_QUOTA
+            window = min(max(2 * seg.records, 2 * _BREAK_EVEN), _WINDOW_MAX)
+            if seg.records >= _BREAK_EVEN:
+                # Paid off: walk only the packet known to mispredict or
+                # write state, if that is what ended the segment, and retry.
+                wait = _BREAK_EVEN
+                scalar_quota = 1 if seg.impure_next else 0
+            else:
+                # Too short to pay: back off in mispredict-dense regions.
+                scalar_quota = wait
+                wait = min(2 * wait, _WINDOW_MAX)
             continue
 
         fetch_pc = pc

@@ -9,19 +9,3 @@ replay backend falls back to the scalar walker automatically whenever a
 predictor carries a kernel-less component, telemetry, or a stale
 no-replay history window.
 """
-
-from repro.kernels.engine import (
-    SegmentEngine,
-    engine_for,
-    state_from_vectors,
-    state_matches_vector,
-    stimulus_context,
-)
-
-__all__ = [
-    "SegmentEngine",
-    "engine_for",
-    "state_from_vectors",
-    "state_matches_vector",
-    "stimulus_context",
-]

@@ -4,8 +4,8 @@ mispredicts.
 The scalar replay walker (:func:`repro.backends.replay.drive_columns`)
 steps packet by packet through Python component code.  This engine instead
 takes a *window* of upcoming branch records, reconstructs every fetch
-packet the walker would form, evaluates the composed topology over all of
-them in one vectorized pass against the **frozen** component tables, and
+packet the walker would form, runs the composer's evaluation plan over all
+of them in one vectorized pass against the **frozen** component tables, and
 accepts the maximal prefix of *pure* packets — packets that are neither
 mispredicted nor would write any component state.  Pure packets need no
 table writes at all: committing them only advances counts, the global
@@ -26,9 +26,9 @@ always safe — it only shortens the accepted prefix — so the per-kernel
 
 Eligibility is per-composition (:func:`engine_for`): every component must
 advertise a kernel via ``columnar_kernel()`` (capability CON009, the
-columnar sibling of ``branchless_inert``/CON008), the topology must be
-override-only, and the composition must not use local/path history or CFI
-serialization.  Anything else falls back to the scalar walker.
+columnar sibling of ``branchless_inert``/CON008), the plan must have no
+arbitration step, and the composition must not use local/path history or
+CFI serialization.  Anything else falls back to the scalar walker.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.topology import Arbitrate, Leaf, Override, TopologyNode
+from repro.core.topology import _ARBITRATE, _FALLTHROUGH, _MERGE
 from repro.workloads.traces import (
     TYPE_CALL,
     TYPE_COND,
@@ -161,89 +161,12 @@ _NO_PROGRESS = EngineResult(0, 0, 0, 0, 0)
 _NO_PROGRESS_IMPURE = EngineResult(0, 0, 0, 0, 0, impure_next=True)
 
 
-class _VecLeaf:
-    __slots__ = ("kernel", "latency")
-
-    def __init__(self, kernel, latency: int):
-        self.kernel = kernel
-        self.latency = latency
-
-    def evaluate(self, ctx: SegmentContext, depth: int) -> List[Optional[ColState]]:
-        out = self.kernel.lookup(ctx, ColState.fallthrough(ctx.P, ctx.W))
-        staged: List[Optional[ColState]] = [None] * depth
-        for d in range(self.latency, depth + 1):
-            staged[d - 1] = out
-        return staged
-
-
-class _VecOverride:
-    __slots__ = ("kernel", "latency", "lo")
-
-    def __init__(self, kernel, latency: int, lo):
-        self.kernel = kernel
-        self.latency = latency
-        self.lo = lo
-
-    def evaluate(self, ctx: SegmentContext, depth: int) -> List[Optional[ColState]]:
-        staged = self.lo.evaluate(ctx, depth)
-        predict_in = _first_available_vec(staged, self.latency, ctx)
-        out = self.kernel.lookup(ctx, predict_in)
-        result = list(staged)
-        prev_below = prev_merged = None
-        for d in range(self.latency, depth + 1):
-            below = staged[d - 1]
-            if below is None:
-                result[d - 1] = out
-            elif below is prev_below:
-                result[d - 1] = prev_merged
-            else:
-                prev_below = below
-                prev_merged = merge_by_hit_vec(out, below)
-                result[d - 1] = prev_merged
-        return result
-
-
-def _first_available_vec(
-    staged: List[Optional[ColState]], stage: int, ctx: SegmentContext
-) -> ColState:
-    for d in range(stage, 0, -1):
-        state = staged[d - 1]
-        if state is not None:
-            return state
-    return ColState.fallthrough(ctx.P, ctx.W)
-
-
-def _vectorize(node: TopologyNode):
-    """Mirror a scalar topology with kernel-backed nodes, or None."""
-    if isinstance(node, Leaf):
-        kernel = node.component.columnar_kernel()
-        if kernel is None:
-            return None
-        return _VecLeaf(kernel, node.component.latency)
-    if isinstance(node, Override):
-        lo = _vectorize(node.lo)
-        if lo is None:
-            return None
-        kernel = node.hi.columnar_kernel()
-        if kernel is None:
-            return None
-        return _VecOverride(kernel, node.hi.latency, lo)
-    assert isinstance(node, Arbitrate)
-    return None  # learned selection is not vectorized yet
-
-
-def _collect_kernels(node) -> List[object]:
-    if isinstance(node, _VecLeaf):
-        return [node.kernel]
-    return _collect_kernels(node.lo) + [node.kernel]
-
-
 def engine_for(predictor) -> Optional["SegmentEngine"]:
     """Build a segment engine for ``predictor``, or None when ineligible.
 
     The gate mirrors the ``drive_columns`` preconditions plus the
-    columnar-specific ones: override-only topology, kernels for every
-    component, matching fetch widths, a <=64-bit global history (the
+    columnar-specific ones: no arbitration step in the plan, kernels for
+    every component, matching fetch widths, a <=64-bit global history (the
     rolling-history builder's register width), and no local/path history
     (their providers are not columnarized).  A component that declares a
     :class:`repro.spec.ComponentSpec` must also declare batch-replay
@@ -271,29 +194,37 @@ def engine_for(predictor) -> Optional["SegmentEngine"]:
             spec = None
         if spec is not None and spec.kernel == "none":
             return None
-    root = _vectorize(predictor.topology)
-    if root is None:
-        return None
-    return SegmentEngine(predictor, root)
+    kernels = {}
+    for component, _sources, _out, name, _bits, kind in predictor._plan.steps:
+        if kind == _ARBITRATE:
+            return None  # learned selection is not vectorized yet
+        if kind != _MERGE:
+            kernel = component.columnar_kernel()
+            if kernel is None:
+                return None
+            kernels[name] = kernel
+    return SegmentEngine(predictor, kernels)
 
 
 class SegmentEngine:
-    """Vectorized pure-packet evaluator for one composed predictor."""
+    """Vectorized pure-packet evaluator for one composed predictor.
 
-    def __init__(self, predictor, root):
+    Runs the composer's own :class:`~repro.core.topology.EvaluationPlan`
+    over columns: each lookup step through the component's kernel
+    (``kernels``, keyed by component name), each merge step through
+    :func:`merge_by_hit_vec`.  As in the scalar plan, one fall-through
+    state feeds every step that reads it, so a kernel's ``lookup`` must
+    return a new state and leave the one passed in unwritten.
+    """
+
+    def __init__(self, predictor, kernels):
         self.predictor = predictor
-        self.root = root
-        self.kernels = _collect_kernels(root)
+        self.plan = predictor._plan
+        #: Kernels by component name, in the plan's lookup order, which is
+        #: also their commit order.
+        self.kernels = kernels
         self.width = predictor.config.fetch_width
-        self.depth = predictor.depth
         self.ghist_bits = predictor.config.global_history_bits
-        #: Average accepted records per attempt below which the driver
-        #: should disengage the engine.  An attempt's numpy overhead is
-        #: roughly flat per kernel while the scalar walk it replaces costs
-        #: one Python predict/commit round per component, so cheap
-        #: compositions (few kernels) need longer pure segments to
-        #: amortize an attempt than deep ones do.
-        self.engage_min = max(8.0, 48.0 / max(len(self.kernels), 1))
 
     # ------------------------------------------------------------------
     def _build_context(
@@ -430,10 +361,16 @@ class SegmentEngine:
         if max_packets <= 0:
             return _NO_PROGRESS
 
-        staged = self.root.evaluate(ctx, self.depth)
-        final = staged[-1]
-        if final is None:  # pragma: no cover - depth >= root latency
-            final = ColState.fallthrough(P, ctx.W)
+        plan = self.plan
+        values = plan._blank.copy()
+        values[_FALLTHROUGH] = ColState.fallthrough(P, ctx.W)
+        for _component, sources, out, name, _bits, kind in plan.steps:
+            if kind == _MERGE:
+                winner, fallback = sources
+                values[out] = merge_by_hit_vec(values[winner], values[fallback])
+            else:
+                values[out] = self.kernels[name].lookup(ctx, values[sources])
+        final = values[plan.filled_stages[-1]]
 
         # The walker resolves only direction mispredicts on conditional
         # records, and it checks every record it walks — including records
@@ -451,7 +388,7 @@ class SegmentEngine:
         )
 
         mutating = wrong
-        for kernel in self.kernels:
+        for kernel in self.kernels.values():
             mutating = mutating | kernel.mutates(ctx)
 
         impure = np.flatnonzero(mutating)
@@ -474,7 +411,7 @@ class SegmentEngine:
         stats.committed_packets += accepted
         stats.committed_branches += int(ctx.pos_incl[last])
         stats.committed_jumps += int(ctx.jumps_incl[last])
-        for kernel in self.kernels:
+        for kernel in self.kernels.values():
             kernel.commit(ctx, accepted)
         records = (
             ctx.n_records if accepted == P else int(ctx.first_k[accepted])

@@ -4,7 +4,7 @@ Attribution model
 -----------------
 During a telemetry-enabled predict, the topology evaluation records which
 sub-component supplied each slot of every prediction vector it produced
-(see ``TopologyNode.evaluate``'s ``attribution`` parameter).  The provider
+(see ``EvaluationPlan.run``'s ``attribution`` parameter).  The provider
 of a final-prediction slot is:
 
 - the component whose ``lookup`` produced the slot's value, when it formed

@@ -113,16 +113,31 @@ class _HonestPhantom(injected_bug.PhantomPhase):
     branchless_inert = False
 
 
+#: Engine-eligible override chains with non-monotone latencies: they reach
+#: the evaluation plan's fall-through ``predict_in`` and its multi-stage
+#: merges, which the presets do not.
+OVERRIDE_CHAINS = ("BIM1 > BTB3", "UBTB1 > BIM2", "BTB2 > BIM3 > UBTB1")
+
+
+def build_design(design):
+    """A preset by name, or an engine-eligible composition by notation."""
+    if design in presets.PRESET_NAMES:
+        return presets.build(design)
+    predictor = compose(design, standard_library(), ComposerConfig())
+    assert engine_for(predictor) is not None
+    return predictor
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("preset", presets.PRESET_NAMES)
+    @pytest.mark.parametrize("design", presets.PRESET_NAMES + OVERRIDE_CHAINS)
     def test_replay_matches_trace_per_preset(
-        self, preset, micro_program, micro_npz
+        self, design, micro_program, micro_npz
     ):
         limits = RunLimits(max_instructions=BUDGET)
         live = WorkloadSource(name="m", program=micro_program)
         stored = WorkloadSource(name="m", trace_path=micro_npz)
-        t = get_backend("trace").run(presets.build(preset), live, limits)
-        r = get_backend("replay").run(presets.build(preset), stored, limits)
+        t = get_backend("trace").run(build_design(design), live, limits)
+        r = get_backend("replay").run(build_design(design), stored, limits)
         assert counts(t) == counts(r)
         assert t.branches > 0 and t.branch_mispredicts > 0
         assert t.backend == "trace" and r.backend == "replay"
@@ -462,6 +477,40 @@ class TestKernelSegmentEdges:
         # mispredicts nearly everything.
         assert mispredicts >= 0.9 * branches
         assert instructions <= BUDGET
+
+
+class TestEngageRule:
+    """``drive_columns`` must hand sparse traces to the engine and back
+    off on dense ones.  Bit-identity holds either way, so only these
+    counts fail when it stops calling the engine or never backs off."""
+
+    @staticmethod
+    def engine_attempts(workload):
+        """(branch records, engine attempts, records the engine committed)."""
+        trace = capture_trace(build_micro(workload, scale=0.5))
+        predictor = presets.build("tage_l")
+        engine = engine_for(predictor)
+        assert engine is not None
+        accepted = []
+        run = engine.run
+
+        def counting_run(*args):
+            seg = run(*args)
+            accepted.append(seg.records)
+            return seg
+
+        engine.run = counting_run
+        packets = trace_packets(trace, predictor.config.fetch_width)
+        drive_columns(predictor, trace, packets, engine=engine)
+        return len(trace), len(accepted), sum(accepted)
+
+    def test_engine_commits_most_of_a_sparse_trace(self):
+        records, _, accepted = self.engine_attempts("counted_loops")
+        assert accepted >= 0.5 * records
+
+    def test_engine_backs_off_on_a_dense_trace(self):
+        records, attempts, _ = self.engine_attempts("random")
+        assert 0 < attempts <= records / 50
 
 
 class TestMetrics:
