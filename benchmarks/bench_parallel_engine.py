@@ -1,21 +1,19 @@
 """Wall-clock benchmark of the parallel evaluation engine.
 
 Measures the same preset x micro-workload suite that the seed-era serial
-runner was timed on (``results/parallel_engine_baseline.json``) under four
+runner was timed on (``results/parallel_engine_baseline.json``) under three
 execution modes, and checks the acceleration criteria of the parallel-engine
 change:
 
-1. ``serial, memoization off`` — the hot-path micro-optimizations disabled
-   (``CoreConfig(fetch_memoization=False)``), approximating the seed-era
-   inner loop on today's code.
-2. ``serial, optimized`` — the default single-process path.  Target:
-   >= 1.3x over the committed seed-era baseline wall clock.
-3. ``jobs=4, cold cache`` — process fan-out against an empty cache.
-4. ``jobs=4, warm cache`` — the same invocation again.  Target: >= 3x over
+1. ``serial`` — the default single-process path.  Target: >= 1.3x over the
+   committed seed-era baseline wall clock.
+2. ``jobs=4, cold cache`` — process fan-out against an empty cache.
+3. ``jobs=4, warm cache`` — the same invocation again.  Target: >= 3x over
    the seed-era baseline (on a multi-core host the cold parallel run also
    beats serial; on a single-core CI box the cache carries the criterion).
 
-All four modes must produce identical result matrices — the benchmark
+``--quick`` skips the baseline and reports speedups against the serial run.
+All three modes must produce identical result matrices — the benchmark
 asserts this, so a speedup that changed any number would fail loudly.
 
 Run directly (``python benchmarks/bench_parallel_engine.py [--quick]``) or
@@ -35,7 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.eval.cache import ResultCache  # noqa: E402
 from repro.eval.runner import run_suite  # noqa: E402
-from repro.frontend.config import CoreConfig  # noqa: E402
 from repro.workloads.micro import build_micro  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -73,22 +70,14 @@ def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
         timings[label] = time.perf_counter() - t0
         return result
 
-    unoptimized = timed(
-        "serial, memoization off",
-        core_config=CoreConfig(fetch_memoization=False),
-    )
-    serial = timed("serial, optimized")
+    serial = timed("serial")
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(Path(tmp) / "cache")
         cold = timed(f"jobs={jobs}, cold cache", jobs=jobs, cache=cache)
         warm = timed(f"jobs={jobs}, warm cache", jobs=jobs, cache=cache)
         cache_stats = (cache.hits, cache.misses)
 
-    for label, other in [
-        ("memoization off", unoptimized),
-        ("cold parallel", cold),
-        ("warm parallel", warm),
-    ]:
+    for label, other in [("cold parallel", cold), ("warm parallel", warm)]:
         assert _matrices_equal(serial, other), f"{label} diverged from serial"
 
     lines = []
@@ -106,8 +95,8 @@ def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
             f"seed-era serial baseline: {baseline_seconds:.2f} s "
             f"({baseline['note']})"
         )
-    reference = baseline_seconds or timings["serial, memoization off"]
-    ref_name = "seed baseline" if baseline_seconds else "memoization-off run"
+    reference = baseline_seconds or timings["serial"]
+    ref_name = "seed baseline" if baseline_seconds else "serial run"
 
     lines.append("")
     lines.append(f"{'mode':28s} {'wall (s)':>9s} {'vs ' + ref_name:>18s}")
@@ -120,10 +109,10 @@ def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
         f"cache: {cache_stats[0]} hits / {cache_stats[1]} misses over the "
         "cold+warm runs"
     )
-    lines.append("result matrices identical across all four modes: yes")
+    lines.append("result matrices identical across all three modes: yes")
 
     if not quick and baseline_seconds:
-        serial_speedup = reference / timings["serial, optimized"]
+        serial_speedup = reference / timings["serial"]
         warm_speedup = reference / timings[f"jobs={jobs}, warm cache"]
         lines.append("")
         lines.append(

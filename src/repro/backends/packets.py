@@ -21,10 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.core.composer import ComposedPredictor
-from repro.core.prediction import (  # noqa: F401  (PacketCache re-exported)
-    PacketCache,
-    predecode_slot,
-)
+from repro.core.prediction import PacketCache, predecode_slot
 from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 

@@ -44,9 +44,9 @@ from repro.backends.base import (
     counts_result,
     register_backend,
 )
-from repro.backends.packets import PacketCache, WalkCounts
+from repro.backends.packets import WalkCounts
 from repro.core.composer import ComposedPredictor
-from repro.core.prediction import INVALID_SLOT, PLAIN_SLOT, PreDecodedSlot
+from repro.core.prediction import INVALID_SLOT, PLAIN_SLOT, PacketCache, PreDecodedSlot
 from repro.eval.metrics import RunResult
 from repro.frontend.config import CoreConfig
 from repro.workloads.registry import WorkloadSource

@@ -37,6 +37,7 @@ from repro import presets
 from repro.core import compose
 from repro.eval import harmonic_mean, run_suite, run_workload
 from repro.eval.metrics import arithmetic_mean
+from repro.eval.parallel import build_predictor
 from repro.frontend import CoreConfig
 from repro.fuzz.oracles import ORACLES as FUZZ_ORACLES
 from repro.synthesis import AreaModel, EnergyModel, format_breakdown
@@ -51,17 +52,9 @@ BACKEND_NAMES = ("cycle", "trace", "replay")
 BENCH_WORKLOADS = tuple(SPECINT_NAMES) + ("dhrystone", "coremark")
 
 
-def _build_predictor(spec: str):
-    """A preset name or a raw topology string."""
-    key = spec.lower().replace("-", "_")
-    if key in presets.PRESET_NAMES:
-        return presets.build(key)
-    return compose(spec)
-
-
 def _cmd_run(args) -> int:
     source = resolve_workload(args.workload, args.scale)
-    predictor = _build_predictor(args.predictor)
+    predictor = build_predictor(args.predictor)
     config = CoreConfig(sfb_enabled=args.sfb)
     result = run_workload(
         predictor,
@@ -188,7 +181,7 @@ def _cmd_trace(args) -> int:
         return 0
     # replay
     result = run_workload(
-        _build_predictor(args.predictor),
+        build_predictor(args.predictor),
         args.trace_file,
         max_instructions=args.max_instructions,
         system_name=args.predictor,
@@ -204,7 +197,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_area(args) -> int:
-    predictor = _build_predictor(args.predictor)
+    predictor = build_predictor(args.predictor)
     model = AreaModel()
     print(f"{predictor.describe()}")
     print(f"direction storage: {predictor.direction_storage_kib():.1f} KiB")
@@ -300,8 +293,8 @@ def _cmd_check(args) -> int:
 
     diags: List[diag_mod.Diagnostic] = []
     for spec in run_topologies:
-        key = spec.lower().replace("-", "_")
-        if key in presets.PRESET_NAMES:
+        key = presets.preset_name(spec)
+        if key is not None:
             predictor = presets.build(key)
             diags.extend(
                 check_topology(
@@ -602,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="workloads x predictors matrix")
     sweep.add_argument("--predictors", nargs="+",
-                       default=["tourney", "b2", "tage_l"])
+                       default=["tourney", "b2", "tage_l"],
+                       help="preset names or topology strings")
     sweep.add_argument("--workloads", nargs="+", default=["all"])
     sweep.add_argument("--scale", type=float, default=0.3)
     sweep.add_argument("--jobs", type=int, default=1,
@@ -645,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(func=_cmd_trace)
 
     area = sub.add_parser("area", help="area breakdown of a predictor")
-    area.add_argument("--predictor", default="tage_l")
+    area.add_argument("--predictor", default="tage_l",
+                      help="preset name or topology string")
     area.set_defaults(func=_cmd_area)
 
     storage = sub.add_parser("storage", help="Table-I storage summary")

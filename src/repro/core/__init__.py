@@ -12,7 +12,6 @@ from repro.core.composer import (
     ComposerConfig,
     ComposerStats,
     MispredictResponse,
-    PreDecodedSlot,
     PredictResult,
     compose,
 )
@@ -22,6 +21,7 @@ from repro.core.history_file import HistoryFile, HistoryFileEntry, HistoryFileEr
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
 from repro.core.parser import ComponentLibrary, TopologyParseError, parse_topology
 from repro.core.prediction import (
+    PreDecodedSlot,
     PredictionVector,
     SlotPrediction,
     StagedPrediction,

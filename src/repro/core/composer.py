@@ -49,7 +49,7 @@ from repro.core.history import (
 from repro.core.history_file import HistoryFile
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
 from repro.core.parser import ComponentLibrary, parse_topology
-from repro.core.prediction import (  # noqa: F401  (PreDecodedSlot re-exported)
+from repro.core.prediction import (
     PREDECODE_BRANCH,
     PREDECODE_JAL,
     PREDECODE_NONE,

@@ -51,6 +51,11 @@ from repro.isa.program import Program
 #: Bump when a change to the simulator alters results for identical inputs.
 CODE_VERSION = 1
 
+#: Result-neutral fields removed from :class:`CoreConfig`, at the value
+#: their runs carried.  They stay in the fingerprint so entries written
+#: before the removal keep hitting; drop them at the next CODE_VERSION bump.
+_RETIRED_CORE_FIELDS = {"fetch_memoization": True}
+
 #: ``CoreStats`` dicts keyed by int (stage index / branch PC); JSON turns
 #: the keys into strings, so loading must convert them back for dataclass
 #: equality to hold across a round trip.
@@ -122,7 +127,10 @@ def job_fingerprint(
         "predictor": predictor_fingerprint(predictor),
         "program": program_digest(program) if program is not None else None,
         "workload": workload or (program.name if program is not None else ""),
-        "core_config": dataclasses.asdict(core_config or CoreConfig()),
+        "core_config": {
+            **dataclasses.asdict(core_config or CoreConfig()),
+            **_RETIRED_CORE_FIELDS,
+        },
         "max_instructions": max_instructions,
         "max_cycles": max_cycles,
         "backend": backend,

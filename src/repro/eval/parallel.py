@@ -10,9 +10,10 @@ scheduled.
 
 Design rules:
 
-- **Jobs ship specs, not objects.**  A job carries a preset name (or a
-  picklable factory) plus the :class:`~repro.isa.program.Program`; the
-  worker rebuilds the predictor from scratch, which both keeps the job
+- **Jobs ship specs, not objects.**  A job carries a predictor spec — a
+  preset name, a topology string, or a picklable factory — plus the
+  :class:`~repro.isa.program.Program`; the worker rebuilds the predictor
+  from scratch with :func:`build_predictor`, which both keeps the job
   picklable and guarantees power-on-fresh state — exactly what the serial
   path does.
 - **Serial is the reference.**  ``jobs=1`` executes in submission order in
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import presets
-from repro.core.composer import ComposedPredictor
+from repro.core.composer import ComposedPredictor, compose
 from repro.eval import cache as result_cache
 from repro.eval.metrics import RunResult
 from repro.frontend.config import CoreConfig
@@ -51,9 +52,10 @@ ProgressFn = Callable[[str, str], None]
 class EvalJob:
     """One (system, workload) cell of an evaluation matrix.
 
-    ``spec`` is a preset name or a zero-argument predictor factory; the
-    predictor is always built *inside* the executing process so every run
-    starts from power-on state.
+    ``spec`` is a preset name, a topology string, or a zero-argument
+    predictor factory (see :func:`build_predictor`); the predictor is
+    always built *inside* the executing process so every run starts from
+    power-on state.
     """
 
     system: str
@@ -69,11 +71,21 @@ class EvalJob:
     trace_path: Optional[str] = None
 
 
-def build_predictor(spec: Union[str, Callable[[], ComposedPredictor]]):
-    """Instantiate the job's predictor (fresh, power-on state)."""
-    if isinstance(spec, str):
+def build_predictor(
+    spec: Union[str, Callable[[], ComposedPredictor]],
+) -> ComposedPredictor:
+    """Instantiate a predictor spec in power-on state.
+
+    The one resolver every front door uses: a preset name (see
+    :func:`repro.presets.preset_name`) builds that preset, any other string
+    is a topology composed over the standard library with a default
+    :class:`~repro.core.composer.ComposerConfig`, and a callable is called.
+    """
+    if not isinstance(spec, str):
+        return spec()
+    if presets.preset_name(spec) is not None:
         return presets.build(spec)
-    return spec()
+    return compose(spec)
 
 
 def _execute_job(job: EvalJob) -> RunResult:

@@ -9,10 +9,9 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Union
 from repro.core.composer import ComposedPredictor
 from repro.eval.cache import ResultCache
 from repro.eval.metrics import RunResult
-from repro.eval.parallel import EvalJob, ParallelRunner
+from repro.eval.parallel import EvalJob, ParallelRunner, build_predictor
 from repro.frontend.config import CoreConfig
 from repro.isa.program import Program
-from repro import presets
 
 #: A "system" is a predictor plus (optionally) a core configuration; a bare
 #: predictor runs on the default Table-II core.
@@ -23,8 +22,8 @@ def _resolve_system(spec: SystemSpec, default_config: Optional[CoreConfig] = Non
     """Normalize a system spec to (name, predictor_spec, core_config).
 
     ``predictor_spec`` is what :class:`~repro.eval.parallel.EvalJob`
-    carries: a preset name or a zero-argument factory, never a live
-    predictor (each run must start from power-on state).
+    carries: a preset name, a topology string, or a zero-argument factory,
+    never a live predictor (each run must start from power-on state).
     """
     if isinstance(spec, str):
         return spec, spec, default_config or CoreConfig()
@@ -50,8 +49,9 @@ def run_workload(
 ) -> RunResult:
     """Run one workload to completion on one predictor.
 
-    ``predictor`` may be a preset name (a fresh instance is built) or an
-    already-constructed :class:`ComposedPredictor` (which is *not* reset:
+    ``predictor`` may be a preset name or a topology string (a fresh
+    instance is built by :func:`~repro.eval.parallel.build_predictor`) or
+    an already-constructed :class:`ComposedPredictor` (which is *not* reset:
     callers own warm-up semantics).  ``program`` may be a live
     :class:`Program`, a registered workload name, or a stored-trace
     ``.npz`` path (see :mod:`repro.workloads.registry`).
@@ -69,7 +69,7 @@ def run_workload(
 
     if isinstance(predictor, str):
         name = system_name or predictor
-        predictor = presets.build(predictor)
+        predictor = build_predictor(predictor)
     else:
         name = system_name or predictor.describe()
     source = resolve_workload(program)

@@ -8,7 +8,6 @@ sketches with its three points, generalized.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -16,7 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 from repro.core.composer import ComposedPredictor
 from repro.eval.cache import ResultCache
 from repro.eval.metrics import arithmetic_mean, harmonic_mean
-from repro.eval.parallel import EvalJob, ParallelRunner
+from repro.eval.runner import run_suite
 from repro.frontend.config import CoreConfig
 from repro.isa.program import Program
 from repro.synthesis.area import AreaModel
@@ -65,11 +64,11 @@ def evaluate_designs(
 ) -> List[DesignPoint]:
     """Run every design over every workload; return one point per design.
 
-    ``jobs`` and ``cache`` behave as in
-    :func:`~repro.eval.runner.run_suite`: the (design × workload) cells are
-    independent, so they fan over worker processes and replay from the
-    deterministic result cache without changing any number.  ``telemetry``
-    attaches per-run collectors, as in :func:`run_suite`.
+    The (design × workload) matrix runs through
+    :func:`~repro.eval.runner.run_suite`, so ``jobs``, ``cache`` and
+    ``telemetry`` behave exactly as they do there: the cells fan over
+    worker processes and replay from the deterministic result cache
+    without changing any number.
 
     ``backend`` selects the execution methodology for every cell (see
     :mod:`repro.backends`).  Trace-driven backends report zero IPC, so
@@ -79,26 +78,15 @@ def evaluate_designs(
     uses it to keep fitness evaluations cheap.
     """
     area_model = area_model or AreaModel()
-    config = core_config or CoreConfig()
-    if telemetry and not config.telemetry:
-        config = dataclasses.replace(config, telemetry=True)
-    batch = [
-        EvalJob(
-            system=name,
-            spec=factory,
-            workload=workload_name,
-            program=program,
-            core_config=config,
-            backend=backend,
-            max_instructions=max_instructions,
-        )
-        for name, factory in designs.items()
-        for workload_name, program in programs.items()
-    ]
-    runner = ParallelRunner(jobs=jobs, cache=cache)
-    by_design: Dict[str, Dict[str, "object"]] = {}
-    for job, result in zip(batch, runner.run(batch)):
-        by_design.setdefault(job.system, {})[job.workload] = result
+    by_design = run_suite(
+        [(name, factory, core_config) for name, factory in designs.items()],
+        programs,
+        max_instructions=max_instructions,
+        jobs=jobs,
+        cache=cache,
+        telemetry=telemetry,
+        backend=backend,
+    )
     points: List[DesignPoint] = []
     for name, factory in designs.items():
         reference = factory()

@@ -59,10 +59,6 @@ class CoreConfig:
     #: Short-forwards-branch (hammock) predication (§VI-C).
     sfb_enabled: bool = False
     sfb_max_distance: int = 8
-    #: Memoize pre-decode and fetch-packet construction per PC.  Programs
-    #: are immutable during a run, so this is result-neutral; the flag
-    #: exists so benchmarks can measure the hot-path speedup it buys.
-    fetch_memoization: bool = True
     #: Attach a :class:`repro.telemetry.TelemetryCollector` to the composed
     #: predictor and publish its summary on ``CoreStats.telemetry``.
     #: Result-neutral: telemetry observes events but never perturbs them.

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.components.ras import RasSnapshot, ReturnAddressStack
-from repro.core.composer import ComposedPredictor, PreDecodedSlot, PredictResult
-from repro.core.prediction import PacketCache, packet_span, predecode_slot
+from repro.core.composer import ComposedPredictor, PredictResult
+from repro.core.prediction import PacketCache, PreDecodedSlot, predecode_slot
 from repro.frontend.caches import DataCacheModel, InstructionCacheModel
 from repro.frontend.config import CoreConfig
 from repro.frontend.oracle import OracleStream
@@ -221,11 +221,9 @@ class Core:
         # Remaining instructions to commit per in-flight packet.
         self._packet_remaining: Dict[int, int] = {}
         # Per-PC fetch memoization (the program is immutable during a run):
-        # pre-decoded slots, whole pre-decoded packets (the PacketCache
-        # shared with the trace-driven backends), and dispatch-slot lists
-        # keyed by (fetch_pc, length, followed next PC).
-        self._memo = self.config.fetch_memoization
-        self._predecode_cache: Dict[int, PreDecodedSlot] = {}
+        # whole pre-decoded packets (the PacketCache shared with the
+        # trace-driven backends) and dispatch-slot lists keyed by
+        # (fetch_pc, length, followed next PC).
         self._packets = PacketCache(self._predecode_slot, self.config.fetch_width)
         self._dispatch_cache: Dict[Tuple[int, int, int], List[_DispatchSlot]] = {}
 
@@ -251,18 +249,7 @@ class Core:
         return frozenset(eligible)
 
     def _predecode_slot(self, pc: int) -> PreDecodedSlot:
-        if not self._memo:
-            # Benchmarking mode: bypass every memoization layer, including
-            # the shared ``lru_cache``, so the unoptimized path is measurable.
-            return predecode_slot.__wrapped__(
-                self.program.fetch(pc), pc in self._sfb_pcs
-            )
-        cached = self._predecode_cache.get(pc)
-        if cached is not None:
-            return cached
-        slot = predecode_slot(self.program.fetch(pc), pc in self._sfb_pcs)
-        self._predecode_cache[pc] = slot
-        return slot
+        return predecode_slot(self.program.fetch(pc), pc in self._sfb_pcs)
 
 
     # ------------------------------------------------------------------
@@ -620,11 +607,7 @@ class Core:
 
     def _issue_fetch(self) -> None:
         fetch_pc = self._fetch_pc
-        if self._memo:
-            slots = self._packets.packet(fetch_pc)
-        else:
-            width = packet_span(fetch_pc, self.config.fetch_width)
-            slots = [self._predecode_slot(fetch_pc + i) for i in range(width)]
+        slots = self._packets.packet(fetch_pc)
         ras_top = self.ras.peek()
         snapshot = self.ras.snapshot()
         result = self.predictor.predict(fetch_pc, slots, ras_top)
@@ -654,7 +637,7 @@ class Core:
         count = result.fetched_len
         self._packet_remaining[result.ftq_id] = count
         key = (result.fetch_pc, count, result.next_fetch_pc)
-        slots = self._dispatch_cache.get(key) if self._memo else None
+        slots = self._dispatch_cache.get(key)
         if slots is None:
             slots = []
             for i in range(count):
@@ -671,9 +654,8 @@ class Core:
                         ends_packet=last,
                     )
                 )
-            if self._memo:
-                # Dispatch slots are immutable once built (per-packet dispatch
-                # progress lives on _BufferedPacket), so identical packets can
-                # share one slot list.
-                self._dispatch_cache[key] = slots
+            # Dispatch slots are immutable once built (per-packet dispatch
+            # progress lives on _BufferedPacket), so identical packets can
+            # share one slot list.
+            self._dispatch_cache[key] = slots
         return _BufferedPacket(result.ftq_id, result.fetch_pc, slots)

@@ -121,16 +121,15 @@ def random_library_params(
 
 @dataclass(frozen=True)
 class TopologyFactory:
-    """Picklable zero-argument predictor factory for a topology string.
-
-    The parallel-evaluation oracle ships jobs to worker processes, so a
-    fuzz case's predictor spec must survive pickling — a closure over
-    ``compose`` would silently fall back to the serial path and the oracle
-    would stop testing anything.
+    """Picklable zero-argument predictor factory for a sized topology.
 
     ``library_params`` (``standard_library`` keyword/value pairs, usually
     drawn by :func:`random_library_params`) resizes the component library
-    the topology is composed over; empty means the shipped defaults.
+    the topology is composed over; empty means the shipped defaults, which
+    build the same predictor as the bare topology string does through
+    :func:`repro.eval.parallel.build_predictor`.  Jobs ship to worker
+    processes, so the factory must survive pickling — a closure over
+    ``compose`` would silently fall back to the serial path.
     """
 
     spec: str

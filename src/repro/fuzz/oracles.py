@@ -61,12 +61,11 @@ import traceback
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro import presets
 from repro.backends import RunLimits, get_backend
 from repro.backends.replay import drive_columns, trace_packets
 from repro.eval.cache import ResultCache, result_to_payload
 from repro.eval.metrics import RunResult
-from repro.eval.parallel import EvalJob, ParallelRunner
+from repro.eval.parallel import EvalJob, ParallelRunner, build_predictor
 from repro.eval.runner import run_suite, run_workload
 from repro.frontend.config import CoreConfig
 from repro.fuzz.generate import ProgramSpec, TopologyFactory, build_program
@@ -139,9 +138,7 @@ class FuzzCase:
 
     def build_predictor(self):
         """A power-on-fresh predictor for this case."""
-        if isinstance(self.predictor_spec, str):
-            return presets.build(self.predictor_spec)
-        return self.predictor_spec()
+        return build_predictor(self.predictor_spec)
 
     def program(self) -> Program:
         if self.program_override is not None:

@@ -20,7 +20,7 @@ Sizing follows Table I:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional
 
 from repro.components.library import standard_library
 from repro.components.tage import default_tables
@@ -98,15 +98,20 @@ def tourney(fetch_width: int = 4, **config_overrides) -> ComposedPredictor:
     return compose(TOURNEY_TOPOLOGY, library, config)
 
 
+def preset_name(spec: str) -> Optional[str]:
+    """The preset ``spec`` names, or None if it names none.
+
+    Matching ignores case and accepts ``-`` for ``_`` (``TAGE-L`` is
+    ``tage_l``).
+    """
+    key = spec.lower().replace("-", "_")
+    return key if key in PRESET_NAMES else None
+
+
 def build(name: str, fetch_width: int = 4, **kwargs) -> ComposedPredictor:
     """Build a preset by name (``tage_l``, ``b2``, ``tourney``)."""
     builders = {"tage_l": tage_l, "b2": b2, "tourney": tourney}
-    key = name.lower().replace("-", "_")
-    if key not in builders:
+    key = preset_name(name)
+    if key is None:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return builders[key](fetch_width=fetch_width, **kwargs)
-
-
-def all_presets(fetch_width: int = 4) -> Dict[str, ComposedPredictor]:
-    """Fresh instances of all three evaluated designs."""
-    return {name: build(name, fetch_width) for name in PRESET_NAMES}

@@ -35,12 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro import presets
-from repro.core import compose
-from repro.core.composer import ComposedPredictor
 from repro.eval.cache import result_to_payload
 from repro.eval.metrics import RunResult
-from repro.eval.parallel import EvalJob, job_cache_key
+from repro.eval.parallel import EvalJob, build_predictor, job_cache_key
 from repro.frontend.config import CoreConfig
 
 #: Job lifecycle states, in order.  ``queued`` covers both jobs waiting for
@@ -63,22 +60,6 @@ _SPEC_FIELDS = frozenset(
 
 class ProtocolError(ValueError):
     """A malformed or unsatisfiable job spec (client error, HTTP 400)."""
-
-
-@dataclass(frozen=True)
-class TopologyFactory:
-    """Picklable zero-argument predictor factory for a raw topology string.
-
-    Jobs ship to worker processes, so a non-preset predictor spec must
-    survive pickling — a closure over :func:`repro.core.compose` would
-    not.  Mirrors the fuzzer's factory without dragging the fuzz package
-    into the service import graph.
-    """
-
-    spec: str
-
-    def __call__(self) -> ComposedPredictor:
-        return compose(self.spec)
 
 
 @dataclass(frozen=True)
@@ -129,20 +110,12 @@ class JobSpec:
                 f"have {sorted(backend_names())}"
             )
 
-        key = self.predictor.lower().replace("-", "_")
-        spec: Any
-        if key in presets.PRESET_NAMES:
-            system = key
-            spec = key
-        else:
-            system = self.predictor
-            try:
-                compose(self.predictor)
-            except Exception as error:
-                raise ProtocolError(
-                    f"unparsable topology {self.predictor!r}: {error}"
-                ) from None
-            spec = TopologyFactory(self.predictor)
+        try:
+            build_predictor(self.predictor)
+        except Exception as error:
+            raise ProtocolError(
+                f"unparsable topology {self.predictor!r}: {error}"
+            ) from None
 
         if self.workload.endswith(".npz") and not Path(self.workload).is_file():
             raise ProtocolError(f"stored trace not found: {self.workload}")
@@ -158,8 +131,8 @@ class JobSpec:
             )
 
         job = EvalJob(
-            system=system,
-            spec=spec,
+            system=self.predictor,
+            spec=self.predictor,
             workload=source.name,
             program=source.program,
             core_config=CoreConfig(sfb_enabled=self.sfb, telemetry=self.telemetry),

@@ -177,7 +177,3 @@ def build(name: str, scale: float = 1.0) -> Program:
     if key not in _BUILDERS:
         raise KeyError(f"unknown SPECint workload {name!r}; have {SPECINT_NAMES}")
     return _BUILDERS[key](scale)
-
-
-def build_all(scale: float = 1.0) -> Dict[str, Program]:
-    return {name: build(name, scale) for name in SPECINT_NAMES}

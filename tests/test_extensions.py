@@ -202,3 +202,10 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "MPKI:" in out and "IPC:" in out
+
+    def test_sweep_with_topology_string(self, capsys):
+        assert cli_main([
+            "sweep", "--predictors", "GTAG3 > BTB2 > BIM2",
+            "--workloads", "biased", "--scale", "0.05", "--backend", "trace",
+        ]) == 0
+        assert "GTAG3 > BTB2 > BIM2" in capsys.readouterr().out

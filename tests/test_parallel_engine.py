@@ -4,7 +4,7 @@ import pytest
 
 from repro import presets
 from repro.eval.parallel import EvalJob, ParallelRunner, _execute_job
-from repro.eval.runner import run_suite
+from repro.eval.runner import run_suite, run_workload
 from repro.frontend.config import CoreConfig
 from repro.workloads.micro import build_micro
 
@@ -71,19 +71,20 @@ class TestRunSuiteOptions:
         )
         assert bounded["b2"]["biased"].cycles <= 300
 
-    def test_shared_core_config_default(self, programs):
+    def test_shared_core_config_default(self, programs, serial_results):
         """A suite-wide CoreConfig reaches every system without one."""
-        config = CoreConfig(fetch_memoization=False)
-        plain = run_suite(
-            ["b2"], programs, max_instructions=MAX_INSTRUCTIONS
-        )
+        config = CoreConfig(rob_entries=16)
         shared = run_suite(
             ["b2"], programs, max_instructions=MAX_INSTRUCTIONS, core_config=config
         )
-        # Memoization is result-neutral, so the shared config must produce
-        # identical stats while actually being applied.
+        per_system = run_suite(
+            [("b2", "b2", config)], programs, max_instructions=MAX_INSTRUCTIONS
+        )
         for workload in programs:
-            assert shared["b2"][workload] == plain["b2"][workload]
+            assert shared["b2"][workload] == per_system["b2"][workload]
+            # A 16-entry ROB changes the run, so equality with the default
+            # would mean the shared config was dropped.
+            assert shared["b2"][workload] != serial_results["b2"][workload]
 
     def test_system_config_beats_shared_default(self, programs):
         explicit = CoreConfig(rob_entries=16)
@@ -114,6 +115,19 @@ class TestRunSuiteOptions:
         assert sorted(seen) == sorted(
             (s, w) for s in ("b2", "tourney") for w in programs
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_topology_string_systems(self, programs, jobs):
+        """A topology string is a system spec, as a preset name is."""
+        topology = "GTAG3 > BTB2 > BIM2"
+        results = run_suite(
+            [topology, "b2"], programs, max_instructions=MAX_INSTRUCTIONS, jobs=jobs
+        )
+        for workload, program in programs.items():
+            expected = run_workload(
+                topology, program, max_instructions=MAX_INSTRUCTIONS
+            )
+            assert results[topology][workload] == expected
 
     def test_live_predictor_rejected(self, programs):
         with pytest.raises(TypeError):

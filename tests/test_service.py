@@ -10,13 +10,15 @@ job.
 """
 
 import asyncio
+import dataclasses
 import os
 import signal
 
 import pytest
 
 from repro.eval.cache import ResultCache
-from repro.eval.parallel import _execute_job
+from repro.eval.parallel import _execute_job, build_predictor, job_cache_key
+from repro.fuzz.generate import TopologyFactory
 from repro.service import (
     EvalService,
     JobSpec,
@@ -107,7 +109,18 @@ class TestProtocol:
 
         prepared = parse_job_spec({**SPEC, "predictor": "BIM1"}).prepare()
         clone = pickle.loads(pickle.dumps(prepared.eval_job))
-        assert clone.spec() is not None  # factory survives the trip
+        assert build_predictor(clone.spec).describe() == "BIM1"
+
+    def test_topology_cache_key_matches_factory_job(self):
+        """A raw-topology job keys like the same job with a factory spec,
+        so switching the spec's type leaves warm cache entries valid."""
+        topology = "GTAG3 > BTB2 > BIM2"
+        prepared = parse_job_spec({**SPEC, "predictor": topology}).prepare()
+        factory_job = dataclasses.replace(
+            prepared.eval_job, spec=TopologyFactory(topology)
+        )
+        assert prepared.eval_job.spec == topology
+        assert prepared.cache_key == job_cache_key(factory_job)
 
 
 # ----------------------------------------------------------------------
