@@ -104,6 +104,11 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
+def id_bits(count: int) -> int:
+    """Bits that name one of ``count`` things (a lane, way, or table id); at least 1."""
+    return max(1, (count - 1).bit_length())
+
+
 def log2_exact(value: int) -> int:
     """Return log2 of an exact power of two, raising otherwise."""
     if not is_power_of_two(value):

@@ -8,7 +8,7 @@ a loop predictor — plus perceptron and statistical-corrector components,
 which the paper notes "may be implemented similarly".
 """
 
-from repro.components.base import IndexScheme, MetaCodec
+from repro.components.base import IndexScheme, MetaCodec, SpecComponent
 from repro.components.bimodal import HBIM
 from repro.components.btb import BTB, MicroBTB
 from repro.components.gtag import GTag
@@ -25,6 +25,7 @@ from repro.components.library import standard_library
 __all__ = [
     "IndexScheme",
     "MetaCodec",
+    "SpecComponent",
     "HBIM",
     "BTB",
     "MicroBTB",

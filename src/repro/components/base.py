@@ -4,6 +4,10 @@
 per-prediction state into the interface's fixed-width metadata integer
 (§III-D), mirroring how RTL implementations concatenate bitfields.
 
+:class:`SpecComponent` is the base of every library component: its
+:class:`~repro.spec.ComponentSpec`, built once at construction, supplies
+the codec, the storage report and the history demand.
+
 :class:`IndexScheme` implements the parameterized indexing option of the
 counter tables (§III-G1): "indexed by a global history, local history, PC,
 or any hashed combination of the above".
@@ -14,6 +18,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro._util import fold_history, hash_pc, mask
+from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
+from repro.spec import ComponentSpec
 
 FieldSpec = Tuple[str, int, int]  # (name, bits, count)
 
@@ -111,6 +117,58 @@ class MetaCodec:
                     lanes.append((meta >> shift) & lane_mask)
                 out[name] = lanes
         return out
+
+
+class SpecComponent(PredictorComponent):
+    """A component declared once, by the spec it builds at construction.
+
+    A subclass sets its sizing attributes, builds its
+    :class:`~repro.spec.ComponentSpec` and passes it here.  Every
+    interface declaration is then read off that one object:
+
+    - the :class:`MetaCodec` (``self._codec``) from ``spec.meta_fields``,
+      and ``meta_bits`` from the codec;
+    - ``uses_*_history`` and ``required_*_bits`` from the spec's history
+      bits, and ``n_inputs`` from the spec;
+    - :meth:`storage` is :func:`~repro.derive.tables.derived_storage` of
+      the spec, and :meth:`spec` returns it.
+
+    The codec and :meth:`storage` read the construction-time
+    ``self._spec``, never ``self.spec()``: a subclass that overrides
+    ``spec()`` with a different declaration is caught by SPEC002,
+    SPEC004 and SPEC005.
+    """
+
+    def __init__(self, name: str, latency: int, spec: ComponentSpec):
+        self._spec = spec
+        self._codec = MetaCodec(
+            [(field.name, field.bits, field.count) for field in spec.meta_fields]
+        )
+        super().__init__(
+            name,
+            latency,
+            meta_bits=self._codec.width,
+            uses_global_history=spec.ghist_bits > 0,
+            uses_local_history=spec.lhist_bits > 0,
+            n_inputs=spec.n_inputs,
+        )
+        if latency < 2 and spec.phist_bits:
+            raise InterfaceError(
+                f"{name}: path history arrives at the end of cycle 1"
+            )
+        self.uses_path_history = spec.phist_bits > 0
+        self.required_ghist_bits = spec.ghist_bits
+        self.required_lhist_bits = spec.lhist_bits
+        self.required_phist_bits = spec.phist_bits
+
+    def storage(self) -> StorageReport:
+        # Imported here: repro.derive imports this module.
+        from repro.derive.tables import derived_storage
+
+        return derived_storage(self.name, self._spec)
+
+    def spec(self) -> ComponentSpec:
+        return self._spec
 
 
 class IndexScheme:

@@ -19,14 +19,14 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro._util import counter_taken, log2_exact
-from repro.components.base import IndexScheme, MetaCodec
+from repro.components.base import IndexScheme, SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
-from repro.derive.tables import DerivedTable, derived_storage
+from repro.derive.tables import DerivedTable
+from repro.spec import ComponentSpec, FieldSpec, TableSpec
 
 
-class HBIM(PredictorComponent):
+class HBIM(SpecComponent):
     """History/PC-indexed bimodal counter table.
 
     Parameters
@@ -53,33 +53,12 @@ class HBIM(PredictorComponent):
         counter_bits: int = 2,
     ):
         self._scheme = IndexScheme(index, log2_exact(n_sets), history_bits)
-        self._codec = MetaCodec([("ctr", counter_bits, fetch_width)])
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=self._scheme.uses_global_history,
-            uses_local_history=self._scheme.uses_local_history,
-        )
-        self.uses_path_history = self._scheme.uses_path_history
-        if self._scheme.uses_global_history:
-            self.required_ghist_bits = history_bits
-        elif self._scheme.uses_local_history:
-            self.required_lhist_bits = history_bits
-        elif self.uses_path_history:
-            self.required_phist_bits = history_bits
-        if latency < 2 and self.uses_path_history:
-            from repro.core.interface import InterfaceError
-
-            raise InterfaceError(
-                f"{name}: path history arrives at the end of cycle 1"
-            )
         self.n_sets = n_sets
         self.fetch_width = fetch_width
         self.counter_bits = counter_bits
+        super().__init__(name, latency, self._build_spec())
         # Initialize weakly not-taken.
         self._weak_nt = (1 << (counter_bits - 1)) - 1
-        self._spec = self._build_spec()
         self._counters = DerivedTable(
             self._spec.tables[0], init={"ctr": self._weak_nt}
         )
@@ -136,9 +115,6 @@ class HBIM(PredictorComponent):
             )
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        return derived_storage(self.name, self._spec)
-
     def reset(self) -> None:
         self._counters.reset()
 
@@ -150,12 +126,7 @@ class HBIM(PredictorComponent):
 
         return derived_kernel(self)
 
-    def spec(self):
-        return self._spec
-
-    def _build_spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, TableSpec
-
+    def _build_spec(self) -> ComponentSpec:
         scheme = self._scheme
         counters = FieldSpec("ctr", self.counter_bits, self.fetch_width)
         return ComponentSpec(

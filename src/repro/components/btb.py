@@ -17,17 +17,24 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import counter_taken, hash_pc, log2_exact, mask, saturating_update
-from repro.components.base import MetaCodec
+from repro._util import (
+    counter_taken,
+    hash_pc,
+    id_bits,
+    log2_exact,
+    mask,
+    saturating_update,
+)
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 #: Width of stored target addresses (word-addressed PCs).
 TARGET_BITS = 30
 
 
-class BTB(PredictorComponent):
+class BTB(SpecComponent):
     """Set-associative branch target buffer indexed by fetch-packet PC.
 
     Each way stores one packet entry: a partial tag plus per-slot
@@ -44,15 +51,13 @@ class BTB(PredictorComponent):
         fetch_width: int = 4,
         tag_bits: int = 12,
     ):
-        way_bits = max(1, (n_ways - 1).bit_length())
-        self._codec = MetaCodec([("hit", 1), ("way", way_bits)])
-        super().__init__(name, latency, meta_bits=self._codec.width)
-        self.provides_targets = True
         self.n_sets = n_sets
         self.n_ways = n_ways
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self._index_bits = log2_exact(n_sets)
+        super().__init__(name, latency, self._build_spec())
+        self.provides_targets = True
         shape = (n_sets, n_ways)
         self._valid = np.zeros(shape, dtype=bool)
         self._tags = np.zeros(shape, dtype=np.int64)
@@ -132,26 +137,6 @@ class BTB(PredictorComponent):
         self._targets[index, way, lane] = bundle.cfi_target & mask(TARGET_BITS)
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        entries = self.n_sets * self.n_ways
-        tag_bits = entries * (self.tag_bits + 1)
-        slot_bits = entries * self.fetch_width * (TARGET_BITS + 2)
-        per_way = self.tag_bits + 1 + self.fetch_width * (TARGET_BITS + 2)
-        replace_bits = int(
-            self._replace_ptr.size * max(1, (self.n_ways - 1).bit_length())
-        )
-        return StorageReport(
-            self.name,
-            sram_bits=tag_bits + slot_bits,
-            flop_bits=replace_bits,
-            breakdown={
-                "tags": tag_bits,
-                "targets": slot_bits,
-                "replacement": replace_bits,
-            },
-            access_bits=self.n_ways * per_way,  # all ways read in parallel
-        )
-
     def reset(self) -> None:
         self._valid.fill(False)
         self._tags.fill(0)
@@ -165,10 +150,8 @@ class BTB(PredictorComponent):
 
         return BTBKernel(self)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        way_bits = max(1, (self.n_ways - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
+        way_bits = id_bits(self.n_ways)
         index = IndexFn(
             "pc", self._index_bits, key="packet", fetch_width=self.fetch_width
         )
@@ -208,6 +191,8 @@ class BTB(PredictorComponent):
                     "replacement",
                     entries=self.n_sets,
                     fields=(FieldSpec("ptr", way_bits),),
+                    # Round-robin pointers: register state, not read at
+                    # predict time.
                     kind="flop",
                     update="exact-event",
                     index=index,
@@ -220,7 +205,7 @@ class BTB(PredictorComponent):
         )
 
 
-class MicroBTB(PredictorComponent):
+class MicroBTB(SpecComponent):
     """Small fully-associative single-cycle BTB (uBTB).
 
     Provides a next-cycle redirect for taken branches and jumps before the
@@ -238,16 +223,12 @@ class MicroBTB(PredictorComponent):
         tag_bits: int = 20,
         counter_bits: int = 2,
     ):
-        entry_bits = max(1, (n_entries - 1).bit_length())
-        self._codec = MetaCodec(
-            [("hit", 1), ("entry", entry_bits), ("ctr", counter_bits)]
-        )
-        super().__init__(name, latency, meta_bits=self._codec.width)
-        self.provides_targets = True
         self.n_entries = n_entries
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self.counter_bits = counter_bits
+        super().__init__(name, latency, self._build_spec())
+        self.provides_targets = True
         self._valid = np.zeros(n_entries, dtype=bool)
         self._tags = np.zeros(n_entries, dtype=np.int64)
         self._cfi_idx = np.zeros(n_entries, dtype=np.int64)
@@ -332,23 +313,6 @@ class MicroBTB(PredictorComponent):
         self._ctrs[entry] = top  # start strongly taken; it was just taken
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        per_entry = (
-            1  # valid
-            + self.tag_bits
-            + max(1, (self.fetch_width - 1).bit_length())  # cfi index
-            + 1  # jump flag
-            + TARGET_BITS
-            + self.counter_bits
-        )
-        bits = self.n_entries * per_entry
-        # A 1-cycle fully-associative structure lives in flops, not SRAM;
-        # a CAM lookup touches every entry.
-        return StorageReport(
-            self.name, flop_bits=bits, breakdown={"entries": bits},
-            access_bits=bits,
-        )
-
     def reset(self) -> None:
         self._valid.fill(False)
         self._tags.fill(0)
@@ -363,11 +327,8 @@ class MicroBTB(PredictorComponent):
 
         return MicroBTBKernel(self)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        entry_bits = max(1, (self.n_entries - 1).bit_length())
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
+        ctr = FieldSpec("ctr", self.counter_bits)
         return ComponentSpec(
             component=type(self).__name__,
             tables=(
@@ -377,11 +338,12 @@ class MicroBTB(PredictorComponent):
                     fields=(
                         FieldSpec("valid", 1),
                         FieldSpec("tag", self.tag_bits),
-                        FieldSpec("cfi_idx", lane_bits),
+                        FieldSpec("cfi_idx", id_bits(self.fetch_width)),
                         FieldSpec("jump", 1),
                         FieldSpec("target", TARGET_BITS),
-                        FieldSpec("ctr", self.counter_bits),
+                        ctr,
                     ),
+                    # A 1-cycle structure lives in flops, not SRAM.
                     kind="flop",
                     update="allocate-on-miss",
                     # Fully associative: a CAM match, not an index hash.
@@ -390,8 +352,8 @@ class MicroBTB(PredictorComponent):
             ),
             meta_fields=(
                 FieldSpec("hit", 1),
-                FieldSpec("entry", entry_bits),
-                FieldSpec("ctr", self.counter_bits),
+                FieldSpec("entry", id_bits(self.n_entries)),
+                ctr,
             ),
             kernel="event-replay",
             learns_from=("branch", "cfi"),

@@ -19,14 +19,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro._util import counter_taken, fold_history, log2_exact, mask
-from repro.components.base import MetaCodec
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
-from repro.derive.tables import DerivedTable, derived_storage
+from repro.derive.tables import DerivedTable
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class GTag(PredictorComponent):
+class GTag(SpecComponent):
     """Partially tagged, global-history-indexed superscalar counter table."""
 
     def __init__(
@@ -39,24 +39,14 @@ class GTag(PredictorComponent):
         tag_bits: int = 10,
         counter_bits: int = 2,
     ):
-        self._codec = MetaCodec(
-            [("hit", 1), ("ctr", counter_bits, fetch_width)]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-        )
-        self.required_ghist_bits = history_bits
         self.n_sets = n_sets
         self.fetch_width = fetch_width
         self.history_bits = history_bits
         self.tag_bits = tag_bits
         self.counter_bits = counter_bits
         self._index_bits = log2_exact(n_sets)
+        super().__init__(name, latency, self._build_spec())
         self._weak_nt = (1 << (counter_bits - 1)) - 1
-        self._spec = self._build_spec()
         self._counters = DerivedTable(
             self._spec.tables[0], init={"ctr": self._weak_nt}
         )
@@ -151,9 +141,6 @@ class GTag(PredictorComponent):
                     )
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        return derived_storage(self.name, self._spec)
-
     def reset(self) -> None:
         self._counters.reset()
         self._tagstore.reset()
@@ -163,12 +150,8 @@ class GTag(PredictorComponent):
 
         return derived_kernel(self)
 
-    def spec(self):
-        return self._spec
-
-    def _build_spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
+    def _build_spec(self) -> ComponentSpec:
+        ctr = FieldSpec("ctr", self.counter_bits, self.fetch_width)
         index = IndexFn(
             "gshare",
             self._index_bits,
@@ -186,7 +169,7 @@ class GTag(PredictorComponent):
                 TableSpec(
                     "counters",
                     entries=self.n_sets,
-                    fields=(FieldSpec("ctr", self.counter_bits, self.fetch_width),),
+                    fields=(ctr,),
                     update="saturating-counter",
                     index=index,
                     probe=probe,
@@ -200,10 +183,7 @@ class GTag(PredictorComponent):
                     probe=probe,
                 ),
             ),
-            meta_fields=(
-                FieldSpec("hit", 1),
-                FieldSpec("ctr", self.counter_bits, self.fetch_width),
-            ),
+            meta_fields=(FieldSpec("hit", 1), ctr),
             ghist_bits=self.history_bits,
             kernel="event-replay",
             learns_from=("branch",),

@@ -20,15 +20,22 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import fold_history, hash_pc, log2_exact, mask, saturating_update
-from repro.components.base import MetaCodec
+from repro._util import (
+    fold_history,
+    hash_pc,
+    id_bits,
+    log2_exact,
+    mask,
+    saturating_update,
+)
+from repro.components.base import SpecComponent
 from repro.components.btb import TARGET_BITS
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class ITTAGE(PredictorComponent):
+class ITTAGE(SpecComponent):
     """Tagged geometric-history indirect-target tables."""
 
     def __init__(
@@ -45,23 +52,6 @@ class ITTAGE(PredictorComponent):
     ):
         from repro.components.tage import geometric_history_lengths
 
-        lane_bits = max(1, (fetch_width - 1).bit_length())
-        table_bits = max(1, (n_tables - 1).bit_length())
-        self._codec = MetaCodec(
-            [
-                ("provider_valid", 1),
-                ("provider", table_bits),
-                ("lane", lane_bits),
-                ("conf", conf_bits),
-            ]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-        )
-        self.provides_targets = True
         self.fetch_width = fetch_width
         self.n_sets = n_sets
         self.tag_bits = tag_bits
@@ -69,8 +59,9 @@ class ITTAGE(PredictorComponent):
         self.history_lengths = geometric_history_lengths(
             n_tables, min_history, max_history
         )
-        self.required_ghist_bits = max(self.history_lengths)
         self._index_bits = log2_exact(n_sets)
+        super().__init__(name, latency, self._build_spec())
+        self.provides_targets = True
         n = len(self.history_lengths)
         self._valid = [np.zeros(n_sets, dtype=bool) for _ in range(n)]
         self._tags = [np.zeros(n_sets, dtype=np.int64) for _ in range(n)]
@@ -163,20 +154,6 @@ class ITTAGE(PredictorComponent):
                     break
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
-        per_entry = 1 + self.tag_bits + lane_bits + TARGET_BITS + self.conf_bits
-        total = len(self.history_lengths) * self.n_sets * per_entry
-        return StorageReport(
-            self.name,
-            sram_bits=total,
-            breakdown={
-                f"table{i}(h={h})": self.n_sets * per_entry
-                for i, h in enumerate(self.history_lengths)
-            },
-            access_bits=len(self.history_lengths) * per_entry,
-        )
-
     def reset(self) -> None:
         for table in range(len(self.history_lengths)):
             self._valid[table].fill(False)
@@ -185,11 +162,9 @@ class ITTAGE(PredictorComponent):
             self._targets[table].fill(0)
             self._conf[table].fill(0)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
-        table_bits = max(1, (len(self.history_lengths) - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
+        lane = FieldSpec("lane", id_bits(self.fetch_width))
+        conf = FieldSpec("conf", self.conf_bits)
         tables = []
         for table_id, length in enumerate(self.history_lengths):
             tables.append(
@@ -199,9 +174,9 @@ class ITTAGE(PredictorComponent):
                     fields=(
                         FieldSpec("valid", 1),
                         FieldSpec("tag", self.tag_bits),
-                        FieldSpec("lane", lane_bits),
+                        lane,
                         FieldSpec("target", TARGET_BITS),
-                        FieldSpec("conf", self.conf_bits),
+                        conf,
                     ),
                     update="allocate-on-miss",
                     index=IndexFn(
@@ -221,9 +196,9 @@ class ITTAGE(PredictorComponent):
             tables=tuple(tables),
             meta_fields=(
                 FieldSpec("provider_valid", 1),
-                FieldSpec("provider", table_bits),
-                FieldSpec("lane", lane_bits),
-                FieldSpec("conf", self.conf_bits),
+                FieldSpec("provider", id_bits(len(self.history_lengths))),
+                lane,
+                conf,
             ),
             ghist_bits=max(self.history_lengths),
             kernel="none",

@@ -17,14 +17,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import hash_pc, log2_exact, mask
-from repro.components.base import MetaCodec
+from repro._util import hash_pc, id_bits, log2_exact, mask
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class LoopPredictor(PredictorComponent):
+class LoopPredictor(SpecComponent):
     """Direct-mapped, partially tagged loop predictor.
 
     A loop predictor can track only one branch per fetch packet (§III-C
@@ -45,16 +45,12 @@ class LoopPredictor(PredictorComponent):
         tag_bits: int = 10,
         iter_bits: int = 10,
     ):
-        lane_bits = max(1, (fetch_width - 1).bit_length())
-        self._codec = MetaCodec(
-            [("cand_valid", 1), ("lane", lane_bits), ("spec_iter", iter_bits)]
-        )
-        super().__init__(name, latency, meta_bits=self._codec.width)
         self.n_entries = n_entries
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self.iter_bits = iter_bits
         self._index_bits = log2_exact(n_entries)
+        super().__init__(name, latency, self._build_spec())
         self._valid = np.zeros(n_entries, dtype=bool)
         self._tags = np.zeros(n_entries, dtype=np.int64)
         self._direction = np.zeros(n_entries, dtype=bool)  # loop-body direction
@@ -213,20 +209,6 @@ class LoopPredictor(PredictorComponent):
         self._conf[index] = 0
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        per_entry = (
-            1  # valid
-            + self.tag_bits
-            + 1  # direction
-            + 3 * self.iter_bits  # trip, spec iter, commit iter
-            + 3  # confidence
-        )
-        bits = self.n_entries * per_entry
-        return StorageReport(
-            self.name, sram_bits=bits, breakdown={"entries": bits},
-            access_bits=per_entry,
-        )
-
     def reset(self) -> None:
         self._valid.fill(False)
         self._tags.fill(0)
@@ -242,10 +224,8 @@ class LoopPredictor(PredictorComponent):
 
         return LoopKernel(self)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
+        spec_iter = FieldSpec("spec_iter", self.iter_bits)
         return ComponentSpec(
             component=type(self).__name__,
             tables=(
@@ -257,7 +237,7 @@ class LoopPredictor(PredictorComponent):
                         FieldSpec("tag", self.tag_bits),
                         FieldSpec("direction", 1),
                         FieldSpec("trip", self.iter_bits),
-                        FieldSpec("spec_iter", self.iter_bits),
+                        spec_iter,
                         FieldSpec("commit_iter", self.iter_bits),
                         FieldSpec("conf", 3),
                     ),
@@ -270,8 +250,8 @@ class LoopPredictor(PredictorComponent):
             ),
             meta_fields=(
                 FieldSpec("cand_valid", 1),
-                FieldSpec("lane", lane_bits),
-                FieldSpec("spec_iter", self.iter_bits),
+                FieldSpec("lane", id_bits(self.fetch_width)),
+                spec_iter,
             ),
             kernel="event-replay",
             learns_from=("branch",),

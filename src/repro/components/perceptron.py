@@ -18,14 +18,14 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro._util import hash_pc, log2_exact, mask
-from repro.components.base import MetaCodec
+from repro._util import hash_pc, id_bits, log2_exact, mask
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class Perceptron(PredictorComponent):
+class Perceptron(SpecComponent):
     """Global-history perceptron with one weight vector per branch hash."""
 
     def __init__(
@@ -37,23 +37,12 @@ class Perceptron(PredictorComponent):
         history_bits: int = 24,
         weight_bits: int = 8,
     ):
-        lane_bits = max(1, (fetch_width - 1).bit_length())
-        # |sum| is clamped into a 12-bit magnitude for the metadata.
-        self._codec = MetaCodec(
-            [("cand_valid", 1), ("lane", lane_bits), ("taken", 1), ("magnitude", 12)]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-        )
         self.n_entries = n_entries
         self.fetch_width = fetch_width
-        self.required_ghist_bits = history_bits
         self.history_bits = history_bits
         self.weight_bits = weight_bits
         self._index_bits = log2_exact(n_entries)
+        super().__init__(name, latency, self._build_spec())
         # weights[:, 0] is the bias weight.
         self._weights = np.zeros((n_entries, history_bits + 1), dtype=np.int32)
         self.threshold = int(1.93 * history_bits + 14)
@@ -116,20 +105,10 @@ class Perceptron(PredictorComponent):
         np.clip(updated, self._weight_min, self._weight_max, out=self._weights[index])
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        bits = self.n_entries * (self.history_bits + 1) * self.weight_bits
-        return StorageReport(
-            self.name, sram_bits=bits, breakdown={"weights": bits},
-            access_bits=(self.history_bits + 1) * self.weight_bits,
-        )
-
     def reset(self) -> None:
         self._weights.fill(0)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
         return ComponentSpec(
             component=type(self).__name__,
             tables=(
@@ -146,8 +125,9 @@ class Perceptron(PredictorComponent):
             ),
             meta_fields=(
                 FieldSpec("cand_valid", 1),
-                FieldSpec("lane", lane_bits),
+                FieldSpec("lane", id_bits(self.fetch_width)),
                 FieldSpec("taken", 1),
+                # |sum| clamped into a 12-bit magnitude.
                 FieldSpec("magnitude", 12),
             ),
             # The index is PC-only but prediction consumes the history as

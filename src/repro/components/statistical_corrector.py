@@ -14,14 +14,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import fold_history, hash_pc, log2_exact, sign_extend
-from repro.components.base import MetaCodec
+from repro._util import fold_history, hash_pc, id_bits, log2_exact, sign_extend
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class StatisticalCorrector(PredictorComponent):
+class StatisticalCorrector(SpecComponent):
     """Small GEHL-like corrector over the incoming prediction.
 
     Each table holds centered signed counters indexed by PC XOR a folded
@@ -43,28 +43,12 @@ class StatisticalCorrector(PredictorComponent):
         history_lengths: Sequence[int] = (4, 10, 16),
         counter_bits: int = 6,
     ):
-        lane_bits = max(1, (fetch_width - 1).bit_length())
-        self._codec = MetaCodec(
-            [
-                ("cand_valid", 1),
-                ("lane", lane_bits),
-                ("incoming", 1),
-                ("ctr", counter_bits, len(history_lengths)),
-                ("flipped", 1),
-            ]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-        )
-        self.required_ghist_bits = max(history_lengths)
         self.n_sets = n_sets
         self.fetch_width = fetch_width
         self.history_lengths = list(history_lengths)
         self.counter_bits = counter_bits
         self._index_bits = log2_exact(n_sets)
+        super().__init__(name, latency, self._build_spec())
         self._ctr_max = (1 << (counter_bits - 1)) - 1
         self._ctr_min = -(1 << (counter_bits - 1))
         self._tables = [
@@ -145,21 +129,11 @@ class StatisticalCorrector(PredictorComponent):
                 table[index] = max(counter - 1, self._ctr_min)
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        bits = self.n_sets * self.counter_bits * len(self.history_lengths)
-        return StorageReport(
-            self.name, sram_bits=bits, breakdown={"tables": bits},
-            access_bits=self.counter_bits * len(self.history_lengths),
-        )
-
     def reset(self) -> None:
         for table in self._tables:
             table.fill(0)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
         return ComponentSpec(
             component=type(self).__name__,
             tables=(
@@ -179,7 +153,7 @@ class StatisticalCorrector(PredictorComponent):
             ),
             meta_fields=(
                 FieldSpec("cand_valid", 1),
-                FieldSpec("lane", lane_bits),
+                FieldSpec("lane", id_bits(self.fetch_width)),
                 FieldSpec("incoming", 1),
                 FieldSpec("ctr", self.counter_bits, len(self.history_lengths)),
                 FieldSpec("flipped", 1),

@@ -24,13 +24,14 @@ from repro._util import (
     counter_taken,
     fold_history,
     hash_pc,
+    id_bits,
     log2_exact,
     saturating_update,
 )
-from repro.components.base import MetaCodec
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import PredictorComponent, StorageReport
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class _Lfsr:
         return self._state
 
 
-class TAGE(PredictorComponent):
+class TAGE(SpecComponent):
     """The TAGE sub-component managing a set of global-history tagged tables."""
 
     def __init__(
@@ -100,38 +101,21 @@ class TAGE(PredictorComponent):
         u_decay_period: int = 131072,
     ):
         self.tables = list(tables) if tables is not None else default_tables()
-        n_tables = len(self.tables)
-        table_id_bits = max(1, (n_tables - 1).bit_length())
-        self._codec = MetaCodec(
-            [
-                ("provider_valid", 1),
-                ("provider", table_id_bits),
-                ("alt_valid", 1),
-                ("alt", table_id_bits),
-                ("provider_ctr", counter_bits, fetch_width),
-                ("alt_taken", 1, fetch_width),
-                ("used_alt", 1, fetch_width),
-                ("provider_u", u_bits),
-            ]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-        )
-        self.required_ghist_bits = max(cfg.history_bits for cfg in self.tables)
         self.fetch_width = fetch_width
         self.counter_bits = counter_bits
         self.u_bits = u_bits
         self.u_decay_period = u_decay_period
+        # Per-table geometry for the hot indexing path (validates powers
+        # of two).
+        self._index_bits = [log2_exact(cfg.n_sets) for cfg in self.tables]
+        self._tag_masks = [(1 << cfg.tag_bits) - 1 for cfg in self.tables]
+        super().__init__(name, latency, self._build_spec())
         self._weak_nt = (1 << (counter_bits - 1)) - 1
         self._tags: List[np.ndarray] = []
         self._ctrs: List[np.ndarray] = []
         self._useful: List[np.ndarray] = []
         self._valid: List[np.ndarray] = []
         for cfg in self.tables:
-            log2_exact(cfg.n_sets)  # validate power of two
             self._tags.append(np.zeros(cfg.n_sets, dtype=np.int64))
             self._ctrs.append(
                 np.full((cfg.n_sets, fetch_width), self._weak_nt, dtype=np.uint8)
@@ -141,9 +125,6 @@ class TAGE(PredictorComponent):
         self._lfsr = _Lfsr()
         self._use_alt_on_na = 8  # 4-bit counter, midpoint
         self._update_count = 0
-        # Precomputed per-table geometry for the hot indexing path.
-        self._index_bits = [log2_exact(cfg.n_sets) for cfg in self.tables]
-        self._tag_masks = [(1 << cfg.tag_bits) - 1 for cfg in self.tables]
 
     # ------------------------------------------------------------------
     def _index_tag(self, fetch_pc: int, ghist: int, table: int) -> Tuple[int, int]:
@@ -337,26 +318,6 @@ class TAGE(PredictorComponent):
         self._useful[choice][index] = 0
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        breakdown = {}
-        sram = 0
-        for table_id, cfg in enumerate(self.tables):
-            bits = cfg.n_sets * (
-                cfg.tag_bits
-                + 1
-                + self.u_bits
-                + self.fetch_width * self.counter_bits
-            )
-            breakdown[f"table{table_id}(h={cfg.history_bits})"] = bits
-            sram += bits
-        access = sum(
-            cfg.tag_bits + 1 + self.u_bits + self.fetch_width * self.counter_bits
-            for cfg in self.tables
-        )
-        return StorageReport(
-            self.name, sram_bits=sram, breakdown=breakdown, access_bits=access
-        )
-
     def reset(self) -> None:
         for table in range(len(self.tables)):
             self._valid[table].fill(False)
@@ -374,10 +335,8 @@ class TAGE(PredictorComponent):
 
         return TAGEKernel(self)
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        table_id_bits = max(1, (len(self.tables) - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
+        table_id_bits = id_bits(len(self.tables))
         tables = []
         for table_id, cfg in enumerate(self.tables):
             tables.append(

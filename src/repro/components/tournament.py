@@ -14,13 +14,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro._util import fold_history, hash_pc, log2_exact, saturating_update
-from repro.components.base import MetaCodec
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
+from repro.core.interface import InterfaceError
 from repro.core.prediction import PredictionVector
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
-class Tourney(PredictorComponent):
+class Tourney(SpecComponent):
     """Global-history-indexed tournament chooser between two predictors.
 
     Chooser counter semantics: high counters select the *second* input
@@ -41,27 +42,13 @@ class Tourney(PredictorComponent):
             raise InterfaceError(
                 f"{name}: tournament chooser index must be history-based"
             )
-        self._codec = MetaCodec(
-            [
-                ("choice", counter_bits, fetch_width),
-                ("a_taken", 1, fetch_width),
-                ("b_taken", 1, fetch_width),
-            ]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            uses_global_history=True,
-            n_inputs=2,
-        )
-        self.required_ghist_bits = history_bits
         self.n_sets = n_sets
         self.fetch_width = fetch_width
         self.history_bits = history_bits
         self.counter_bits = counter_bits
         self.index = index
         self._index_bits = log2_exact(n_sets)
+        super().__init__(name, latency, self._build_spec())
         mid = 1 << (counter_bits - 1)
         self._table = np.full((n_sets, fetch_width), mid, dtype=np.uint8)
 
@@ -128,28 +115,18 @@ class Tourney(PredictorComponent):
             )
 
     # ------------------------------------------------------------------
-    def storage(self) -> StorageReport:
-        bits = self.n_sets * self.fetch_width * self.counter_bits
-        return StorageReport(
-            self.name, sram_bits=bits, breakdown={"choosers": bits},
-            access_bits=self.fetch_width * self.counter_bits,
-        )
-
     def reset(self) -> None:
         self._table.fill(1 << (self.counter_bits - 1))
 
-    def spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
+    def _build_spec(self) -> ComponentSpec:
+        choice = FieldSpec("choice", self.counter_bits, self.fetch_width)
         return ComponentSpec(
             component=type(self).__name__,
             tables=(
                 TableSpec(
                     "choosers",
                     entries=self.n_sets,
-                    fields=(
-                        FieldSpec("choice", self.counter_bits, self.fetch_width),
-                    ),
+                    fields=(choice,),
                     update="saturating-counter",
                     index=IndexFn(
                         self.index,
@@ -162,7 +139,7 @@ class Tourney(PredictorComponent):
                 ),
             ),
             meta_fields=(
-                FieldSpec("choice", self.counter_bits, self.fetch_width),
+                choice,
                 FieldSpec("a_taken", 1, self.fetch_width),
                 FieldSpec("b_taken", 1, self.fetch_width),
             ),

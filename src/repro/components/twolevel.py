@@ -35,17 +35,18 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro._util import counter_taken, log2_exact, mask
-from repro.components.base import MetaCodec
+from repro._util import counter_taken, id_bits, log2_exact, mask
+from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
+from repro.core.interface import InterfaceError, StorageReport
 from repro.core.prediction import PredictionVector
 from repro.derive.tables import DerivedTable, derived_storage
+from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 VARIANTS = ("GAg", "GAp", "PAg", "PAp")
 
 
-class TwoLevel(PredictorComponent):
+class TwoLevel(SpecComponent):
     """Yeh-Patt two-level adaptive predictor (one prediction per packet).
 
     Tracks one branch per fetch packet (the first branch slot identified by
@@ -74,35 +75,17 @@ class TwoLevel(PredictorComponent):
                 f"{name}: pattern table ({l2_sets_per_table} sets) cannot "
                 f"index {history_bits} history bits"
             )
-        lane_bits = max(1, (fetch_width - 1).bit_length())
-        self._codec = MetaCodec(
-            [
-                ("cand_valid", 1),
-                ("lane", lane_bits),
-                ("hist", history_bits),
-                ("ctr", counter_bits),
-            ]
-        )
-        super().__init__(
-            name,
-            latency,
-            meta_bits=self._codec.width,
-            # GAg/GAp read the composer's global history; PAg/PAp own theirs.
-            uses_global_history=variant.startswith("G"),
-        )
-        if variant.startswith("G"):
-            self.required_ghist_bits = history_bits
         self.variant = variant
         self.fetch_width = fetch_width
         self.history_bits = history_bits
         self.counter_bits = counter_bits
         self.l1_entries = l1_entries
         self._l1_index_bits = log2_exact(l1_entries)
-        self._weak_nt = (1 << (counter_bits - 1)) - 1
         self.l2_tables = l2_tables if variant.endswith("p") else 1
         self.l2_sets = l2_sets_per_table
         self._l2_index_bits = log2_exact(l2_sets_per_table)
-        self._spec = self._build_spec()
+        super().__init__(name, latency, self._build_spec())
+        self._weak_nt = (1 << (counter_bits - 1)) - 1
         # Level 1: per-branch history registers.  The G variants read the
         # composer's single global register instead, so their level-1 spec
         # table is elided — but the array is still allocated (zero bits of
@@ -241,12 +224,7 @@ class TwoLevel(PredictorComponent):
 
         return derived_kernel(self)
 
-    def spec(self):
-        return self._spec
-
-    def _l1_table_spec(self):
-        from repro.spec import FieldSpec, IndexFn, TableSpec
-
+    def _l1_table_spec(self) -> TableSpec:
         return TableSpec(
             "l1_histories",
             entries=self.l1_entries,
@@ -258,10 +236,7 @@ class TwoLevel(PredictorComponent):
             probe=lambda c, pc, g, l, p: c._l1_index(pc),
         )
 
-    def _build_spec(self):
-        from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
-
-        lane_bits = max(1, (self.fetch_width - 1).bit_length())
+    def _build_spec(self) -> ComponentSpec:
         global_l1 = self.variant.startswith("G")
         tables = []
         if not global_l1:
@@ -301,10 +276,11 @@ class TwoLevel(PredictorComponent):
             tables=tuple(tables),
             meta_fields=(
                 FieldSpec("cand_valid", 1),
-                FieldSpec("lane", lane_bits),
+                FieldSpec("lane", id_bits(self.fetch_width)),
                 FieldSpec("hist", self.history_bits),
                 FieldSpec("ctr", self.counter_bits),
             ),
+            # GAg/GAp read the composer's global history; PAg/PAp own theirs.
             ghist_bits=self.history_bits if global_l1 else 0,
             kernel="closed-form" if global_l1 else "none",
             learns_from=("branch",),

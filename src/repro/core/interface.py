@@ -215,13 +215,15 @@ class PredictorComponent(abc.ABC):
     def spec(self):
         """Declarative self-description (:class:`repro.spec.ComponentSpec`).
 
-        Library components return a :class:`~repro.spec.ComponentSpec`
-        that restates their table geometry, indexing, history demand,
-        metadata layout, and update-rule classes from first principles;
-        ``repro check --spec`` (SPEC001-SPEC008) then verifies the
-        imperative implementation against it.  The default — None —
-        marks a component with no spec; every ``ComponentLibrary`` base
-        must either override this or carry a registered waiver
+        Library components (:class:`~repro.components.base.SpecComponent`)
+        return the :class:`~repro.spec.ComponentSpec` they were built
+        from, which also supplies their metadata codec, storage report
+        and history demand, so SPEC002, SPEC004 and SPEC005 hold by
+        construction.  ``repro check --spec`` (SPEC001-SPEC009) verifies
+        the rest against the implementation, and those three rules guard
+        hand-declared components.  The default — None — marks a
+        component with no spec; every ``ComponentLibrary`` base must
+        either override this or carry a registered waiver
         (:func:`repro.spec.register_waiver`).
         """
         return None

@@ -41,7 +41,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro._util import hash_pc, mask, saturating_update, shift_in
+from repro._util import hash_pc, id_bits, mask, saturating_update, shift_in
 from repro.core.interface import StorageReport
 from repro.spec import ComponentSpec, FieldSpec, TableSpec
 
@@ -147,7 +147,7 @@ class DerivedTable:
     def way_of(self, branch_pc: int) -> int:
         """Way-selection hash for multi-way tables (identity for 1 way)."""
         ways = self.spec.ways
-        return hash_pc(branch_pc, max(1, (ways - 1).bit_length())) % ways
+        return hash_pc(branch_pc, id_bits(ways)) % ways
 
     # -- closed-form updates -------------------------------------------
     def _cell(self, field: str, row: int, way: int, lane: Optional[int]):
@@ -259,6 +259,15 @@ class DerivedTable:
         return self.spec.total_bits
 
 
+def _read_bits(table: TableSpec) -> int:
+    """Bits one prediction reads from ``table`` (see :func:`derived_storage`)."""
+    if table.index is not None and table.index.scheme == "none":
+        return table.total_bits
+    if table.kind == "flop":
+        return 0
+    return table.ways * table.entry_bits
+
+
 def derived_storage(
     name: str,
     spec: ComponentSpec,
@@ -268,19 +277,21 @@ def derived_storage(
 ) -> StorageReport:
     """A component's :class:`StorageReport`, correct by construction.
 
-    Totals and breakdown come from :meth:`ComponentSpec.storage_report`;
-    ``access_bits`` defaults to the sum of entry widths (one entry read
-    per table per prediction, the energy model's unit).  ``zero_keys``
-    adds zero-bit breakdown entries for structures a variant elides
-    (e.g. the two-level G variants' level-1 table) so breakdown keys stay
-    stable across variants.
+    Totals and breakdown come from :meth:`ComponentSpec.storage_report`.
+    ``access_bits`` (bits read per prediction, the energy model's unit)
+    defaults to what each table reads: an indexed SRAM table reads one
+    row across all its ways, a CAM (index scheme ``"none"``) matches
+    every entry, and indexed flop state (e.g. replacement pointers) is
+    not read.  ``zero_keys`` adds zero-bit breakdown entries for
+    structures a variant elides (e.g. the two-level G variants' level-1
+    table) so breakdown keys stay stable across variants.
     """
     report = spec.storage_report(name)
     breakdown = dict(report.breakdown)
     for key in zero_keys:
         breakdown.setdefault(key, 0)
     if access_bits is None:
-        access_bits = sum(table.entry_bits for table in spec.tables)
+        access_bits = sum(_read_bits(table) for table in spec.tables)
     return StorageReport(
         name,
         sram_bits=report.sram_bits,

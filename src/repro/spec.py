@@ -3,16 +3,20 @@
 Every library component declares a :class:`ComponentSpec`: table
 geometries (sets/ways/entry payload fields), indexing functions, history
 demands, metadata payload layout, and an update-rule classification per
-table.  The spec is *declarative* — it repeats, from first principles,
-what the imperative implementation encodes in code — and the
-``SPEC001``–``SPEC008`` analyzer (:mod:`repro.analysis.spec_check`)
-verifies the two against each other: storage accounting bit-for-bit
+table.  Library components build it once at construction
+(:class:`~repro.components.base.SpecComponent`) and read their
+``MetaCodec``, ``meta_bits``, ``required_*_bits`` and ``storage()``
+report off it, so they satisfy SPEC002, SPEC004 and SPEC005 by
+construction.  The ``SPEC001``-``SPEC009`` analyzer
+(:mod:`repro.analysis.spec_check`) verifies the rest of the declaration
+against the code: index hashes against observed indexing on seeded
+probes (SPEC003), update-rule purity against ``columnar_kernel()``
+(SPEC006), learn triggers against ``branchless_inert`` (SPEC007).
+SPEC002, SPEC004 and SPEC005 guard hand-declared components: storage
 against :meth:`~repro.core.interface.PredictorComponent.storage` and the
-:mod:`repro.synthesis.area` mapping, index hashes against observed
-indexing on seeded probes, history demand against ``required_*_bits``
-(what TOP006 assumes), payload fields against the
-:class:`~repro.components.base.MetaCodec`, and update-rule purity
-against ``columnar_kernel()`` (the PR-6 eligibility gate).
+:mod:`repro.synthesis.area` mapping, history demand against
+``required_*_bits`` (what TOP006 assumes), payload fields against the
+:class:`~repro.components.base.MetaCodec`.
 
 The spec layer is also consumed by:
 

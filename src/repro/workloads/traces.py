@@ -69,6 +69,23 @@ class BranchTrace:
     #: Per-static-PC direct target, int64, -1 when none.
     slot_targets: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        # A short column would silently truncate replay and characterize.
+        for names in (
+            ("pcs", "types", "taken", "targets"),
+            ("slot_kinds", "slot_targets"),
+        ):
+            lengths = {
+                name: len(getattr(self, name))
+                for name in names
+                if getattr(self, name) is not None
+            }
+            if len(set(lengths.values())) > 1:
+                raise ValueError(
+                    "trace columns differ in length: "
+                    + ", ".join(f"{name}={n}" for name, n in lengths.items())
+                )
+
     def __len__(self) -> int:
         return len(self.pcs)
 

@@ -35,7 +35,6 @@ from repro.core.composer import ComposerConfig, compose
 from repro.core.interface import PredictorComponent, StorageReport
 from repro.eval.runner import run_workload
 from repro.kernels.engine import TraceColumns, engine_for
-from repro.isa.program import Program
 from repro.workloads.micro import build_micro
 from repro.workloads.registry import (
     WorkloadSource,
@@ -313,6 +312,37 @@ class TestRoundTrip:
                 WorkloadSource(name="legacy", trace_path=path),
                 RunLimits(max_instructions=12),
             )
+
+    def test_mismatched_columns_are_rejected(self, micro_npz):
+        trace = BranchTrace.load(micro_npz)
+        half = len(trace) // 2
+        with pytest.raises(ValueError, match="pcs=.*types="):
+            BranchTrace(
+                pcs=trace.pcs[:half],
+                types=trace.types,
+                taken=trace.taken,
+                targets=trace.targets,
+            )
+        with pytest.raises(ValueError, match="slot_kinds=.*slot_targets="):
+            BranchTrace(
+                pcs=trace.pcs,
+                types=trace.types,
+                taken=trace.taken,
+                targets=trace.targets,
+                slot_kinds=trace.slot_kinds,
+                slot_targets=trace.slot_targets[:-1],
+            )
+
+    def test_load_rejects_a_cut_column(self, micro_npz, tmp_path):
+        # A saved trace whose pcs column was cut short used to replay
+        # silently over the shorter column.
+        with np.load(micro_npz) as data:
+            columns = {name: data[name] for name in data.files}
+        columns["pcs"] = columns["pcs"][: len(columns["pcs"]) // 2]
+        path = tmp_path / "cut.npz"
+        np.savez_compressed(path, **columns)
+        with pytest.raises(ValueError, match="pcs="):
+            BranchTrace.load(path)
 
     def test_run_workload_replay_equals_trace(self, micro_program, micro_npz):
         t = run_workload(
