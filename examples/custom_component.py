@@ -104,10 +104,6 @@ class AgreeFilter(PredictorComponent):
         bits = self.n_sets * (1 + self.tag_bits + 2)
         return StorageReport(self.name, sram_bits=bits, breakdown={"entries": bits})
 
-    def reset(self) -> None:
-        self._valid.fill(False)
-        self._ctrs.fill(1)
-
 
 def main() -> None:
     program = build_specint("gcc", scale=0.5)

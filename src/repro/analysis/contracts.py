@@ -3,8 +3,8 @@
 Drives every component the library can build through a seeded stimulus and
 checks the §III interface invariants that static inspection cannot see:
 metadata widths, predict_in pass-through, latency-1 history isolation
-(Fig. 2), reset completeness, fire/repair round-trips, storage accounting,
-and same-seed determinism.
+(Fig. 2), fire/repair round-trips, storage accounting, and same-seed
+determinism.
 
 Rules
 -----
@@ -14,7 +14,6 @@ code    finding (all errors)
 CON001  metadata does not fit the declared meta_bits
 CON002  predict_in slots not predicted are not passed through
 CON003  latency-1 component's output depends on a history
-CON004  reset() does not restore the power-on state
 CON005  fire followed by on_repair does not round-trip state
 CON006  storage() breakdown does not sum to declared totals
 CON007  same seed, different behavior (non-determinism)
@@ -36,12 +35,11 @@ tables.  The check sweeps a seeded batch of random packets (random fetch
 PCs, global histories, and input vectors) through both paths on the
 stimulus-warmed instance and compares every produced slot.
 
-Determinism and reset are checked with *state fingerprints*: a canonical
-hash over the component's full object graph (numpy arrays by dtype, shape
-and bytes; containers recursively; plain objects by attribute).  Two
-instances built the same way fingerprint identically, so "reset restores
-power-on state" reduces to comparing a driven-then-reset instance against
-an untouched twin.
+Determinism, repair and branchless inertness are checked with *state
+fingerprints*: a canonical hash over the component's full object graph
+(numpy arrays by dtype, shape and bytes; containers recursively; plain
+objects by attribute).  Two instances built the same way and fed the same
+stimulus fingerprint identically.
 
 Stimulus dimensions are derived from each component's declarative
 :class:`repro.spec.ComponentSpec` when it provides one (see
@@ -517,16 +515,6 @@ def check_component(
     # demand) rather than hand-coded constants.
     dims = dims_for(component)
     log_a = _drive(component, seed, steps, report, check_fire_repair=True, dims=dims)
-
-    # CON004: a driven-then-reset instance must fingerprint identically to
-    # an untouched twin.
-    component.reset()
-    if state_fingerprint(component) != state_fingerprint(twin):
-        report.report(
-            "CON004",
-            "reset() left state behind: the driven-then-reset instance "
-            "differs from a freshly constructed twin",
-        )
 
     # CON007: same seed, same behavior.  The twin replays the identical
     # stimulus; outputs, metadata, and the final fingerprint must match.

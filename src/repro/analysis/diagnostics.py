@@ -33,7 +33,6 @@ RULES: Dict[str, tuple] = {
     "CON001": (ERROR, "metadata does not fit the declared meta_bits"),
     "CON002": (ERROR, "predict_in slots not predicted are not passed through"),
     "CON003": (ERROR, "latency-1 component consumes a history"),
-    "CON004": (ERROR, "reset() does not restore the power-on state"),
     "CON005": (ERROR, "fire followed by on_repair does not round-trip state"),
     "CON006": (ERROR, "storage() breakdown does not sum to declared totals"),
     "CON007": (ERROR, "component is not deterministic under a fixed seed"),

@@ -11,8 +11,8 @@ the result cache, the CLI — selects one with ``backend="..."``.
 
 The contract, precisely:
 
-- The predictor is used as given (not reset); callers own warm-up
-  semantics, exactly as ``run_workload`` always did.
+- The predictor is used as given, in whatever state it is in; callers
+  own warm-up semantics, exactly as ``run_workload`` always did.
 - ``limits.max_instructions`` bounds committed (architectural)
   instructions; ``limits.max_cycles`` only applies to backends that model
   time (``cycle``) and is ignored by the trace-driven ones.

@@ -115,9 +115,6 @@ class HBIM(SpecComponent):
             )
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._counters.reset()
-
     def columnar_kernel(self):
         # Local- and path-history schemes read providers the columnar
         # engine does not model; their spec declares kernel="none" and the

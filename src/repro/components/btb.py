@@ -137,14 +137,6 @@ class BTB(SpecComponent):
         self._targets[index, way, lane] = bundle.cfi_target & mask(TARGET_BITS)
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._valid.fill(False)
-        self._tags.fill(0)
-        self._slot_valid.fill(False)
-        self._slot_jump.fill(False)
-        self._targets.fill(0)
-        self._replace_ptr.fill(0)
-
     def columnar_kernel(self):
         from repro.kernels.components import BTBKernel
 
@@ -313,15 +305,6 @@ class MicroBTB(SpecComponent):
         self._ctrs[entry] = top  # start strongly taken; it was just taken
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._valid.fill(False)
-        self._tags.fill(0)
-        self._cfi_idx.fill(0)
-        self._is_jump.fill(False)
-        self._targets.fill(0)
-        self._ctrs.fill(0)
-        self._alloc_ptr = 0
-
     def columnar_kernel(self):
         from repro.kernels.components import MicroBTBKernel
 

@@ -141,10 +141,6 @@ class GTag(SpecComponent):
                     )
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._counters.reset()
-        self._tagstore.reset()
-
     def columnar_kernel(self):
         from repro.derive.kernels import derived_kernel
 

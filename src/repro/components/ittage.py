@@ -154,14 +154,6 @@ class ITTAGE(SpecComponent):
                     break
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        for table in range(len(self.history_lengths)):
-            self._valid[table].fill(False)
-            self._tags[table].fill(0)
-            self._lanes[table].fill(0)
-            self._targets[table].fill(0)
-            self._conf[table].fill(0)
-
     def _build_spec(self) -> ComponentSpec:
         lane = FieldSpec("lane", id_bits(self.fetch_width))
         conf = FieldSpec("conf", self.conf_bits)

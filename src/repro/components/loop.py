@@ -209,16 +209,6 @@ class LoopPredictor(SpecComponent):
         self._conf[index] = 0
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._valid.fill(False)
-        self._tags.fill(0)
-        self._direction.fill(False)
-        self._conf.fill(0)
-        self._spec_iter.fill(0)
-        self._commit_iter.fill(0)
-        self._trip.fill(0)
-        self._zero_streak.fill(0)
-
     def columnar_kernel(self):
         from repro.kernels.components import LoopKernel
 

@@ -105,9 +105,6 @@ class Perceptron(SpecComponent):
         np.clip(updated, self._weight_min, self._weight_max, out=self._weights[index])
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._weights.fill(0)
-
     def _build_spec(self) -> ComponentSpec:
         return ComponentSpec(
             component=type(self).__name__,

@@ -50,10 +50,6 @@ class ReturnAddressStack:
     def peek(self) -> int:
         return self._stack[self._pointer]
 
-    def reset(self) -> None:
-        self._stack = [0] * self.depth
-        self._pointer = 0
-
     @property
     def storage_bits(self) -> int:
         from repro.components.btb import TARGET_BITS

@@ -129,10 +129,6 @@ class StatisticalCorrector(SpecComponent):
                 table[index] = max(counter - 1, self._ctr_min)
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        for table in self._tables:
-            table.fill(0)
-
     def _build_spec(self) -> ComponentSpec:
         return ComponentSpec(
             component=type(self).__name__,

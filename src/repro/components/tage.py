@@ -318,18 +318,6 @@ class TAGE(SpecComponent):
         self._useful[choice][index] = 0
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        for table in range(len(self.tables)):
-            self._valid[table].fill(False)
-            self._tags[table].fill(0)
-            self._ctrs[table].fill(self._weak_nt)
-            self._useful[table].fill(0)
-        # The allocation LFSR is architectural state: leaving it mid-sequence
-        # would make a reset predictor diverge from a freshly built one.
-        self._lfsr = _Lfsr()
-        self._use_alt_on_na = 8
-        self._update_count = 0
-
     def columnar_kernel(self):
         from repro.kernels.components import TAGEKernel
 

@@ -115,9 +115,6 @@ class Tourney(SpecComponent):
             )
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._table.fill(1 << (self.counter_bits - 1))
-
     def _build_spec(self) -> ComponentSpec:
         choice = FieldSpec("choice", self.counter_bits, self.fetch_width)
         return ComponentSpec(

@@ -212,10 +212,6 @@ class TwoLevel(SpecComponent):
             zero_keys=("l1_histories",),
         )
 
-    def reset(self) -> None:
-        self._l1_table.reset()
-        self._l2_table.reset()
-
     def columnar_kernel(self):
         # P variants speculatively advance per-branch level-1 registers at
         # fire time on every candidate packet; their spec declares

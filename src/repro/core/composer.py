@@ -620,20 +620,6 @@ class ComposedPredictor:
     def repair_stats(self):
         return self._repair.stats
 
-    def reset(self) -> None:
-        for component in self.components:
-            component.reset()
-        self._global.reset()
-        if self._local is not None:
-            self._local.reset()
-        if self._path is not None:
-            self._path.reset()
-        self.history_file.reset()
-        self._repair.reset()
-        self.stats = ComposerStats()
-        self._stale_queries_remaining = 0
-        self._stale_ghist = 0
-
 
 def _overriding(
     components: Sequence[PredictorComponent], hook: str

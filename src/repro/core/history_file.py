@@ -182,11 +182,6 @@ class HistoryFile:
     def __iter__(self):
         return iter(self._entries)
 
-    def reset(self) -> None:
-        self._entries.clear()
-        self._by_id.clear()
-        self._next_id = 0
-
     # ------------------------------------------------------------------
     def storage(
         self, total_meta_bits: int, ghist_bits: int, lhist_bits: int

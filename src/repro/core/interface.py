@@ -48,10 +48,6 @@ class StorageReport:
     def total_bits(self) -> int:
         return self.sram_bits + self.flop_bits
 
-    @property
-    def total_kib(self) -> float:
-        return self.total_bits / 8 / 1024
-
     def merged(self, other: "StorageReport", name: str) -> "StorageReport":
         combined = dict(self.breakdown)
         for key, bits in other.breakdown.items():
@@ -193,9 +189,6 @@ class PredictorComponent(abc.ABC):
     @abc.abstractmethod
     def storage(self) -> StorageReport:
         """Bit-accurate storage report for the synthesis model."""
-
-    def reset(self) -> None:
-        """Return all predictor state to power-on values."""
 
     def columnar_kernel(self):
         """Batch-prediction capability (rule CON009).

@@ -81,9 +81,6 @@ class RepairStateMachine:
         self.stats.walk_cycles += cycles
         return cycles
 
-    def reset(self) -> None:
-        self.stats = RepairStats()
-
 
 def bundle_fields(
     entry: HistoryFileEntry, mispredicted: bool = False

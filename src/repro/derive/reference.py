@@ -139,9 +139,6 @@ class ReferenceHBIM(PredictorComponent):
             access_bits=self.fetch_width * self.counter_bits,
         )
 
-    def reset(self) -> None:
-        self._table.fill(self._weak_nt)
-
 
 class ReferenceTwoLevel(PredictorComponent):
     """Verbatim pre-derive :class:`~repro.components.twolevel.TwoLevel`."""
@@ -306,10 +303,6 @@ class ReferenceTwoLevel(PredictorComponent):
             access_bits=self.history_bits + self.counter_bits,
         )
 
-    def reset(self) -> None:
-        self._l1.fill(0)
-        self._l2.fill(self._weak_nt)
-
 
 class ReferenceGTag(PredictorComponent):
     """Verbatim pre-derive :class:`~repro.components.gtag.GTag`."""
@@ -417,11 +410,6 @@ class ReferenceGTag(PredictorComponent):
             + self.tag_bits
             + 1,
         )
-
-    def reset(self) -> None:
-        self._valid.fill(False)
-        self._tags.fill(0)
-        self._ctrs.fill(self._weak_nt)
 
 
 # ----------------------------------------------------------------------

@@ -92,11 +92,11 @@ class DerivedTable:
         self, spec: TableSpec, init: Optional[Mapping[str, int]] = None
     ):
         self.spec = spec
-        self._init = dict(init or {})
+        init = init or {}
         self._fields: Dict[str, FieldSpec] = {f.name: f for f in spec.fields}
         self._arrays: Dict[str, np.ndarray] = {}
         for field in spec.fields:
-            value = self._init.get(field.name, 0)
+            value = init.get(field.name, 0)
             self._arrays[field.name] = np.full(
                 field_shape(spec, field), value, dtype=field_dtype(field)
             )
@@ -247,12 +247,6 @@ class DerivedTable:
                 shift += field.bits
             out[field.name] = values if field.count > 1 else values[0]
         return out
-
-    # -- lifecycle -----------------------------------------------------
-    def reset(self) -> None:
-        """Refill every field with its declared initial value, in place."""
-        for field in self.spec.fields:
-            self._arrays[field.name].fill(self._init.get(field.name, 0))
 
     @property
     def storage_bits(self) -> int:

@@ -51,10 +51,10 @@ def run_workload(
 
     ``predictor`` may be a preset name or a topology string (a fresh
     instance is built by :func:`~repro.eval.parallel.build_predictor`) or
-    an already-constructed :class:`ComposedPredictor` (which is *not* reset:
-    callers own warm-up semantics).  ``program`` may be a live
-    :class:`Program`, a registered workload name, or a stored-trace
-    ``.npz`` path (see :mod:`repro.workloads.registry`).
+    an already-constructed :class:`ComposedPredictor` (used as given, in
+    whatever state it is in: callers own warm-up semantics).  ``program``
+    may be a live :class:`Program`, a registered workload name, or a
+    stored-trace ``.npz`` path (see :mod:`repro.workloads.registry`).
 
     ``backend`` picks the execution methodology (``cycle``, ``trace``, or
     ``replay`` — see :mod:`repro.backends`).  ``telemetry`` attaches a

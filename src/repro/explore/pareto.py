@@ -113,7 +113,3 @@ class ParetoArchive:
     def front(self) -> List[FrontPoint]:
         """The archived points, ordered by increasing area then MPKI."""
         return sorted(self._points, key=lambda p: (p.area_um2, p.mean_mpki, p.name))
-
-    def dominates_point(self, objectives: Objectives) -> bool:
-        """True when some archived point strictly dominates ``objectives``."""
-        return any(dominates(held.objectives, objectives) for held in self._points)

@@ -46,10 +46,6 @@ class _SetAssocCache:
         ways.append(tag)
         return False
 
-    def reset(self) -> None:
-        for ways in self._sets:
-            ways.clear()
-
 
 @dataclass
 class CacheStats:
@@ -92,11 +88,6 @@ class DataCacheModel:
         if not self._l1.access(line):
             self._l2.access(line)
 
-    def reset(self) -> None:
-        self._l1.reset()
-        self._l2.reset()
-        self.stats = CacheStats()
-
 
 class InstructionCacheModel:
     """L1-I with next-line prefetch; returns stall cycles per fetch."""
@@ -129,7 +120,3 @@ class InstructionCacheModel:
             return 0
         self.stats.misses += 1
         return self.miss_penalty
-
-    def reset(self) -> None:
-        self._tags.reset()
-        self.stats = ICacheStats()

@@ -590,11 +590,3 @@ def run_oracles(
         if found and stop_on_first:
             break
     return found
-
-
-def failing_oracle(
-    name: str, case: FuzzCase, scratch: Path
-) -> Optional[List[Mismatch]]:
-    """The minimizer's predicate helper: mismatches or None if clean."""
-    found = run_oracle(name, case, scratch)
-    return found or None

@@ -80,23 +80,6 @@ class HistorySniffer(_Base):
         return out, parity
 
 
-class LeakyReset(_Base):
-    """CON004: accumulates state that reset() forgets to clear."""
-
-    # Honest about learning on every packet (CON008 is not the bug here).
-    branchless_inert = False
-
-    def __init__(self, name, latency):
-        super().__init__(name, latency)
-        self._seen = []
-
-    def on_update(self, bundle):
-        self._seen.append(bundle.fetch_pc)
-
-    def reset(self):
-        pass  # forgets self._seen
-
-
 class FireWithoutRepair(_Base):
     """CON005: fire mutates state and on_repair does not undo it."""
 
@@ -109,9 +92,6 @@ class FireWithoutRepair(_Base):
 
     def fire(self, bundle):
         self._speculative += 1
-
-    def reset(self):
-        self._speculative = 0  # reset is honest; only repair is missing
 
 
 class WrongStorage(_Base):
@@ -149,9 +129,6 @@ class BranchlessLearner(_Base):
 
     def on_update(self, bundle):
         self._fetches += 1
-
-    def reset(self):
-        self._fetches = 0
 
 
 class _InvertingKernel:
@@ -217,7 +194,6 @@ VIOLATIONS = {
     "CON001": ("WMETA", WideMeta),
     "CON002": ("MUTATOR", InputMutator),
     "CON003": ("SNIFFER", HistorySniffer),
-    "CON004": ("LEAKY", LeakyReset),
     "CON005": ("NOREPAIR", FireWithoutRepair),
     "CON006": ("BADSTORE", WrongStorage),
     "CON007": ("FLAKY", Flaky),

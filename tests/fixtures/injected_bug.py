@@ -51,9 +51,6 @@ class PhantomPhase(PredictorComponent):
     def storage(self) -> StorageReport:
         return StorageReport(self.name, flop_bits=32, breakdown={"phase": 32})
 
-    def reset(self) -> None:
-        self._lookups = 0
-
 
 def injected_library():
     """A private standard library with the broken PHANTOM registered."""

@@ -134,15 +134,6 @@ class TestStorageAndReset:
         bim = HBIM("bim", n_sets=1024, fetch_width=4, counter_bits=2)
         assert bim.storage().sram_bits == 1024 * 4 * 2
 
-    def test_reset_restores_weak_nt(self):
-        bim = HBIM("bim", n_sets=64)
-        for _ in range(3):
-            _, meta = lookup(bim)
-            update(bim, 0, [True] + [False] * 3, [True] + [False] * 3, meta)
-        bim.reset()
-        out, _ = lookup(bim)
-        assert not out.slots[0].taken
-
     def test_meta_bits_cover_row(self):
         bim = HBIM("bim", n_sets=64, fetch_width=4, counter_bits=2)
         assert bim.meta_bits == 8

@@ -316,15 +316,6 @@ class TestStorageReports:
         assert 20.0 <= tage_l <= 34.0
         assert tage_l > 3 * b2  # the paper's big/small relation
 
-    def test_reset_restores_power_on(self):
-        pred = mk()
-        result = pred.predict(0, packet(BR))
-        pred.commit_packet(result.ftq_id)
-        pred.reset()
-        assert pred.stats.predictions == 0
-        assert len(pred.history_file) == 0
-        assert pred._global.read() == 0
-
 
 class TestDescribe:
     def test_preset_topologies(self):

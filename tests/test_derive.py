@@ -97,9 +97,6 @@ class TestDerivedTable:
         assert (view == 1).all()
         table.train(3, True, lane=2)
         assert view[3, 2] == 2
-        table.reset()
-        # reset refills in place: pre-existing views stay valid.
-        assert (view == 1).all()
 
     def test_row_evaluates_declared_index_fn(self):
         spec = counter_table()

@@ -31,12 +31,6 @@ class TestGlobalHistory:
         g.restore(snap)
         assert g.read() == snap
 
-    def test_reset(self):
-        g = GlobalHistoryProvider(8)
-        g.speculate([True])
-        g.reset()
-        assert g.read() == 0
-
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             GlobalHistoryProvider(0)

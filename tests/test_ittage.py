@@ -94,11 +94,6 @@ class TestITTAGE:
     def test_storage_and_reset(self, it):
         assert it.storage().sram_bits > 0
         assert it.storage().access_bits > 0
-        _, meta = lookup(it, ghist=1)
-        jalr_commit(it, 0, 0, 12, meta, ghist=1, mispredicted=True)
-        it.reset()
-        out, _ = lookup(it, ghist=1)
-        assert not any(s.hit for s in out.slots)
 
 
 class TestITTAGEComposed:

@@ -148,14 +148,6 @@ class TestMeta:
         _, meta = lookup(tage)
         assert meta <= (1 << tage.meta_bits) - 1
 
-    def test_reset_clears_tables(self):
-        tage = small_tage()
-        _, meta = lookup(tage, ghist=3)
-        commit(tage, 0, 0, True, meta, ghist=3, mispredicted=True)
-        tage.reset()
-        _, meta2 = lookup(tage, ghist=3)
-        assert tage._codec.unpack(meta2)["provider_valid"] == 0
-
     def test_storage_scales_with_tables(self):
         small = small_tage(n_tables=2).storage().total_bits
         large = small_tage(n_tables=6).storage().total_bits
