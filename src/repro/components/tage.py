@@ -111,17 +111,22 @@ class TAGE(SpecComponent):
         self._tag_masks = [(1 << cfg.tag_bits) - 1 for cfg in self.tables]
         super().__init__(name, latency, self._build_spec())
         self._weak_nt = (1 << (counter_bits - 1)) - 1
-        self._tags: List[np.ndarray] = []
-        self._ctrs: List[np.ndarray] = []
-        self._useful: List[np.ndarray] = []
-        self._valid: List[np.ndarray] = []
-        for cfg in self.tables:
-            self._tags.append(np.zeros(cfg.n_sets, dtype=np.int64))
-            self._ctrs.append(
-                np.full((cfg.n_sets, fetch_width), self._weak_nt, dtype=np.uint8)
-            )
-            self._useful.append(np.zeros(cfg.n_sets, dtype=np.uint8))
-            self._valid.append(np.zeros(cfg.n_sets, dtype=bool))
+        # One array per field holds every table's rows, table t's from
+        # ``_row_base[t]`` on; the per-table lists are views into it, so
+        # the columnar kernel reads all tables with one gather.
+        sets = [cfg.n_sets for cfg in self.tables]
+        self._row_base = np.cumsum([0] + sets[:-1])
+        self._all_tags = np.zeros(sum(sets), dtype=np.int64)
+        self._all_ctrs = np.full(
+            (sum(sets), fetch_width), self._weak_nt, dtype=np.uint8
+        )
+        self._all_useful = np.zeros(sum(sets), dtype=np.uint8)
+        self._all_valid = np.zeros(sum(sets), dtype=bool)
+        split = self._row_base[1:]
+        self._tags: List[np.ndarray] = np.split(self._all_tags, split)
+        self._ctrs: List[np.ndarray] = np.split(self._all_ctrs, split)
+        self._useful: List[np.ndarray] = np.split(self._all_useful, split)
+        self._valid: List[np.ndarray] = np.split(self._all_valid, split)
         self._lfsr = _Lfsr()
         self._use_alt_on_na = 8  # 4-bit counter, midpoint
         self._update_count = 0
@@ -274,8 +279,7 @@ class TAGE(SpecComponent):
 
         self._update_count += 1
         if self._update_count % self.u_decay_period == 0:
-            for table in range(len(self.tables)):
-                self._useful[table] >>= 1
+            self._all_useful >>= 1
 
     def _allocate(
         self,

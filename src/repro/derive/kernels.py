@@ -99,6 +99,7 @@ class LaneCounterKernel:
         self.tags = tags
         table = component.derived_tables[counters.name]
         self._ctr = table.lanes()
+        self._flat = table.flat()  # row * W + lane, the chain keys
         self._bits = counters.fields[0].bits
         if tags is not None:
             gate = component.derived_tables[tags.name]
@@ -114,35 +115,31 @@ class LaneCounterKernel:
         # counter movement never cuts a segment — updates come from
         # predict-time metadata, and allocations (gated tables) only
         # happen on mispredicted packets, which end the segment.
+        lanes = np.arange(ctx.W)
         if self.tags is not None:
             tag = c.tag_columns(ctx)
             hit = self._gate_valid[idx] & (self._gate_tag[idx] == tag)
             hrows = np.flatnonzero(hit)
-            key = (
-                idx[hrows, None] * ctx.W + np.arange(ctx.W)[None, :]
-            ).ravel()
-            upd = ctx.upd_cond[hrows].ravel()
-            taken = ctx.rtaken_grid[hrows].ravel()
-            v0 = rows[hrows].ravel()
-            if len(hrows):
-                pre, _post, _last = forward_saturating(
-                    key, upd, taken, v0, self._bits
-                )
-                rows = rows.copy()
-                rows[hrows] = pre.reshape(len(hrows), ctx.W)
+            chains = forward_saturating(
+                (idx[hrows, None] * ctx.W + lanes).ravel(),
+                ctx.upd_cond[hrows].ravel(),
+                ctx.rtaken_grid[hrows].ravel(),
+                rows[hrows].ravel(),
+                self._bits,
+            )
+            rows[hrows] = chains.pre.reshape(len(hrows), ctx.W)
         else:
             # Ungated: every row is live, so skip the gather/scatter.
-            hit = None
             hrows = None
-            key = (idx[:, None] * ctx.W + np.arange(ctx.W)[None, :]).ravel()
-            upd = ctx.upd_cond.ravel()
-            taken = ctx.rtaken_grid.ravel()
-            v0 = rows.ravel()
-            pre, _post, _last = forward_saturating(
-                key, upd, taken, v0, self._bits
+            chains = forward_saturating(
+                (idx[:, None] * ctx.W + lanes).ravel(),
+                ctx.upd_cond.ravel(),
+                ctx.rtaken_grid.ravel(),
+                rows.ravel(),
+                self._bits,
             )
-            rows = pre.reshape(ctx.P, ctx.W)
-        ctx.scratch[c.name] = (hrows, key, upd, taken, v0)
+            rows = chains.pre.reshape(ctx.P, ctx.W)
+        ctx.scratch[c.name] = (hrows, chains)
         out = state.copy()
         # A gated (tagged) table claims only its non-jump hit lanes; an
         # ungated base table provides a direction for every slot.
@@ -161,22 +158,12 @@ class LaneCounterKernel:
         return np.zeros(ctx.P, dtype=bool)
 
     def commit(self, ctx, accepted):
-        hrows, key, upd, taken, v0 = ctx.scratch[self.c.name]
-        if hrows is None:
-            n = accepted * ctx.W
-        else:
-            n = int(np.searchsorted(hrows, accepted)) * ctx.W
-        if n == 0:
-            return
-        _pre, post, last = forward_saturating(
-            key[:n], upd[:n], taken[:n], v0[:n], self._bits
-        )
-        sel = last & (post != v0[:n])
-        if sel.any():
-            kk = key[:n][sel]
-            self._ctr[kk // ctx.W, kk % ctx.W] = post[sel].astype(
-                self._ctr.dtype
-            )
+        hrows, chains = ctx.scratch[self.c.name]
+        if hrows is not None:
+            accepted = int(np.searchsorted(hrows, accepted))
+        if accepted:
+            keys, values = chains.final(accepted * ctx.W)
+            self._flat[keys] = values
 
 
 class CandidateCounterKernel:
@@ -201,43 +188,33 @@ class CandidateCounterKernel:
         way = hash_pc_vec(branch_pc, way_bits) % ct.ways
         index = index_columns(ct.index, ctx)
         key_all = way * ct.entries + index
-        ctr = self._flat[key_all].astype(np.int64)
         # One pattern counter read + trained per candidate packet, from
         # predict-time metadata: forward it through the window.
-        rows = np.arange(ctx.P)
         crows = np.flatnonzero(has_cand)
+        lanes = cand[crows]
         key = key_all[crows]
-        upd = (has_cand & ctx.upd_cond[rows, cand])[crows]
-        taken = ctx.rtaken_grid[rows, cand][crows]
-        v0 = ctr[crows]
-        if len(crows):
-            pre, _post, _last = forward_saturating(
-                key, upd, taken, v0, self._bits
-            )
-            ctr = ctr.copy()
-            ctr[crows] = pre
-        ctx.scratch[c.name] = (crows, key, upd, taken, v0)
-        out = state.copy()
-        out.hit[crows, cand[crows]] = True
-        out.taken[crows, cand[crows]] = counter_taken_vec(
-            ctr[crows], self._bits
+        chains = forward_saturating(
+            key,
+            ctx.upd_cond[crows, lanes],
+            ctx.rtaken_grid[crows, lanes],
+            self._flat[key],
+            self._bits,
         )
+        ctx.scratch[c.name] = (crows, chains)
+        out = state.copy("hit", "taken")
+        out.hit[crows, lanes] = True
+        out.taken[crows, lanes] = counter_taken_vec(chains.pre, self._bits)
         return out
 
     def mutates(self, ctx):
         return np.zeros(ctx.P, dtype=bool)
 
     def commit(self, ctx, accepted):
-        crows, key, upd, taken, v0 = ctx.scratch[self.c.name]
+        crows, chains = ctx.scratch[self.c.name]
         n = int(np.searchsorted(crows, accepted))
-        if n == 0:
-            return
-        _pre, post, last = forward_saturating(
-            key[:n], upd[:n], taken[:n], v0[:n], self._bits
-        )
-        sel = last & (post != v0[:n])
-        if sel.any():
-            self._flat[key[:n][sel]] = post[sel].astype(self._flat.dtype)
+        if n:
+            keys, values = chains.final(n)
+            self._flat[keys] = values
 
 
 def derived_kernel(component):

@@ -34,11 +34,17 @@ drives:
     are garbage by construction and are never used.
 
 ``commit(ctx, accepted)``
-    Replay the writes of the accepted prefix.  Safe to scatter because the
-    hazard cut guarantees every write's value was computed from a row no
-    earlier accepted packet had changed; duplicate writes to one row are
-    applied in packet order (NumPy fancy assignment is last-wins), which
-    only arises when the earlier writes did not change the row.
+    Replay the writes of the accepted prefix, reusing what ``lookup``
+    computed.  Forwarded counters are causal per key, so the lookup-time
+    chains (:class:`~repro.kernels.vector_ops.CounterChains`) already
+    hold every counter's value after any prefix: commit writes
+    ``final(n)``, each touched key's value after its last event among
+    the first ``n``, instead of scanning again.  Other writes are safe
+    to scatter because the hazard cut guarantees every write's value was
+    computed from a row no earlier accepted packet had changed; duplicate
+    writes to one row are applied in packet order (NumPy fancy assignment
+    is last-wins), which only arises when the earlier writes did not
+    change the row.
 
 Update-time reads match the scalar components because the framework hands
 updates the *predict-time* history (§III-E, ``bundle.ghist == req_ghist``),
@@ -55,9 +61,8 @@ from repro.kernels.vector_ops import (
     counter_is_weak_vec,
     counter_taken_vec,
     earlier_dirty_same_key,
-    fold_history_multi,
+    fold_shifts,
     forward_saturating,
-    hash_pc_multi,
     hash_pc_vec,
     saturating_changes_vec,
     saturating_update_vec,
@@ -75,12 +80,9 @@ class BTBKernel:
         packet = ctx.aligned // c.fetch_width
         idx = hash_pc_vec(packet, c._index_bits)
         tag = (packet >> c._index_bits) & mask(c.tag_bits)
-        way = np.full(ctx.P, -1, dtype=np.int64)
-        for w in range(c.n_ways):  # first matching way, like _find_way
-            match = (way < 0) & c._valid[idx, w] & (c._tags[idx, w] == tag)
-            way[match] = w
-        hit = way >= 0
-        w_safe = np.maximum(way, 0)
+        match = c._valid[idx] & (c._tags[idx] == tag[:, None])
+        hit = match.any(axis=1)
+        w_safe = match.argmax(axis=1)  # first matching way, like _find_way
         sv = c._slot_valid[idx, w_safe] & hit[:, None] & ctx.lane_valid
         sj = c._slot_jump[idx, w_safe]
         tg = c._targets[idx, w_safe]
@@ -95,61 +97,50 @@ class BTBKernel:
         out.taken = out.taken | jmp
         return out
 
-    def _dirty(self, ctx):
+    def mutates(self, ctx):
         c = self.c
         idx, tag, hit, w_safe, sv, sj, tg = ctx.scratch[c.name]
         # The update applies only to a committed taken CFI with a known
         # target; in a pure packet the CFI is always taken.  Rewriting a
         # hit entry with identical slot contents leaves the set untouched;
         # a changed rewrite or an allocation dirties it.
-        app = ctx.has_cfi & (ctx.cfi_target >= 0)
         rows = np.arange(ctx.P)
-        lane = np.clip(ctx.cfi_lane, 0, ctx.W - 1)
-        new_jump = ctx.cfi_is_jal | ctx.cfi_is_jalr
-        new_target = ctx.cfi_target & mask(TARGET_BITS)
+        lane = np.maximum(ctx.cfi_lane, 0)
         unchanged = (
             sv[rows, lane]
-            & (sj[rows, lane] == new_jump)
-            & (tg[rows, lane] == new_target)
+            & (sj[rows, lane] == (ctx.cfi_is_jal | ctx.cfi_is_jalr))
+            & (tg[rows, lane] == ctx.cfi_target & mask(TARGET_BITS))
         )
-        return app & ~(hit & unchanged)
-
-    def mutates(self, ctx):
-        idx = ctx.scratch[self.c.name][0]
+        dirty = ctx.has_cfi & (ctx.cfi_target >= 0) & ~(hit & unchanged)
+        ctx.scratch[c.name] = (idx, tag, hit, w_safe, dirty)
         # Every packet reads its set (all ways); writes land in the same
         # set they read, so staleness is per-index.
-        return earlier_dirty_same_key(idx, self._dirty(ctx))
+        return earlier_dirty_same_key(idx, dirty)
 
     def commit(self, ctx, accepted):
         c = self.c
-        idx, tag, hit, w_safe, sv, sj, tg = ctx.scratch[c.name]
-        app = (ctx.has_cfi & (ctx.cfi_target >= 0))[:accepted]
-        if not app.any():
+        idx, tag, hit, w_safe, dirty = ctx.scratch[c.name]
+        # Only dirty writes change the table.  The hazard cut leaves at
+        # most one per set in the prefix, after no other dirty write to
+        # it, so the frozen ways and replacement pointers are exact.
+        wr = np.flatnonzero(dirty[:accepted])
+        if not len(wr):
             return
-        lane = np.clip(ctx.cfi_lane, 0, ctx.W - 1)[:accepted]
-        new_jump = (ctx.cfi_is_jal | ctx.cfi_is_jalr)[:accepted]
-        new_target = (ctx.cfi_target[:accepted] & mask(TARGET_BITS)).astype(
-            c._targets.dtype
-        )
-        hw = np.flatnonzero(app & hit[:accepted])
-        if len(hw):
-            c._slot_valid[idx[hw], w_safe[hw], lane[hw]] = True
-            c._slot_jump[idx[hw], w_safe[hw], lane[hw]] = new_jump[hw]
-            c._targets[idx[hw], w_safe[hw], lane[hw]] = new_target[hw]
-        # Allocations: the hazard cut leaves at most one per set in the
-        # prefix, and no earlier dirty write to it, so the frozen
-        # replacement pointer is exact.  An allocation follows any clean
-        # same-set rewrites chronologically, matching this ordering.
-        al = np.flatnonzero(app & ~hit[:accepted])
-        if len(al):
-            w = c._replace_ptr[idx[al]]
-            c._replace_ptr[idx[al]] = (w + 1) % c.n_ways
-            c._valid[idx[al], w] = True
-            c._tags[idx[al], w] = tag[al]
-            c._slot_valid[idx[al], w, :] = False
-            c._slot_valid[idx[al], w, lane[al]] = True
-            c._slot_jump[idx[al], w, lane[al]] = new_jump[al]
-            c._targets[idx[al], w, lane[al]] = new_target[al]
+        sets = idx[wr]
+        way = w_safe[wr]
+        alloc = ~hit[wr]
+        if alloc.any():
+            s = sets[alloc]
+            w = c._replace_ptr[s]
+            way[alloc] = w
+            c._replace_ptr[s] = (w + 1) % c.n_ways
+            c._valid[s, w] = True
+            c._tags[s, w] = tag[wr][alloc]
+            c._slot_valid[s, w, :] = False
+        lane = ctx.cfi_lane[wr]
+        c._slot_valid[sets, way, lane] = True
+        c._slot_jump[sets, way, lane] = ctx.cfi_is_jal[wr] | ctx.cfi_is_jalr[wr]
+        c._targets[sets, way, lane] = ctx.cfi_target[wr] & mask(TARGET_BITS)
 
 
 class MicroBTBKernel:
@@ -176,18 +167,16 @@ class MicroBTBKernel:
         advance = hit & ~is_jump & at_cfi
         decrement = hit & ~is_jump & ~ctx.has_cfi & (stored >= ctx.offset)
         hrows = np.flatnonzero(hit)
-        key = entry[hrows]
-        upd = (advance | decrement)[hrows]
-        taken = advance[hrows]
-        v0 = ctr[hrows]
-        if len(hrows):
-            pre, _post, _last = forward_saturating(
-                key, upd, taken, v0, c.counter_bits
-            )
-            ctr = ctr.copy()
-            ctr[hrows] = pre
-        ctx.scratch[c.name] = (tag, hit, stored, hrows, key, upd, taken, v0)
-        out = state.copy()
+        chains = forward_saturating(
+            entry[hrows],
+            (advance | decrement)[hrows],
+            advance[hrows],
+            ctr[hrows],
+            c.counter_bits,
+        )
+        ctr[hrows] = chains.pre
+        ctx.scratch[c.name] = (tag, hit, hrows, chains)
+        out = state.copy("hit", "is_branch", "is_jump", "taken", "target")
         in_pkt = hit & (stored >= ctx.offset)
         rows = np.flatnonzero(in_pkt)
         lanes = stored[rows]
@@ -218,15 +207,11 @@ class MicroBTBKernel:
 
     def commit(self, ctx, accepted):
         c = self.c
-        tag, hit, stored, hrows, key, upd, taken, v0 = ctx.scratch[c.name]
+        tag, hit, hrows, chains = ctx.scratch[c.name]
         n = int(np.searchsorted(hrows, accepted))
         if n:
-            _pre, post, last = forward_saturating(
-                key[:n], upd[:n], taken[:n], v0[:n], c.counter_bits
-            )
-            sel = last & (post != v0[:n])
-            if sel.any():
-                c._ctrs[key[:n][sel]] = post[sel].astype(c._ctrs.dtype)
+            entries, values = chains.final(n)
+            c._ctrs[entries] = values
         al = np.flatnonzero(self._allocs(ctx)[:accepted])
         if len(al):  # at most one: every later packet was cut
             p = int(al[0])
@@ -241,53 +226,96 @@ class MicroBTBKernel:
 
 
 class TAGEKernel:
-    """Columnar :class:`~repro.components.tage.TAGE`."""
+    """Columnar :class:`~repro.components.tage.TAGE`.
+
+    Every table is handled at once: the per-table geometry becomes
+    ``(rows, 1)`` constant columns built here, so one window computes
+    all index and tag hashes as ``(T, P)`` grids and reads every table
+    with one gather from the component's all-table arrays.
+    """
 
     def __init__(self, component):
         self.c = component
         cfgs = component.tables
-        self._hbs = [cfg.history_bits for cfg in cfgs]
-        self._ibs = list(component._index_bits)
-        self._tbs = [cfg.tag_bits for cfg in cfgs]
-        self._tbs1 = [cfg.tag_bits - 1 for cfg in cfgs]
-        self._tag_mask_col = np.asarray(
-            component._tag_masks, dtype=np.int64
+        T = len(cfgs)
+        ibs = list(component._index_bits)
+        tbs = [cfg.tag_bits for cfg in cfgs]
+        # PC hashes: T index rows (packet) then T tag rows (packet >> 1).
+        pc_bits = np.array(ibs + tbs, dtype=np.int64)[:, None]
+        self._pc_shift = np.maximum(pc_bits, 1)  # the zero mask wins
+        self._pc_shift2 = 2 * self._pc_shift
+        self._pc_mask = np.array([mask(b) for b in ibs + tbs])[:, None]
+        self._tag_rows = (np.arange(2 * T) >= T)[:, None]
+        # History folds: index, tag and tag-1 widths, T rows each, by
+        # the doubling XOR fold; a row that needs fewer shifts than the
+        # widest one skips the rest through a zero keep-mask.
+        hbs = [cfg.history_bits for cfg in cfgs] * 3
+        fbs = ibs + tbs + [tb - 1 for tb in tbs]
+        self._hist_mask = np.array(
+            [mask(min(hb, 64)) for hb in hbs], dtype=np.uint64
         )[:, None]
+        self._fold_mask = np.array(
+            [mask(max(fb, 0)) for fb in fbs], dtype=np.uint64
+        )[:, None]
+        shifts = [fold_shifts(hb, fb) for hb, fb in zip(hbs, fbs)]
+        self._fold_steps = [
+            (
+                np.array(
+                    [sh[k] if k < len(sh) else 0 for sh in shifts],
+                    dtype=np.uint64,
+                )[:, None],
+                np.array(
+                    [mask(64) if k < len(sh) else 0 for sh in shifts],
+                    dtype=np.uint64,
+                )[:, None],
+            )
+            for k in range(max(map(len, shifts)))
+        ]
+        self._tag_mask = np.asarray(component._tag_masks, dtype=np.int64)[:, None]
+        self._row_base = np.asarray(component._row_base)[:, None]
+        self._T = T
+
+    def index_tag(self, fetch_pc, ghist):
+        """:meth:`TAGE._index_tag` of every table over packet columns,
+        as ``(T, P)`` index and tag grids."""
+        T = self._T
+        packet = fetch_pc // self.c.fetch_width  # unaligned, as the scalar
+        pc = np.where(self._tag_rows, packet >> 1, packet)
+        hashed = (
+            pc ^ (pc >> self._pc_shift) ^ (pc >> self._pc_shift2)
+        ) & self._pc_mask
+        h = np.asarray(ghist, dtype=np.uint64) & self._hist_mask
+        for shift, keep in self._fold_steps:
+            h ^= (h >> shift) & keep
+        folded = (h & self._fold_mask).astype(np.int64)
+        index = hashed[:T] ^ folded[:T]
+        tag = (
+            hashed[T:] ^ folded[T : 2 * T] ^ (folded[2 * T :] << 1)
+        ) & self._tag_mask
+        return index, tag
 
     def lookup(self, ctx, state):
         c = self.c
-        P, W = ctx.P, ctx.W
-        packet = ctx.fetch_pc // c.fetch_width  # unaligned, as the scalar
-        half = packet >> 1
-        prov_valid = np.zeros(P, dtype=bool)
-        alt_valid = np.zeros(P, dtype=bool)
-        prov_ctr = np.zeros((P, W), dtype=np.int64)
-        alt_ctr = np.zeros((P, W), dtype=np.int64)
-        prov_u = np.zeros(P, dtype=np.int64)
-        prov_table = np.zeros(P, dtype=np.int64)
-        idx_t = hash_pc_multi(packet, self._ibs) ^ fold_history_multi(
-            ctx.req_ghist, self._hbs, self._ibs
-        )
-        tag_t = (
-            hash_pc_multi(half, self._tbs)
-            ^ fold_history_multi(ctx.req_ghist, self._hbs, self._tbs)
-            ^ (fold_history_multi(ctx.req_ghist, self._hbs, self._tbs1) << 1)
-        ) & self._tag_mask_col
-        idx_all = []
-        hit_all = []
-        for t in range(len(c.tables)):
-            idx = idx_t[t]
-            hit = c._valid[t][idx] & (c._tags[t][idx] == tag_t[t])
-            idx_all.append(idx)
-            hit_all.append(hit)
-            # Running demotion: the previous provider becomes the alternate.
-            alt_ctr[hit] = prov_ctr[hit]
-            alt_valid = np.where(hit, prov_valid, alt_valid)
-            prov_ctr[hit] = c._ctrs[t][idx[hit]]
-            prov_u[hit] = c._useful[t][idx[hit]]
-            prov_table[hit] = t
-            prov_valid = prov_valid | hit
-        prov_index = np.stack(idx_all)[prov_table, np.arange(P)]
+        P = ctx.P
+        index, tag = self.index_tag(ctx.fetch_pc, ctx.req_ghist)
+        rows = index + self._row_base  # (T, P) rows of the all-table arrays
+        hit = c._all_valid[rows] & (c._all_tags[rows] == tag)
+        # The provider is the longest-history hit, the alternate the next
+        # one down, as the scalar ``hits[-1]`` and ``hits[-2]``.
+        seen = np.cumsum(hit, axis=0)
+        n_hits = seen[-1]
+        prov_valid = n_hits > 0
+        alt_valid = n_hits > 1
+        col = np.arange(P)
+        is_prov = hit & (seen == n_hits)
+        prov_table = np.argmax(is_prov, axis=0)
+        alt_table = np.argmax(hit & (seen == n_hits - 1), axis=0)
+        prov_row = rows[prov_table, col]
+        # Rows without a provider (or alternate) read table 0's row: the
+        # values are never used, every use is gated on the valid column.
+        prov_ctr = c._all_ctrs[prov_row].astype(np.int64)
+        prov_u = c._all_useful[prov_row].astype(np.int64)
+        alt_ctr = c._all_ctrs[rows[alt_table, col]]
         base_taken = state.hit & state.taken
         alt_taken = np.where(
             alt_valid[:, None],
@@ -311,36 +339,35 @@ class TAGEKernel:
         ev_p, ev_l = np.nonzero(ua_ev)  # row-major = chronological
         ua0 = int(c._use_alt_on_na)
         if len(ev_p):
-            _, ua_post, _ = forward_saturating(
+            ua = forward_saturating(
                 np.zeros(len(ev_p), dtype=np.int64),
                 np.ones(len(ev_p), dtype=bool),
                 alt_taken[ev_p, ev_l] == ctx.rtaken_grid[ev_p, ev_l],
                 np.full(len(ev_p), ua0, dtype=np.int64),
                 4,
             )
-            first_ev = np.searchsorted(ev_p, np.arange(P))
+            first_ev = np.searchsorted(ev_p, col)
             ua_read = np.where(
-                first_ev == 0, ua0, ua_post[np.maximum(first_ev - 1, 0)]
+                first_ev == 0, ua0, ua.post[np.maximum(first_ev - 1, 0)]
             )
             taken = np.where(
                 newly & (ua_read >= 8)[:, None], alt_taken, taken
             )
         else:
-            ua_post = None
+            ua = None
             if ua0 >= 8:
                 taken = np.where(newly, alt_taken, taken)
         ctx.scratch[c.name] = (
             prov_valid,
-            prov_table,
-            prov_index,
+            prov_row,
             prov_ctr,
             prov_u,
             alt_taken,
-            newly,
-            idx_all,
-            hit_all,
+            rows,
+            hit,
+            is_prov,
             ev_p,
-            ua_post,
+            ua,
         )
         out = state.copy()
         sel = prov_valid[:, None] & ctx.lane_valid & ~out.is_jump
@@ -352,16 +379,15 @@ class TAGEKernel:
         c = self.c
         (
             prov_valid,
-            prov_table,
-            prov_index,
+            _prov_row,
             prov_ctr,
             prov_u,
             alt_taken,
-            newly,
-            idx_all,
-            hit_all,
-            ev_p,
-            ua_post,
+            rows,
+            hit,
+            is_prov,
+            _ev_p,
+            _ua,
         ) = ctx.scratch[c.name]
         prov_taken = counter_taken_vec(prov_ctr, c.counter_bits)
         upd = ctx.upd_cond
@@ -385,69 +411,62 @@ class TAGEKernel:
         # boundary packet goes scalar and performs the actual decay.
         update_seq = c._update_count + np.cumsum(has_br)
         decay = has_br & (update_seq % c.u_decay_period == 0)
-        # Counter/usefulness writes land at the provider's (table, index);
-        # only packets that hit that table row read it.
-        hazard = np.zeros(ctx.P, dtype=bool)
-        for t in range(len(c.tables)):
-            hazard |= hit_all[t] & earlier_dirty_same_key(
-                idx_all[t], dirty & (prov_table == t)
-            )
-        return decay | hazard
+        # Counter/usefulness writes land at the provider's row; only
+        # packets that hit that row read it.  Rows of different tables
+        # differ, and the (T, P) grid flattens table-major, so each row's
+        # positions stay in packet order.
+        hazard = earlier_dirty_same_key(
+            rows.ravel(), (is_prov & dirty).ravel()
+        ).reshape(rows.shape)
+        return decay | (hazard & hit).any(axis=0)
 
     def commit(self, ctx, accepted):
         c = self.c
         (
             prov_valid,
-            prov_table,
-            prov_index,
+            prov_row,
             prov_ctr,
             prov_u,
             alt_taken,
-            newly,
-            idx_all,
-            hit_all,
+            _rows,
+            _hit,
+            _is_prov,
             ev_p,
-            ua_post,
+            ua,
         ) = ctx.scratch[c.name]
         upd = ctx.upd_cond[:accepted]
         has_br = upd.any(axis=1)
         # The scalar update increments the decay clock once per committed
         # packet that carries at least one resolved branch.
         c._update_count += int(has_br.sum())
-        if ua_post is not None:
+        if ua is not None:
             n_ev = int(np.searchsorted(ev_p, accepted))
             if n_ev:
-                c._use_alt_on_na = int(ua_post[n_ev - 1])
-        act = has_br & prov_valid[:accepted]
-        if not act.any():
+                c._use_alt_on_na = int(ua.final(n_ev)[1][0])
+        act = np.flatnonzero(has_br & prov_valid[:accepted])
+        if not len(act):
             return
-        prov_taken = counter_taken_vec(prov_ctr[:accepted], c.counter_bits)
-        rt = ctx.rtaken_grid[:accepted]
-        disagree = (prov_taken != alt_taken[:accepted]) & upd
-        for t in range(len(c.tables)):
-            rows = np.flatnonzero(act & (prov_table[:accepted] == t))
-            if not len(rows):
-                continue
-            pi = prov_index[:accepted][rows]
-            p_i, l_i = np.nonzero(upd[rows])
-            new = saturating_update_vec(
-                prov_ctr[:accepted][rows][p_i, l_i],
-                rt[rows][p_i, l_i],
-                c.counter_bits,
+        # Duplicate writes to one row apply in packet order (NumPy fancy
+        # assignment is last-wins); the hazard cut leaves only earlier
+        # writes that did not change the row.
+        pr = prov_row[act]
+        ctr = prov_ctr[act]
+        rt = ctx.rtaken_grid[act]
+        p_i, l_i = np.nonzero(upd[act])
+        c._all_ctrs[pr[p_i], l_i] = saturating_update_vec(
+            ctr[p_i, l_i], rt[p_i, l_i], c.counter_bits
+        )
+        # Usefulness trains once per disagreeing lane from the same
+        # metadata value; the last lane's write is the survivor.
+        prov_taken = counter_taken_vec(ctr, c.counter_bits)
+        d = (prov_taken != alt_taken[act]) & upd[act]
+        rr = np.flatnonzero(d.any(axis=1))
+        if len(rr):
+            last = ctx.W - 1 - np.argmax(d[rr, ::-1], axis=1)
+            agree = prov_taken[rr, last] == rt[rr, last]
+            c._all_useful[pr[rr]] = saturating_update_vec(
+                prov_u[act][rr], agree, c.u_bits
             )
-            c._ctrs[t][pi[p_i], l_i] = new.astype(c._ctrs[t].dtype)
-            # Usefulness trains once per disagreeing lane from the same
-            # metadata value; the last lane's write is the survivor.
-            d = disagree[rows]
-            any_d = d.any(axis=1)
-            if any_d.any():
-                rr = np.flatnonzero(any_d)
-                last = ctx.W - 1 - np.argmax(d[rr][:, ::-1], axis=1)
-                agree = prov_taken[rows][rr, last] == rt[rows][rr, last]
-                new_u = saturating_update_vec(
-                    prov_u[:accepted][rows][rr], agree, c.u_bits
-                )
-                c._useful[t][pi[rr]] = new_u.astype(c._useful[t].dtype)
 
 
 class LoopKernel:
@@ -494,10 +513,12 @@ class LoopKernel:
             ctx.rtaken_grid[p_t, l_t].tolist(),
         )
         preds, _ = self._simulate(ctx, ctx.P)
-        out = state.copy()
-        for p, lane, predicted in preds:
-            out.hit[p, lane] = True
-            out.taken[p, lane] = predicted
+        if not preds:
+            return state.copy()
+        p, lane, predicted = np.array(preds, dtype=np.int64).T
+        out = state.copy("hit", "taken")
+        out.hit[p, lane] = True
+        out.taken[p, lane] = predicted
         return out
 
     def _simulate(self, ctx, limit):

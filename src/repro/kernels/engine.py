@@ -57,6 +57,10 @@ class ColState:
     writes with ``ctx.lane_valid`` so those lanes keep the fall-through
     default, exactly as the scalar vectors never materialize them.
     ``target`` uses -1 for the scalar ``None``.
+
+    Grids are copy-on-write: plan values share them, so a kernel either
+    replaces a grid with a new array (``out.hit = out.hit | sel``) or
+    names it in :meth:`copy` before writing into it in place.
     """
 
     __slots__ = ("hit", "is_branch", "is_jump", "taken", "target")
@@ -71,13 +75,17 @@ class ColState:
         state.target = np.full((packets, width), -1, dtype=np.int64)
         return state
 
-    def copy(self) -> "ColState":
+    def copy(self, *writable: str) -> "ColState":
+        """A state sharing this one's grids, except that each grid named
+        in ``writable`` is a private copy the caller may write in place."""
         clone = ColState.__new__(ColState)
-        clone.hit = self.hit.copy()
-        clone.is_branch = self.is_branch.copy()
-        clone.is_jump = self.is_jump.copy()
-        clone.taken = self.taken.copy()
-        clone.target = self.target.copy()
+        clone.hit = self.hit
+        clone.is_branch = self.is_branch
+        clone.is_jump = self.is_jump
+        clone.taken = self.taken
+        clone.target = self.target
+        for name in writable:
+            setattr(clone, name, getattr(self, name).copy())
         return clone
 
 
@@ -85,7 +93,7 @@ def merge_by_hit_vec(winner: ColState, fallback: ColState) -> ColState:
     """Columnar :func:`repro.core.topology.merge_by_hit`."""
     sel = winner.hit
     merged = ColState.__new__(ColState)
-    merged.hit = np.where(sel, winner.hit, fallback.hit)
+    merged.hit = winner.hit | fallback.hit
     merged.is_branch = np.where(sel, winner.is_branch, fallback.is_branch)
     merged.is_jump = np.where(sel, winner.is_jump, fallback.is_jump)
     merged.taken = np.where(sel, winner.taken, fallback.taken)
@@ -94,19 +102,52 @@ def merge_by_hit_vec(winner: ColState, fallback: ColState) -> ColState:
 
 
 class TraceColumns:
-    """Numpy views over the branch-trace columns the engine consumes."""
+    """Per-record columns of one branch trace, derived once per run.
 
-    __slots__ = ("pcs", "types", "taken", "targets", "slot_targets", "n_records")
+    Each engine window reads slices of these, so what depends only on a
+    record (its class, whether it transfers control, its static target)
+    or on a prefix of the trace (instruction spans, conditional counts)
+    is paid once per cell rather than once per window.
+    """
+
+    __slots__ = (
+        "pcs",
+        "taken",
+        "targets",
+        "transfers",
+        "is_cond",
+        "is_jal",
+        "is_jalr",
+        "static_targets",
+        "span_cum",
+        "cond_cum",
+        "n_records",
+    )
 
     @classmethod
     def from_trace(cls, trace) -> "TraceColumns":
         cols = cls.__new__(cls)
         cols.pcs = np.asarray(trace.pcs, dtype=np.int64)
-        cols.types = np.asarray(trace.types)
+        types = np.asarray(trace.types)
         cols.taken = np.asarray(trace.taken, dtype=bool)
         cols.targets = np.asarray(trace.targets, dtype=np.int64)
-        cols.slot_targets = np.asarray(trace.slot_targets, dtype=np.int64)
         cols.n_records = len(cols.pcs)
+        # The record transfers control somewhere other than pc + 1 (the
+        # walker only ends a packet on such a transfer or at the span
+        # boundary; degenerate taken-to-next-pc transfers keep walking).
+        cols.transfers = cols.targets != cols.pcs + 1
+        cols.is_cond = types == TYPE_COND
+        cols.is_jal = (types == TYPE_JAL) | (types == TYPE_CALL)
+        cols.is_jalr = (types == TYPE_JALR) | (types == TYPE_RET)
+        slot_targets = np.asarray(trace.slot_targets, dtype=np.int64)
+        cols.static_targets = slot_targets[cols.pcs]
+        # span_cum[i]: instructions from record 0 through record i when
+        # each record's run starts at the previous record's target.
+        cols.span_cum = np.zeros(cols.n_records, dtype=np.int64)
+        np.cumsum(cols.pcs[1:] - cols.targets[:-1] + 1, out=cols.span_cum[1:])
+        # cond_cum[i]: conditional records before record i.
+        cols.cond_cum = np.zeros(cols.n_records + 1, dtype=np.int64)
+        np.cumsum(cols.is_cond, out=cols.cond_cum[1:])
         return cols
 
 
@@ -126,7 +167,7 @@ class SegmentContext:
         # per-packet record grids (absolute lanes)
         "cond_grid", "rtaken_grid", "upd_cond",
         # architectural-cut columns
-        "has_cfi", "cfi_lane", "cfi_is_cond", "cfi_is_jal", "cfi_is_jalr",
+        "has_cfi", "cfi_lane", "cfi_is_jal", "cfi_is_jalr",
         "cfi_static_target", "cfi_target",
         # accounting (cumulative through packet p, inclusive)
         "first_k", "instr_incl", "branches_incl", "pos_incl", "jumps_incl",
@@ -214,7 +255,8 @@ class SegmentEngine:
     (``kernels``, keyed by component name), each merge step through
     :func:`merge_by_hit_vec`.  As in the scalar plan, one fall-through
     state feeds every step that reads it, so a kernel's ``lookup`` must
-    return a new state and leave the one passed in unwritten.
+    return a new state and leave the one passed in, and its grids,
+    unwritten (see :class:`ColState`).
     """
 
     def __init__(self, predictor, kernels):
@@ -231,40 +273,32 @@ class SegmentEngine:
         self, cols: TraceColumns, pc0: int, bi: int, k: int, ghist0: int
     ) -> SegmentContext:
         W = self.width
-        bpc = cols.pcs[bi : bi + k]
-        btype = cols.types[bi : bi + k]
-        btaken = cols.taken[bi : bi + k]
-        btgt = cols.targets[bi : bi + k]
+        window = slice(bi, bi + k)
+        bpc = cols.pcs[window]
+        btaken = cols.taken[window]
+        btgt = cols.targets[window]
+        tr = cols.transfers[window]
+        is_cond = cols.is_cond[window]
         K = len(bpc)
-        is_cond = btype == TYPE_COND
         rec_idx = np.arange(K)
 
         # --- packetization: group records exactly as the walker fetches.
-        # tr[k]: the record transfers control somewhere other than pc + 1
-        # (the walker only ends a packet on such a transfer or at the span
-        # boundary; degenerate taken-to-next-pc transfers keep walking).
-        tr = btgt != bpc + 1
-        last_tr_excl = np.empty(K, dtype=np.int64)
-        last_tr_excl[0] = -1
-        if K > 1:
-            np.maximum.accumulate(
-                np.where(tr, rec_idx, -1)[:-1], out=last_tr_excl[1:]
-            )
-        seq_start = np.where(
-            last_tr_excl >= 0, btgt[np.maximum(last_tr_excl, 0)], pc0
-        )
+        # run_from[k]: one past the last transfer before record k, or 0
+        # when the record's sequential run starts at pc0.
+        run_from = np.zeros(K, dtype=np.int64)
+        np.maximum.accumulate(np.where(tr[:-1], rec_idx[1:], 0), out=run_from[1:])
+        seq_start = np.where(run_from > 0, btgt[run_from - 1], pc0)
         # The fetch PC of the packet holding record k: the sequential-run
-        # start if the record sits in the run's first packet, else the
-        # aligned base of the record's own fetch group.
-        first_boundary = seq_start - seq_start % W + W
-        pkt_start = np.where(bpc < first_boundary, seq_start, bpc - bpc % W)
+        # start if the record sits in the run's first fetch group (whose
+        # aligned base is at most the start), else the aligned base of the
+        # record's own fetch group.
+        pkt_start = np.maximum(seq_start, bpc - bpc % W)
         new_pkt = np.empty(K, dtype=bool)
         new_pkt[0] = True
-        if K > 1:
-            new_pkt[1:] = tr[:-1] | (pkt_start[1:] != pkt_start[:-1])
+        np.logical_or(tr[:-1], pkt_start[1:] != pkt_start[:-1], out=new_pkt[1:])
         pid = np.cumsum(new_pkt) - 1
-        P = int(pid[-1]) + 1
         first_k = np.flatnonzero(new_pkt)
+        P = len(first_k)
         last_k = np.empty(P, dtype=np.int64)
         last_k[:-1] = first_k[1:] - 1
         last_k[-1] = K - 1
@@ -275,24 +309,24 @@ class SegmentEngine:
         ctx.n_records = K
         ctx.first_k = first_k
         ctx.fetch_pc = pkt_start[first_k]
-        ctx.aligned = ctx.fetch_pc - ctx.fetch_pc % W
         ctx.offset = ctx.fetch_pc % W
-        ctx.lane_valid = np.arange(W)[None, :] >= ctx.offset[:, None]
+        ctx.aligned = ctx.fetch_pc - ctx.offset
+        ctx.lane_valid = np.arange(W) >= ctx.offset[:, None]
         lane = bpc - ctx.aligned[pid]
 
         # --- instruction accounting (cumulative, inclusive of packet p).
-        prev_end = np.empty(K, dtype=np.int64)
-        prev_end[0] = pc0
-        prev_end[1:] = btgt[:-1]
-        cum_instr = np.cumsum(bpc - prev_end + 1)
         end_tr = tr[last_k]
+        last_pc = bpc[last_k]
         # A packet whose last record falls through runs on to the span end;
         # the driver resumes from next_fp, so the trailing plains are
         # charged here and never recounted.
-        trailing = np.where(end_tr, 0, ctx.aligned + W - (bpc[last_k] + 1))
-        ctx.instr_incl = cum_instr[last_k] + trailing
+        ctx.instr_incl = (
+            cols.span_cum[bi + last_k]
+            + (bpc[0] - pc0 + 1 - cols.span_cum[bi])
+            + np.where(end_tr, 0, ctx.aligned + (W - 1) - last_pc)
+        )
         ctx.next_fp = np.where(end_tr, btgt[last_k], ctx.aligned + W)
-        ctx.branches_incl = np.cumsum(is_cond)[last_k]
+        ctx.branches_incl = cols.cond_cum[bi + 1 + last_k] - cols.cond_cum[bi]
 
         # --- architectural cut: the first taken record is the packet's CFI
         # (for pure packets it coincides with the predicted cut).
@@ -300,42 +334,35 @@ class SegmentEngine:
             np.where(btaken, rec_idx, K), first_k
         )
         ctx.has_cfi = first_taken < K
-        safe_ft = np.minimum(first_taken, K - 1)
-        ctx.cfi_lane = np.where(ctx.has_cfi, lane[safe_ft], -1)
-        cfi_type = btype[safe_ft]
-        ctx.cfi_is_cond = ctx.has_cfi & (cfi_type == TYPE_COND)
-        ctx.cfi_is_jal = ctx.has_cfi & (
-            (cfi_type == TYPE_JAL) | (cfi_type == TYPE_CALL)
-        )
-        ctx.cfi_is_jalr = ctx.has_cfi & (
-            (cfi_type == TYPE_JALR) | (cfi_type == TYPE_RET)
-        )
+        cfi = bi + np.minimum(first_taken, K - 1)
+        ctx.cfi_lane = np.where(ctx.has_cfi, cols.pcs[cfi] - ctx.aligned, -1)
+        ctx.cfi_is_jal = ctx.has_cfi & cols.is_jal[cfi]
+        ctx.cfi_is_jalr = ctx.has_cfi & cols.is_jalr[cfi]
         ctx.cfi_static_target = np.where(
-            ctx.has_cfi, cols.slot_targets[bpc[safe_ft]], -1
+            ctx.has_cfi, cols.static_targets[cfi], -1
         )
         ctx.jumps_incl = np.cumsum(ctx.cfi_is_jal | ctx.cfi_is_jalr)
 
         # --- update gating: committed br_mask covers conditional records at
-        # or before the packet's cut (everything the walker fetched).
+        # or before the packet's cut (everything the walker fetched).  No
+        # two records of a window share a packet lane.
         upd_rec = is_cond & (rec_idx <= first_taken[pid])
-
+        cell = pid * W + lane
         ctx.cond_grid = np.zeros((P, W), dtype=bool)
-        ctx.cond_grid[pid[is_cond], lane[is_cond]] = True
+        ctx.cond_grid.reshape(-1)[cell] = is_cond
         ctx.rtaken_grid = np.zeros((P, W), dtype=bool)
-        ctx.rtaken_grid[pid, lane] = btaken
+        ctx.rtaken_grid.reshape(-1)[cell] = btaken
         ctx.upd_cond = np.zeros((P, W), dtype=bool)
-        ctx.upd_cond[pid[upd_rec], lane[upd_rec]] = True
+        ctx.upd_cond.reshape(-1)[cell] = upd_rec
 
         # --- rolling global history: the register value each packet's
         # lookup observes, and the value to restore after the last accepted
         # packet.
-        outcome_count = np.cumsum(upd_rec)
-        ctx.pos_incl = outcome_count[last_k]
+        ctx.pos_incl = np.cumsum(upd_rec)[last_k]
         ctx.rolled = rolling_histories(
             ghist0, btaken[upd_rec], self.ghist_bits
         )
-        pos_before = np.empty(P, dtype=np.int64)
-        pos_before[0] = 0
+        pos_before = np.zeros(P, dtype=np.int64)
         pos_before[1:] = ctx.pos_incl[:-1]
         ctx.req_ghist = ctx.rolled[pos_before]
         ctx.cfi_target = None  # filled after topology evaluation
@@ -382,7 +409,7 @@ class SegmentEngine:
         # (replay never corrects targets, so the BTB learns the predicted
         # one, exactly as the scalar path does).
         rows = np.arange(P)
-        lane = np.clip(ctx.cfi_lane, 0, ctx.W - 1)
+        lane = np.maximum(ctx.cfi_lane, 0)
         ctx.cfi_target = np.where(
             ctx.cfi_is_jalr, final.target[rows, lane], ctx.cfi_static_target
         )

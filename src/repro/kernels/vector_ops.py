@@ -9,9 +9,34 @@ CON009 contract rule hold these ports to them.
 
 from __future__ import annotations
 
+import functools
+from typing import List
+
 import numpy as np
 
 from repro._util import mask
+
+
+def fold_shifts(history_bits: int, folded_bits: int) -> List[int]:
+    """Shift amounts of a doubling XOR fold of ``history_bits`` into
+    ``folded_bits``.
+
+    ``h ^= h >> s`` for each ``s`` in turn leaves the XOR of all
+    ``folded_bits``-wide chunks in the low ``folded_bits`` bits:
+    after shifts ``f, 2f, ..., 2**(r-1) f`` the low chunk holds chunks
+    ``0 .. 2**r - 1``.  So ``c`` chunks need ``ceil(log2 c)`` shifts,
+    not ``c`` rounds, and every shift stays below the (at most 64-bit)
+    history width.
+    """
+    if folded_bits <= 0:
+        return []
+    chunks = (min(history_bits, 64) + folded_bits - 1) // folded_bits
+    shifts = []
+    held = 1  # chunks the low chunk holds
+    while held < chunks:
+        shifts.append(held * folded_bits)
+        held *= 2
+    return shifts
 
 
 def fold_history_vec(
@@ -19,67 +44,16 @@ def fold_history_vec(
 ) -> np.ndarray:
     """Vectorized :func:`repro._util.fold_history` over a uint64 column.
 
-    The scalar version loops ``while history``; XORing a fixed
-    ``ceil(history_bits / folded_bits)`` chunk count is equivalent because
-    exhausted histories contribute zero chunks.
+    The scalar version loops ``while history``; folding the
+    ``history_bits``-wide history with :func:`fold_shifts` is equivalent
+    because exhausted histories contribute zero chunks.
     """
     if folded_bits <= 0:
         return np.zeros(np.shape(history), dtype=np.int64)
     h = history.astype(np.uint64) & np.uint64(mask(min(history_bits, 64)))
-    chunk = np.uint64(mask(folded_bits))
-    shift = np.uint64(folded_bits)
-    folded = np.zeros(np.shape(history), dtype=np.uint64)
-    for _ in range((history_bits + folded_bits - 1) // folded_bits):
-        folded ^= h & chunk
-        h >>= shift
-    return folded.astype(np.int64)
-
-
-def fold_history_multi(
-    history: np.ndarray, history_bits, folded_bits
-) -> np.ndarray:
-    """:func:`fold_history_vec` for T ``(history_bits, folded_bits)`` pairs.
-
-    Stacks the per-table chunk loops into one ``(T, P)`` sweep: tables
-    whose chunks are exhausted shift to zero and XOR nothing, so running
-    every table for the longest table's chunk count is exact.  Batching
-    matters because TAGE folds three quantities for each of its tables
-    per window — per-table calls dominate small-window attempts.
-    """
-    pairs = list(zip(history_bits, folded_bits))
-    hmask = np.array(
-        [mask(min(int(hb), 64)) for hb, _ in pairs], dtype=np.uint64
-    )
-    chunk = np.array(
-        [mask(int(fb)) if fb > 0 else 0 for _, fb in pairs], dtype=np.uint64
-    )
-    shift = np.array(
-        [int(fb) if fb > 0 else 63 for _, fb in pairs], dtype=np.uint64
-    )
-    h = np.asarray(history, dtype=np.uint64)[None, :] & hmask[:, None]
-    folded = np.zeros_like(h)
-    rounds = max(
-        (int(hb) + int(fb) - 1) // int(fb)
-        for hb, fb in pairs
-        if fb > 0
-    )
-    ck = chunk[:, None]
-    sh = shift[:, None]
-    for _ in range(rounds):
-        folded ^= h & ck
-        h >>= sh
-    return folded.astype(np.int64)
-
-
-def hash_pc_multi(pc: np.ndarray, bits) -> np.ndarray:
-    """:func:`hash_pc_vec` for T bit widths at once, returning ``(T, P)``."""
-    b = np.asarray(bits, dtype=np.int64)[:, None]
-    m = np.array(
-        [mask(int(x)) if x > 0 else 0 for x in bits], dtype=np.int64
-    )[:, None]
-    p = np.asarray(pc, dtype=np.int64)[None, :]
-    bs = np.maximum(b, 1)  # avoid 0-bit shifts; the zero mask wins anyway
-    return (p ^ (p >> bs) ^ (p >> (2 * bs))) & m
+    for shift in fold_shifts(history_bits, folded_bits):
+        h ^= h >> np.uint64(shift)
+    return (h & np.uint64(mask(folded_bits))).astype(np.int64)
 
 
 def hash_pc_vec(pc: np.ndarray, bits: int) -> np.ndarray:
@@ -129,8 +103,8 @@ def earlier_dirty_same_key(keys: np.ndarray, dirty: np.ndarray) -> np.ndarray:
     time.
     """
     n = len(keys)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
+    if not dirty.any():
+        return np.zeros(n, dtype=bool)
     order = np.argsort(keys, kind="stable")
     d = dirty[order].astype(np.int64)
     excl = np.cumsum(d) - d
@@ -146,75 +120,111 @@ def earlier_dirty_same_key(keys: np.ndarray, dirty: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Sentinel bounds for the clamp-function monoid in
-#: :func:`forward_saturating`; wider than any counter range.
-_BIG = np.int64(1) << np.int64(40)
+@functools.lru_cache(maxsize=None)
+def _step_tables(bits: int) -> np.ndarray:
+    """Transition tables of one ``bits``-wide saturating counter.
+
+    Row ``2 * upd + taken`` maps every counter value to the value after
+    one event: rows 0 and 1 (no update) are the identity, row 2
+    decrements and row 3 increments, each clipped to ``[0, top]``.
+    """
+    top = mask(bits)
+    v = np.arange(top + 1, dtype=np.intp)
+    tables = np.stack([v, v, np.maximum(v - 1, 0), np.minimum(v + 1, top)])
+    tables.setflags(write=False)  # cached: shared by every caller
+    return tables
 
 
-def forward_saturating(keys, upd, taken, v0, bits):
+class CounterChains:
+    """Saturating counters forwarded through one window's event chain.
+
+    Built by :func:`forward_saturating`.  ``pre[i]`` is the value event
+    ``i`` reads.  ``post`` and :meth:`final` give values after events;
+    the chains are causal per key, so the first ``n`` events' values
+    here equal those of a chain built from the first ``n`` events alone,
+    and a commit of an accepted prefix reuses them instead of scanning
+    again.
+    """
+
+    __slots__ = ("pre", "_order", "_keys", "_post", "_cont")
+
+    @property
+    def post(self) -> np.ndarray:
+        """The value after each event, in event order."""
+        out = np.empty(len(self._post), dtype=np.int64)
+        out[self._order] = self._post
+        return out
+
+    def final(self, n: int):
+        """``(keys, values)``: each key's value after its last event
+        among the first ``n``, for every key those events touch."""
+        # Sorted by key with time order kept, one key's events among the
+        # first n form a leading run of its chain; the run's last event
+        # is the one whose chain successor is not among them.
+        inside = self._order < n
+        last = inside.copy()
+        last[:-1] &= ~(self._cont & inside[1:])
+        return self._keys[last], self._post[last]
+
+
+def forward_saturating(keys, upd, taken, v0, bits) -> CounterChains:
     """Forward saturating-counter values through a chronological event chain.
 
     Each event reads one counter (identified by ``keys``) and, when
     ``upd`` is set, steps it ``clip(v ± 1, 0, top)`` toward ``taken``.
     ``v0`` carries the counter's frozen (pre-window) value per event.
-    Returns ``(pre, post, last)``: the value each event *reads* (what the
-    scalar predictor would have seen at that point), the value after the
-    event, and a mask of each key's final event — ``post[last]`` is the
-    counter's end-of-window value.
+    Returns the :class:`CounterChains`: the value each event *reads*
+    (what the scalar predictor would have seen at that point), the
+    value after each event, and each key's final value after any prefix
+    of the events.
 
-    The step functions ``v -> min(hi, max(lo, v + a))`` form a monoid
-    under composition, so a segmented Hillis-Steele scan over the events
-    of each key (stable argsort keeps them chronological) computes every
-    exclusive prefix in ``O(n log n)`` without per-key loops.
+    A stable argsort groups each key's events in time order.  Each event
+    is a map of the ``2 ** bits`` counter values; a segmented
+    Hillis-Steele scan composes every chain prefix, one gather per
+    round.  Round ``r`` covers chain positions below ``2 ** r``, so the
+    scan runs ``ceil(log2 L)`` rounds for the longest chain ``L``, not
+    ``ceil(log2 n)``: a window whose keys are all distinct needs none.
     """
     n = len(keys)
-    if n == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0, dtype=bool)
-    top = mask(bits)
+    chains = CounterChains()
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
-    group_start = np.empty(n, dtype=bool)
-    group_start[0] = True
-    group_start[1:] = sk[1:] != sk[:-1]
-    step_dir = np.where(taken[order], 1, -1)
-    is_upd = upd[order]
-    # Element i holds the *previous* event's step (identity at group
-    # starts), so the inclusive scan yields exclusive prefixes.
-    a = np.zeros(n, dtype=np.int64)
-    lo = np.full(n, -_BIG)
-    hi = np.full(n, _BIG)
-    shifted = ~group_start[1:] & is_upd[:-1]
-    a[1:] = np.where(shifted, step_dir[:-1], 0)
-    lo[1:] = np.where(shifted, 0, -_BIG)
-    hi[1:] = np.where(shifted, top, _BIG)
+    cont = sk[1:] == sk[:-1]  # in key order, event i + 1 continues i's chain
+    chains._order = order
+    chains._keys = sk
+    chains._cont = cont
+    if n == 0:
+        chains.pre = chains._post = np.zeros(0, dtype=np.int64)
+        return chains
+    steps = _step_tables(bits)
+    width = steps.shape[1]
+    code = (upd.astype(np.intp) << 1) | taken
+    maps = steps[code[order]]  # (n, 2 ** bits): event i's value map
+    flat = maps.reshape(-1)
+    base = np.arange(0, n * width, width)
+    v0s = v0[order]
     pos = np.arange(n)
-    g0 = np.maximum.accumulate(np.where(group_start, pos, 0))
+    chain_start = np.zeros(n, dtype=np.intp)
+    np.maximum.accumulate(np.where(cont, 0, pos[1:]), out=chain_start[1:])
+    rank = pos - chain_start
+    longest = int(rank.max()) + 1
     step = 1
-    while step < n:
-        src = pos - step
-        valid = src >= g0
-        vs = np.maximum(src, 0)
-        # Compose: the function ending at src applies first, then ours.
-        na = np.where(valid, a[vs] + a, a)
-        nlo = np.where(valid, np.minimum(hi, np.maximum(lo, lo[vs] + a)), lo)
-        nhi = np.where(valid, np.minimum(hi, np.maximum(lo, hi[vs] + a)), hi)
-        a, lo, hi = na, nlo, nhi
+    while step < longest:
+        # Compose: the map ending ``step`` events earlier applies first.
+        comp = flat[maps[:-step] + base[step:, None]]
+        np.copyto(maps[step:], comp, where=(rank[step:] >= step)[:, None])
         step <<= 1
-    pre_sorted = np.minimum(hi, np.maximum(lo, v0[order] + a))
+    post = flat[base + v0s]
     pre = np.empty(n, dtype=np.int64)
-    pre[order] = pre_sorted
-    post = np.where(
-        upd,
-        np.minimum(np.maximum(pre + np.where(taken, 1, -1), 0), top),
-        pre,
-    )
-    group_last = np.empty(n, dtype=bool)
-    group_last[:-1] = group_start[1:]
-    group_last[-1] = True
-    last = np.zeros(n, dtype=bool)
-    last[order[group_last]] = True
-    return pre, post, last
+    pre[order[0]] = v0s[0]
+    pre[order[1:]] = np.where(cont, post[:-1], v0s[1:])
+    chains.pre = pre
+    chains._post = post
+    return chains
+
+
+#: Bit positions of a 64-bit register, oldest (MSB) first.
+_OLDEST_FIRST = np.arange(63, -1, -1, dtype=np.uint64)
 
 
 def rolling_histories(
@@ -228,14 +238,14 @@ def rolling_histories(
     Requires ``history_bits <= 64``; the engine's eligibility gate enforces
     that.
     """
-    m = len(outcome_bits)
-    ext = np.zeros(64 + m, dtype=np.uint64)
-    ext[:64] = (np.uint64(ghist0) >> np.arange(63, -1, -1, dtype=np.uint64)) & np.uint64(1)
-    if m:
-        ext[64:] = outcome_bits.astype(np.uint64)
-    # rolled[i] = sum_t ext[63 + i - t] << t for t < history_bits: a
-    # sliding 64-bit window, weighted so the newest outcome is the LSB.
-    windows = np.lib.stride_tricks.sliding_window_view(ext, 64)
-    t = np.arange(63, -1, -1)
-    weights = np.where(t < history_bits, np.uint64(1) << t.astype(np.uint64), np.uint64(0))
-    return windows @ weights
+    # reg[j] starts as bit j of the oldest-first stream (ghist0's 64 bits,
+    # then the outcomes); doubling widths w = 1, 2, ..., 32 leaves it
+    # holding the 64 bits ending at j, the newest as its LSB.
+    reg = np.empty(64 + len(outcome_bits), dtype=np.uint64)
+    reg[:64] = (np.uint64(ghist0) >> _OLDEST_FIRST) & np.uint64(1)
+    reg[64:] = outcome_bits
+    width = 1
+    while width < 64:
+        reg[width:] |= reg[:-width] << np.uint64(width)
+        width <<= 1
+    return reg[63:] & np.uint64(mask(history_bits))

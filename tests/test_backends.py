@@ -509,6 +509,74 @@ class TestKernelSegmentEdges:
         assert instructions <= BUDGET
 
 
+def table_state(predictor):
+    """Every component's arrays and managed counters, by (name, field)."""
+    state = {}
+    for component in predictor.components:
+        for field, value in vars(component).items():
+            if isinstance(value, np.ndarray):
+                state[component.name, field] = value.copy()
+            elif field.startswith("_") and type(value) is int:
+                state[component.name, field] = value
+    return state
+
+
+class TestEngineCommits:
+    """A wrong commit-time write can sit unseen in the counts until a
+    later read, so the engine must leave every table exactly as the
+    scalar walk does."""
+
+    @pytest.mark.parametrize("design", ["tage_l", "b2", "GAP3 > BTB2 > BIM2"])
+    def test_engine_leaves_the_scalar_walks_tables(self, design):
+        trace = capture_trace(
+            build_micro("counted_loops", scale=0.2), max_instructions=BUDGET
+        )
+        states = []
+        accepted = []
+        for use_engine in (True, False):
+            predictor = build_design(design)
+            engine = engine_for(predictor) if use_engine else None
+            if engine is not None:
+                run = engine.run
+
+                def counting_run(*args):
+                    seg = run(*args)
+                    accepted.append(seg.records)
+                    return seg
+
+                engine.run = counting_run
+            packets = trace_packets(trace, predictor.config.fetch_width)
+            drive_columns(predictor, trace, packets, BUDGET, engine=engine)
+            states.append(table_state(predictor))
+        assert sum(accepted) > 0
+        with_engine, scalar = states
+        assert with_engine.keys() == scalar.keys()
+        differ = [
+            key for key in scalar if not np.array_equal(with_engine[key], scalar[key])
+        ]
+        assert not differ, f"tables differ after engine commits: {differ}"
+        expected = {
+            "tage_l": [
+                ("tage", "_all_ctrs"),
+                ("tage", "_all_useful"),
+                ("tage", "_use_alt_on_na"),
+                ("tage", "_update_count"),
+                ("ubtb", "_ctrs"),
+                ("btb", "_targets"),
+                ("btb", "_slot_valid"),
+                ("loop", "_trip"),
+                ("bim", "_table"),
+            ],
+            "b2": [
+                ("gtag", "_ctrs"),
+                ("btb", "_tags"),
+                ("btb", "_replace_ptr"),
+                ("bim", "_table"),
+            ],
+        }.get(design, [("gap", "_l2")])
+        assert set(expected) <= scalar.keys()
+
+
 class TestEngageRule:
     """``drive_columns`` must hand sparse traces to the engine and back
     off on dense ones.  Bit-identity holds either way, so only these
