@@ -21,8 +21,8 @@ CON008  branchless packet changes state despite branchless_inert
 CON009  columnar kernel lookup diverges from the scalar lookup
 ======  ========================================================
 
-CON008 guards the replay backend's fast path: packets with no control-flow
-instruction are skipped entirely (:mod:`repro.backends.packets`), which is
+CON008 guards the trace-driven walker's fast path: packets with no control-flow
+instruction are skipped entirely (:mod:`repro.backends.replay`), which is
 only exact if lookup + fire + on_update on such a packet leave the
 component's state untouched.  Components that do learn on branchless
 packets must override ``branchless_inert = False`` (the composed predictor
@@ -531,7 +531,7 @@ def check_component(
 
     # CON008: if the component claims branchless_inert, a branchless
     # packet's full lookup + fire + on_update cycle must leave its state
-    # bit-identical — the replay backend skips such packets outright.  The
+    # bit-identical — the trace-driven walker skips such packets.  The
     # check runs on the stimulus-warmed ``replay`` instance so populated
     # tables are covered, not just power-on zeros.
     if component.branchless_inert:

@@ -1,13 +1,13 @@
 """The execution-backend contract and registry.
 
 An :class:`ExecutionBackend` turns (predictor, workload source, limits)
-into a :class:`~repro.eval.metrics.RunResult`.  Three implementations ship
-(see :mod:`repro.backends`): ``cycle`` (the cycle-level host-core model),
-``trace`` (commit-order trace-driven simulation, §II-B), and ``replay``
-(trace-driven over stored :class:`~repro.workloads.traces.BranchTrace`
-columns, no interpreter in the loop).  Backends register themselves by
-name; everything above this layer — ``run_workload``, the parallel engine,
-the result cache, the CLI — selects one with ``backend="..."``.
+into a :class:`~repro.eval.metrics.RunResult`.  Three names ship (see
+:mod:`repro.backends`): ``cycle`` (the cycle-level host-core model), and
+``trace`` and ``replay``, one commit-order trace-driven walker (§II-B) over
+a live capture or a stored :class:`~repro.workloads.traces.BranchTrace`.
+Backends register themselves by name; everything above this layer —
+``run_workload``, the parallel engine, the result cache, the CLI — selects
+one with ``backend="..."``.
 
 The contract, precisely:
 
@@ -116,18 +116,26 @@ def attach_collector(
     return collector
 
 
+@dataclass
+class WalkCounts:
+    """What one architectural walk observed."""
+
+    instructions: int
+    branches: int
+    mispredicts: int
+
+
 def counts_result(
     system: str,
     workload: str,
-    counts,
+    counts: WalkCounts,
     backend: str,
     telemetry: Optional[dict] = None,
 ) -> RunResult:
     """Build the RunResult a trace-driven walk produces.
 
-    ``counts`` is a :class:`~repro.backends.packets.WalkCounts`.  Cycles,
-    IPC, flush and indirect-target counts are structurally zero — the
-    trace-driven methodology cannot observe them (§II-B).
+    Cycles, IPC, flush and indirect-target counts are structurally zero —
+    the trace-driven methodology cannot observe them (§II-B).
     """
     instructions = counts.instructions
     mpki = 1000.0 * counts.mispredicts / instructions if instructions else 0.0

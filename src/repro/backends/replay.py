@@ -1,10 +1,12 @@
-"""The ``replay`` backend: trace replay with no interpreter in the loop.
+"""The trace-driven walker: one commit-order walk over branch columns.
 
-Drives a composed predictor directly from stored
+Drives a composed predictor directly from
 :class:`~repro.workloads.traces.BranchTrace` npz columns — the
 CBP/ChampSim-style workflow that makes large-scale predictor studies
-tractable.  One walker, :func:`drive_columns`, does all of it, and three
-properties make it fast:
+tractable.  Both trace-driven backends (:mod:`repro.backends.trace`) run
+this one walker, :func:`drive_columns`: ``trace`` over a live capture,
+``replay`` over a live capture or a stored trace.  Three properties make
+it fast:
 
 1. **No ISA execution.**  The architectural PC stream is fully determined
    by the trace's entry PC plus its control-flow records (non-CFI
@@ -27,29 +29,19 @@ properties make it fast:
    when to attempt: an attempt that commits fewer than ``_BREAK_EVEN``
    branch records makes the walker walk scalar for a while first.
 
-All three are exact: replay reproduces the ``trace`` backend's branch and
-mispredict counts bit for bit (asserted against the shared
-:func:`~repro.backends.packets.drive_stream` walker by the test suite,
-the ``backends`` fuzz oracle and ``benchmarks/bench_backends.py``).
+All three are exact: the walker reproduces the per-instruction reference
+walk's branch and mispredict counts bit for bit (asserted against
+:func:`repro.fuzz.reference.drive_stream` by the test suite, the
+``backends`` fuzz oracle and ``benchmarks/bench_backends.py``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends.base import (
-    ExecutionBackend,
-    RunLimits,
-    attach_collector,
-    counts_result,
-    register_backend,
-)
-from repro.backends.packets import WalkCounts
+from repro.backends.base import WalkCounts
 from repro.core.composer import ComposedPredictor
 from repro.core.prediction import INVALID_SLOT, PLAIN_SLOT, PacketCache, PreDecodedSlot
-from repro.eval.metrics import RunResult
-from repro.frontend.config import CoreConfig
-from repro.workloads.registry import WorkloadSource
 from repro.workloads.traces import (
     BranchTrace,
     SLOT_COND,
@@ -126,9 +118,10 @@ def drive_columns(
 ) -> WalkCounts:
     """Drive ``predictor`` straight off the branch columns of ``trace``.
 
-    Replicates :func:`~repro.backends.packets.drive_stream`'s commit-order
-    walk record for record, reconstructing the record stream on the fly:
-    between two control-flow records the PC advances sequentially.
+    Replicates the reference commit-order walk
+    (:func:`repro.fuzz.reference.drive_stream`) record for record,
+    reconstructing the record stream on the fly: between two control-flow
+    records the PC advances sequentially.
 
     The walker decides the arithmetic skip itself.  It is on when the
     predictor is
@@ -291,45 +284,3 @@ def drive_columns(
             resolve(result.ftq_id, slot_idx, taken, target)
         commit(result.ftq_id)
     return WalkCounts(instructions, branches, mispredicts)
-
-
-class ReplayBackend(ExecutionBackend):
-    name = "replay"
-
-    def run(
-        self,
-        predictor: ComposedPredictor,
-        source: WorkloadSource,
-        limits: RunLimits,
-        core_config: Optional[CoreConfig] = None,
-        system: Optional[str] = None,
-        trace: Optional[object] = None,
-    ) -> RunResult:
-        branch_trace = source.branch_trace(limits.max_instructions)
-        collector = attach_collector(predictor, core_config, trace)
-        try:
-            # Looked up at call time, so a wrapper installed on
-            # ``repro.kernels.engine.engine_for`` sees every cell.
-            from repro.kernels.engine import engine_for
-
-            counts = drive_columns(
-                predictor,
-                branch_trace,
-                trace_packets(branch_trace, predictor.config.fetch_width),
-                limits.max_instructions,
-                engine=engine_for(predictor),
-            )
-            summary = collector.summary() if collector is not None else None
-        finally:
-            if collector is not None:
-                predictor.detach_telemetry()
-        return counts_result(
-            system or predictor.describe(),
-            source.name,
-            counts,
-            self.name,
-            telemetry=summary,
-        )
-
-
-register_backend(ReplayBackend())

@@ -1,33 +1,33 @@
-"""The ``trace`` backend: commit-order trace-driven simulation (§II-B).
+"""The trace-driven backends, ``trace`` and ``replay`` (§II-B).
 
-Feeds the architectural path straight through the composed predictor, one
-fetch packet per control-flow transfer: no wrong path, no speculative
-history corruption, no update delay.  This is the software-simulator
-methodology the paper argues demonstrates "substantial modelling error" —
-kept as a first-class backend precisely so that error is measurable
-against ``cycle`` (see ``benchmarks/bench_trace_vs_core.py``).
+Commit-order trace-driven simulation feeds the architectural path straight
+through the composed predictor, one fetch packet per control-flow
+transfer: no wrong path, no speculative history corruption, no update
+delay.  This is the software-simulator methodology the paper argues
+demonstrates "substantial modelling error" — kept as a first-class backend
+precisely so that error is measurable against ``cycle`` (see
+``benchmarks/bench_trace_vs_core.py``).
 
-The instruction stream comes from the ISA interpreter; the packet walk
-itself lives in :func:`repro.backends.packets.drive_stream`, shared with
-the ``replay`` backend.
+Both names run one walker, :func:`repro.backends.replay.drive_columns`,
+over a :class:`~repro.workloads.traces.BranchTrace`.  ``trace`` captures
+it from a live ``Program`` and refuses a stored ``.npz``; ``replay`` also
+loads a stored one.  Each name is stamped on the results it produces, so
+results and cache keys of the two never alias.  The per-instruction walk
+the walker is held to lives with the ``backends`` fuzz oracle
+(:mod:`repro.fuzz.reference`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.backends import replay
 from repro.backends.base import (
-    DEFAULT_TRACE_INSTRUCTIONS,
     ExecutionBackend,
     RunLimits,
     attach_collector,
     counts_result,
     register_backend,
-)
-from repro.backends.packets import (
-    drive_stream,
-    interpreter_stream,
-    program_packets,
 )
 from repro.core.composer import ComposedPredictor
 from repro.eval.metrics import RunResult
@@ -36,7 +36,10 @@ from repro.workloads.registry import WorkloadSource
 
 
 class TraceBackend(ExecutionBackend):
-    name = "trace"
+    """The trace-driven walk, registered as ``trace`` and as ``replay``."""
+
+    def __init__(self, name: str):
+        self.name = name
 
     def run(
         self,
@@ -47,18 +50,22 @@ class TraceBackend(ExecutionBackend):
         system: Optional[str] = None,
         trace: Optional[object] = None,
     ) -> RunResult:
-        program = source.require_program(self.name)
-        limit = (
-            limits.max_instructions
-            if limits.max_instructions is not None
-            else DEFAULT_TRACE_INSTRUCTIONS
-        )
+        if self.name == "trace":
+            source.require_program(self.name)
+        branch_trace = source.branch_trace(limits.max_instructions)
         collector = attach_collector(predictor, core_config, trace)
         try:
-            counts = drive_stream(
+            # Looked up at call time, so a wrapper installed on
+            # ``repro.kernels.engine.engine_for`` or on the walker
+            # module's functions sees every cell.
+            from repro.kernels.engine import engine_for
+
+            counts = replay.drive_columns(
                 predictor,
-                interpreter_stream(program, limit),
-                program_packets(program, predictor.config.fetch_width),
+                branch_trace,
+                replay.trace_packets(branch_trace, predictor.config.fetch_width),
+                limits.max_instructions,
+                engine=engine_for(predictor),
             )
             summary = collector.summary() if collector is not None else None
         finally:
@@ -73,4 +80,5 @@ class TraceBackend(ExecutionBackend):
         )
 
 
-register_backend(TraceBackend())
+register_backend(TraceBackend("trace"))
+register_backend(TraceBackend("replay"))

@@ -249,9 +249,9 @@ class ComposedPredictor:
     def branchless_inert(self) -> bool:
         """True when every component is inert on branchless packets.
 
-        The architectural replay backend may then skip packets without
+        The trace-driven walker may then skip packets without
         control-flow instructions entirely (see
-        :mod:`repro.backends.packets`): the composed pipeline's state after
+        :mod:`repro.backends.replay`): the composed pipeline's state after
         predicting, firing, and committing such a packet is identical to its
         state before (histories shift in zero outcomes, components see an
         all-False ``br_mask``).

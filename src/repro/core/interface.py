@@ -76,8 +76,8 @@ class PredictorComponent(abc.ABC):
         ``fire``/``on_update`` with an all-False ``br_mask`` and no CFI —
         leaves its architectural state exactly as it was.  Every library
         component satisfies this (counters, tags, and histories only move on
-        branch lanes), and the replay backend exploits it to skip branchless
-        packets entirely.  A component that learns from non-branch packets
+        branch lanes), and the trace-driven backends exploit it to skip
+        branchless packets entirely.  A component that learns from non-branch packets
         must set this to False; the contract is enforced by rule CON008 of
         ``repro check --components``.
 
@@ -195,8 +195,8 @@ class PredictorComponent(abc.ABC):
 
         A component that can reproduce its scalar ``lookup`` with a
         vectorized pass over trace columns returns a kernel object from
-        :mod:`repro.kernels.components`; the replay backend then
-        batch-predicts whole branch segments between mispredicts.  The
+        :mod:`repro.kernels.components`; the trace-driven backends then
+        batch-predict whole branch segments between mispredicts.  The
         default — None — keeps the component on the scalar path, which is
         always correct.  A returned kernel must match the scalar lookup
         bit for bit; ``repro check --components`` enforces that with a

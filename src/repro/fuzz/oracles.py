@@ -5,12 +5,13 @@ more execution paths that the framework guarantees agree exactly, and
 reports every disagreement as a :class:`Mismatch`.  The catalog:
 
 ``backends``
-    Bit-identity of the trace-driven family: the ``trace`` backend
-    (interpreter stream) versus a save/load ``replay`` of the captured
-    :class:`~repro.workloads.traces.BranchTrace` versus the columnar
-    walker driven both ways — scalar and, when the composition is
-    eligible, through the batch-kernel segment engine
-    (``repro.kernels``).  The
+    Bit-identity of the trace-driven family against the reference
+    commit-order walk (:func:`repro.fuzz.reference.drive_stream` over the
+    interpreter stream, one query per packet): the ``trace`` backend over
+    a live capture, a save/load ``replay`` of the captured
+    :class:`~repro.workloads.traces.BranchTrace`, and the columnar walker
+    driven both ways — scalar and, when the composition is eligible,
+    through the batch-kernel segment engine (``repro.kernels``).  The
     ``cycle`` backend is deliberately *not* in this oracle: its wrong-path
     predictor pollution makes its mispredict counts differ from the
     trace-driven methodology by design (§II-B, ``docs/backends.md``).
@@ -69,6 +70,7 @@ from repro.eval.parallel import EvalJob, ParallelRunner, build_predictor
 from repro.eval.runner import run_suite, run_workload
 from repro.frontend.config import CoreConfig
 from repro.fuzz.generate import ProgramSpec, TopologyFactory, build_program
+from repro.fuzz.reference import reference_walk
 from repro.kernels.engine import engine_for
 from repro.isa.program import Program
 from repro.workloads.registry import WorkloadSource
@@ -179,38 +181,32 @@ def _walk_signature(counts) -> Dict[str, Any]:
 # Oracles
 # ----------------------------------------------------------------------
 def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
-    """Trace/replay/columnar bit-identity."""
+    """Every trace-driven path against the reference commit-order walk."""
     program = case.program()
     limits = RunLimits(max_instructions=case.max_instructions)
-    live = WorkloadSource(name=program.name, program=program)
-    reference = get_backend("trace").run(case.build_predictor(), live, limits)
-    expected = run_signature(reference)
-    mismatches: List[Mismatch] = []
+    expected = _walk_signature(
+        reference_walk(case.build_predictor(), program, case.max_instructions)
+    )
+    legs = []
 
-    # Save/load round trip, then the replay backend (the branchless skip
-    # only when the composition is branchless-inert).
+    # Both backend names: ``trace`` over a live capture, ``replay`` over a
+    # save/load round trip of the same capture (the branchless skip only
+    # when the composition is branchless-inert).
+    live = WorkloadSource(name=program.name, program=program)
+    traced = get_backend("trace").run(case.build_predictor(), live, limits)
+    legs.append(("trace-vs-capture", run_signature(traced), "trace backend"))
     trace = capture_trace(program, max_instructions=case.max_instructions)
     npz = scratch / f"case{case.case_id}.npz"
     trace.save(npz)
     stored = WorkloadSource(name=program.name, trace_path=npz)
     replayed = get_backend("replay").run(case.build_predictor(), stored, limits)
-    if run_signature(replayed) != expected:
-        mismatches.append(
-            Mismatch(
-                "backends",
-                "trace-vs-replay",
-                expected,
-                run_signature(replayed),
-                "stored-trace replay diverged from the trace backend",
-            )
-        )
+    legs.append(("trace-vs-replay", run_signature(replayed), "stored-trace replay"))
 
     # The columnar walker both ways: scalar (engine disabled) and with the
-    # batch-kernel segment engine, pinned to the reference independently of
-    # how the replay backend builds its engine.  The walker decides the
-    # branchless skip itself, so the scalar leg also covers non-inert
-    # compositions; the kernel leg needs every component to advertise a
-    # columnar kernel.
+    # batch-kernel segment engine, pinned independently of how the
+    # backends build their engine.  The walker decides the branchless skip
+    # itself, so the scalar leg also covers non-inert compositions; the
+    # kernel leg needs every component to advertise a columnar kernel.
     scalar_pred = case.build_predictor()
     skipped = drive_columns(
         scalar_pred,
@@ -219,16 +215,13 @@ def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
         case.max_instructions,
         engine=None,
     )
-    if _walk_signature(skipped) != expected:
-        mismatches.append(
-            Mismatch(
-                "backends",
-                "trace-vs-columnar-skip",
-                expected,
-                _walk_signature(skipped),
-                "columnar walker (scalar, no kernels) diverged",
-            )
+    legs.append(
+        (
+            "trace-vs-columnar-skip",
+            _walk_signature(skipped),
+            "columnar walker (scalar, no kernels)",
         )
+    )
     kernel_pred = case.build_predictor()
     engine = engine_for(kernel_pred)
     if engine is not None:
@@ -239,17 +232,24 @@ def oracle_backends(case: FuzzCase, scratch: Path) -> List[Mismatch]:
             case.max_instructions,
             engine=engine,
         )
-        if _walk_signature(batched) != expected:
-            mismatches.append(
-                Mismatch(
-                    "backends",
-                    "trace-vs-columnar-kernel",
-                    expected,
-                    _walk_signature(batched),
-                    "columnar walker with batch kernels diverged",
-                )
+        legs.append(
+            (
+                "trace-vs-columnar-kernel",
+                _walk_signature(batched),
+                "columnar walker with batch kernels",
             )
-    return mismatches
+        )
+    return [
+        Mismatch(
+            "backends",
+            subject,
+            expected,
+            actual,
+            f"{path} diverged from the reference commit-order walk",
+        )
+        for subject, actual, path in legs
+        if actual != expected
+    ]
 
 
 def oracle_parallel(case: FuzzCase, scratch: Path) -> List[Mismatch]:

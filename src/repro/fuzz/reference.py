@@ -1,25 +1,21 @@
-"""Shared pre-decode packet cache and architectural packet walker.
+"""The reference commit-order walk the trace-driven backends are held to.
 
-Every execution backend presents the same unit of work to a composed
-predictor: an aligned fetch packet of pre-decoded slots.  This module holds
-the two helpers the backends share so their packet semantics cannot
-diverge:
-
-- :class:`PacketCache` memoizes pre-decoded packets per fetch PC (the
-  program image is immutable during a run); the cycle core and both
-  trace-driven backends build their packets through it.
-- :func:`drive_stream` walks an architectural instruction stream through a
-  predictor packet by packet — the commit-order protocol the trace-driven
-  methodology of §II-B prescribes (no wrong path, no update delay).  It is
-  the ``trace`` backend's walker and the reference the ``replay`` walker
-  (:func:`repro.backends.replay.drive_columns`) is tested against.
+Both trace-driven backends (``trace`` and ``replay``) run one walker,
+:func:`repro.backends.replay.drive_columns`, over a
+:class:`~repro.workloads.traces.BranchTrace`.  This module keeps the
+walk it must reproduce, written independently of it: the ISA interpreter's
+record stream, packets pre-decoded from the program image, and one
+predictor query per fetch packet, branchless or not — no skip, no segment
+engine.  The ``backends`` fuzz oracle compares every trace-driven path
+against it, and the test suite and ``benchmarks/bench_backends.py`` do
+the same.  No run path uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro.backends.base import WalkCounts
 from repro.core.composer import ComposedPredictor
 from repro.core.prediction import PacketCache, predecode_slot
 from repro.isa.interpreter import Interpreter
@@ -49,15 +45,6 @@ def interpreter_stream(
     for record in Interpreter(program).run(max_instructions):
         pc = record.pc
         yield (pc, record.next_pc, is_cond[pc], record.taken)
-
-
-@dataclass
-class WalkCounts:
-    """What one architectural walk observed."""
-
-    instructions: int
-    branches: int
-    mispredicts: int
 
 
 def drive_stream(
@@ -117,3 +104,14 @@ def drive_stream(
             predictor.resolve_mispredict(result.ftq_id, slot_idx, taken, target)
         predictor.commit_packet(result.ftq_id)
     return WalkCounts(instructions, branches, mispredicts)
+
+
+def reference_walk(
+    predictor: ComposedPredictor, program: Program, max_instructions: int
+) -> WalkCounts:
+    """:func:`drive_stream` over ``program``'s first ``max_instructions``."""
+    return drive_stream(
+        predictor,
+        interpreter_stream(program, max_instructions),
+        program_packets(program, predictor.config.fetch_width),
+    )

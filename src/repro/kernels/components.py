@@ -483,8 +483,10 @@ class LoopKernel:
     packet is then exact by construction: retraining exits, direction
     flips, and overflow invalidations all forward.  The kernel never cuts;
     allocations and repairs only occur on mispredicted packets, which end
-    the segment before they commit.  ``commit`` re-runs the simulation
-    over the accepted prefix and writes back the final entry states.
+    the segment before they commit.  The simulation keeps an undo log of
+    each touched entry's state before every packet that touches it, so
+    ``commit`` rolls the final states back to the accepted edge instead
+    of simulating the prefix again.
     """
 
     def __init__(self, component):
@@ -502,7 +504,8 @@ class LoopKernel:
         # lanes in scalar iteration order within a packet.
         p_c, l_c = np.nonzero(cand_lanes)
         p_t, l_t = np.nonzero(train_grid)
-        ctx.scratch[c.name] = (
+        preds, ctx.scratch[c.name] = self._simulate(
+            ctx.P,
             p_c.tolist(),
             l_c.tolist(),
             idx[p_c, l_c].tolist(),
@@ -512,7 +515,6 @@ class LoopKernel:
             idx[p_t, l_t].tolist(),
             ctx.rtaken_grid[p_t, l_t].tolist(),
         )
-        preds, _ = self._simulate(ctx, ctx.P)
         if not preds:
             return state.copy()
         p, lane, predicted = np.array(preds, dtype=np.int64).T
@@ -521,20 +523,27 @@ class LoopKernel:
         out.taken[p, lane] = predicted
         return out
 
-    def _simulate(self, ctx, limit):
-        """Replay the scalar loop state machine over packets ``< limit``.
+    def _simulate(self, P, p_c, l_c, e_c, rt_c, upd_c, p_t, e_t, rt_t):
+        """Replay the scalar loop state machine over a window's ``P`` packets.
 
-        Returns ``(preds, entries)``: the (row, lane, taken) predictions
-        the scalar lookups would make, and the final simulated state of
-        every touched entry keyed by index.
+        The candidate lanes (``*_c``) and the training lanes (``*_t``) come
+        as packet, lane, entry, resolved-direction and update-flag columns,
+        each in chronological order.
+
+        Returns ``(preds, (entries, undo))``: the (row, lane, taken)
+        predictions the scalar lookups would make, the final simulated
+        state of every touched entry keyed by index, and the undo log —
+        ``(packet, entry, state before that packet)`` at each entry's first
+        touch in a packet, in packet order.
         """
         c = self.c
-        p_c, l_c, e_c, rt_c, upd_c, p_t, e_t, rt_t = ctx.scratch[c.name]
         iter_top = mask(c.iter_bits)
         conf_threshold = c.CONF_THRESHOLD
         conf_max = c.CONF_MAX
-        # entry -> [valid, direction, trip, spec, commit, conf, zstreak]
+        # entry -> [valid, direction, trip, spec, commit, conf, zstreak,
+        # packet that last touched it]
         entries = {}
+        undo = []
 
         def load(e):
             s = entries.get(e)
@@ -547,8 +556,13 @@ class LoopKernel:
                     int(c._commit_iter[e]),
                     int(c._conf[e]),
                     int(c._zero_streak[e]),
+                    p,
                 ]
                 entries[e] = s
+                undo.append((p, e, tuple(s)))
+            elif s[7] != p:
+                undo.append((p, e, tuple(s)))
+                s[7] = p
             return s
 
         preds = []
@@ -556,11 +570,7 @@ class LoopKernel:
         nc = len(p_c)
         nt = len(p_t)
         while i < nc or j < nt:
-            p = min(
-                p_c[i] if i < nc else limit, p_t[j] if j < nt else limit
-            )
-            if p >= limit:
-                break
+            p = min(p_c[i] if i < nc else P, p_t[j] if j < nt else P)
             # Lookup + fire: the first candidate lane whose entry is still
             # valid (an in-window overflow may have invalidated it).
             fired = False
@@ -621,14 +631,19 @@ class LoopKernel:
                     else:
                         s[6] = 0
                 j += 1
-        return preds, entries
+        return preds, (entries, undo)
 
     def mutates(self, ctx):
         return np.zeros(ctx.P, dtype=bool)
 
     def commit(self, ctx, accepted):
         c = self.c
-        _, entries = self._simulate(ctx, accepted)
+        entries, undo = ctx.scratch[c.name]
+        k = len(undo)
+        while k and undo[k - 1][0] >= accepted:
+            k -= 1
+            _, e, before = undo[k]
+            entries[e] = before
         for e, s in entries.items():
             c._valid[e] = s[0]
             c._direction[e] = s[1]

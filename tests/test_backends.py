@@ -1,9 +1,10 @@
 """Tests for the pluggable execution-backend layer (``repro.backends``).
 
-The load-bearing guarantee: the ``replay`` backend — columnar walk, no
-interpreter, branchless packets skipped — reproduces the ``trace``
-backend's branch and mispredict counts bit for bit, for every preset,
-with and without the fast path's gating conditions, and across a
+The load-bearing guarantee: both trace-driven backends, ``trace`` and
+``replay`` — one columnar walk, no interpreter, branchless packets
+skipped — reproduce the branch and mispredict counts of the reference
+per-instruction walk (:mod:`repro.fuzz.reference`) bit for bit, for every
+preset, with and without the fast path's gating conditions, and across a
 save/load process boundary.
 """
 
@@ -21,19 +22,14 @@ from repro.backends import (
     backend_names,
     get_backend,
 )
-from repro.backends.base import counts_result
-from repro.backends.packets import (
-    WalkCounts,
-    drive_stream,
-    interpreter_stream,
-    program_packets,
-)
+from repro.backends.base import WalkCounts, counts_result
 from repro.backends.replay import drive_columns, trace_packets
 from repro.backends.trace import TraceBackend
 from repro.components.library import standard_library
 from repro.core.composer import ComposerConfig, compose
 from repro.core.interface import PredictorComponent, StorageReport
 from repro.eval.runner import run_workload
+from repro.fuzz.reference import reference_walk
 from repro.kernels.engine import TraceColumns, engine_for
 from repro.workloads.micro import build_micro
 from repro.workloads.registry import (
@@ -127,6 +123,22 @@ def build_design(design):
     return predictor
 
 
+def walk_counts(walk):
+    """A :class:`WalkCounts` in :func:`counts` order."""
+    return (walk.branches, walk.mispredicts, walk.instructions)
+
+
+def reference_counts(predictor, program):
+    """The reference commit-order walk's counts over ``BUDGET``."""
+    return walk_counts(reference_walk(predictor, program, BUDGET))
+
+
+def phantom_library(phantom_cls):
+    library = standard_library()
+    library.register("PHANTOM", phantom_cls)
+    return library
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("design", presets.PRESET_NAMES + OVERRIDE_CHAINS)
     def test_replay_matches_trace_per_preset(
@@ -137,9 +149,65 @@ class TestBitIdentity:
         stored = WorkloadSource(name="m", trace_path=micro_npz)
         t = get_backend("trace").run(build_design(design), live, limits)
         r = get_backend("replay").run(build_design(design), stored, limits)
-        assert counts(t) == counts(r)
+        reference = reference_counts(build_design(design), micro_program)
+        assert counts(t) == counts(r) == reference
         assert t.branches > 0 and t.branch_mispredicts > 0
         assert t.backend == "trace" and r.backend == "replay"
+
+    def test_trace_backend_rejects_stored_trace(self, micro_npz):
+        source = WorkloadSource(name="t", trace_path=micro_npz)
+        with pytest.raises(ValueError, match="needs a Program"):
+            get_backend("trace").run(
+                presets.build("b2"), source, RunLimits(max_instructions=1000)
+            )
+
+    @pytest.mark.parametrize("design", ["tage_l", "honest-phantom"])
+    def test_trace_telemetry_equals_the_reference_walk(
+        self, design, micro_program, tmp_path
+    ):
+        """Telemetry turns the skip and the engine off: the ``trace``
+        backend's summary and JSONL event lines then equal those of the
+        reference walk with the same collector, event for event."""
+        from repro.frontend.config import CoreConfig
+        from repro.telemetry import EventTrace, TelemetryCollector
+
+        def build():
+            if design == "tage_l":
+                return presets.build("tage_l")
+            library = phantom_library(_HonestPhantom)
+            return compose(injected_bug.INJECTED_TOPOLOGY, library, ComposerConfig())
+
+        assert build().branchless_inert is (design == "tage_l")
+        live = WorkloadSource(name="m", program=micro_program)
+        limits = RunLimits(max_instructions=BUDGET)
+        backend = get_backend("trace")
+        plain = backend.run(
+            build(), live, limits, core_config=CoreConfig(telemetry=True)
+        )
+        event_trace = EventTrace(tmp_path / "trace.jsonl")
+        traced = backend.run(build(), live, limits, trace=event_trace)
+        event_trace.close()
+
+        def reference(trace):
+            predictor = build()
+            collector = TelemetryCollector(trace=trace)
+            predictor.attach_telemetry(collector)
+            walk = reference_walk(predictor, micro_program, BUDGET)
+            summary = collector.summary()
+            predictor.detach_telemetry()
+            return walk_counts(walk), summary
+
+        ref_counts, ref_summary = reference(None)
+        assert counts(plain) == ref_counts
+        assert plain.telemetry == ref_summary
+        event_trace = EventTrace(tmp_path / "reference.jsonl")
+        ref_counts, ref_summary = reference(event_trace)
+        event_trace.close()
+        assert counts(traced) == ref_counts
+        assert traced.telemetry == ref_summary
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert len(lines) > 1
+        assert lines == (tmp_path / "reference.jsonl").read_text().splitlines()
 
     def test_columnar_walker_matches_stream_walkers(self, micro_program):
         """drive_columns == drive_stream, with the skip on or off."""
@@ -152,11 +220,7 @@ class TestBitIdentity:
             predictor = presets.build("b2")
             width = predictor.config.fetch_width
             if label == "stream":
-                w = drive_stream(
-                    predictor,
-                    interpreter_stream(micro_program, BUDGET),
-                    program_packets(micro_program, width),
-                )
+                w = reference_walk(predictor, micro_program, BUDGET)
             else:
                 if label == "full":
                     # A collector counts every packet: the skip turns off.
@@ -182,11 +246,7 @@ class TestBitIdentity:
                     predictor, trace, trace_packets(trace, width), BUDGET
                 )
             else:
-                w = drive_stream(
-                    predictor,
-                    interpreter_stream(micro_program, BUDGET),
-                    program_packets(micro_program, width),
-                )
+                w = reference_walk(predictor, micro_program, BUDGET)
             results.append(
                 (w.instructions, w.branches, w.mispredicts,
                  predictor.stats.stale_history_queries)
@@ -219,16 +279,16 @@ class TestBitIdentity:
         self, micro_program, micro_npz
     ):
         """A component that learns on branchless packets and says so is
-        walked on every packet: a stored ``.npz`` replays to the trace
-        backend's counts.  The same component lying about inertness gets
-        its branchless packets skipped and diverges on the same case."""
+        walked on every packet: the ``trace`` backend and a stored
+        ``.npz`` replay both reach the reference walk's counts.  The same
+        component lying about inertness gets its branchless packets
+        skipped by both backends and diverges from the reference."""
         limits = RunLimits(max_instructions=BUDGET)
         live = WorkloadSource(name="m", program=micro_program)
         stored = WorkloadSource(name="m", trace_path=micro_npz)
 
-        def trace_and_replay(phantom_cls):
-            library = standard_library()
-            library.register("PHANTOM", phantom_cls)
+        def walks(phantom_cls):
+            library = phantom_library(phantom_cls)
 
             def build():
                 return compose(
@@ -238,13 +298,13 @@ class TestBitIdentity:
             assert build().branchless_inert is phantom_cls.branchless_inert
             t = get_backend("trace").run(build(), live, limits)
             r = get_backend("replay").run(build(), stored, limits)
-            return counts(t), counts(r)
+            return reference_counts(build(), micro_program), counts(t), counts(r)
 
-        honest_trace, honest_replay = trace_and_replay(_HonestPhantom)
-        assert honest_replay == honest_trace
-        lying_trace, lying_replay = trace_and_replay(injected_bug.PhantomPhase)
-        assert lying_trace == honest_trace
-        assert lying_replay != lying_trace
+        honest_ref, honest_trace, honest_replay = walks(_HonestPhantom)
+        assert honest_trace == honest_replay == honest_ref
+        lying_ref, lying_trace, lying_replay = walks(injected_bug.PhantomPhase)
+        assert lying_ref == honest_ref
+        assert lying_trace == lying_replay != lying_ref
 
     def test_scalar_pipeline_replay_matches_trace(self, micro_program):
         """fetch_width=1: the backend-overhead benchmark configuration."""
@@ -351,7 +411,8 @@ class TestRoundTrip:
         r = run_workload(
             "b2", str(micro_npz), max_instructions=BUDGET, backend="replay"
         )
-        assert counts(t) == counts(r)
+        reference = reference_counts(presets.build("b2"), micro_program)
+        assert counts(t) == counts(r) == reference
         assert (t.cycles, t.ipc, t.flushes) == (0, 0.0, 0)
 
 
@@ -457,11 +518,7 @@ class TestKernelSegmentEdges:
             )
             width = predictor.config.fetch_width
             if mode == "stream":
-                w = drive_stream(
-                    predictor,
-                    interpreter_stream(program, BUDGET),
-                    program_packets(program, width),
-                )
+                w = reference_walk(predictor, program, BUDGET)
             else:
                 engine = engine_for(predictor) if mode == "kernel" else None
                 w = drive_columns(
@@ -628,7 +685,7 @@ class TestMetrics:
     def test_trace_backend_applies_default_budget(self):
         # A 6-instruction program halts long before the default cap.
         program = build_micro("steady_loop", scale=0.1)
-        backend = TraceBackend()
+        backend = TraceBackend("trace")
         result = backend.run(
             presets.build("b2"),
             WorkloadSource(name="m", program=program),

@@ -173,6 +173,34 @@ class TestInjectedBug:
         assert "trace-vs-replay" in subjects
         assert "trace-vs-columnar-skip" in subjects
 
+    def test_backends_oracle_catches_a_lost_mispredict(
+        self, tmp_path, monkeypatch
+    ):
+        """Both backends run ``drive_columns``, so the oracle's reference
+        must be independent of it: a walker that drops one mispredict
+        fails every leg it runs on."""
+        import repro.backends.replay as replay_mod
+        import repro.fuzz.oracles as oracles_mod
+
+        walk = replay_mod.drive_columns
+
+        def lossy(*args, **kwargs):
+            counts = walk(*args, **kwargs)
+            assert counts.mispredicts > 0
+            return dataclasses.replace(counts, mispredicts=counts.mispredicts - 1)
+
+        case = tiny_case()
+        assert run_oracle("backends", case, tmp_path) == []
+        monkeypatch.setattr(replay_mod, "drive_columns", lossy)
+        monkeypatch.setattr(oracles_mod, "drive_columns", lossy)
+        found = run_oracle("backends", case, tmp_path)
+        assert {m.subject for m in found} == {
+            "trace-vs-capture",
+            "trace-vs-replay",
+            "trace-vs-columnar-skip",
+            "trace-vs-columnar-kernel",
+        }
+
     def test_minimizer_shrinks_the_failing_case(self, tmp_path):
         result = minimize_case(
             injected_case(), "backends", tmp_path, max_evals=100

@@ -1,13 +1,17 @@
 """Golden-stats regression gate: snapshot integrity and drift detection."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.eval import golden
+from repro.eval.cache import CODE_VERSION
 
 GOLDEN_PATH = "goldens/golden_stats.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +56,24 @@ class TestCommittedSnapshot:
         """
         messages = golden.diff_goldens(committed, fresh)
         assert not messages, "\n".join(messages)
+
+
+class TestCacheVersionPin:
+    def test_goldens_are_pinned_to_the_code_version(self):
+        """A regenerated golden means results moved, so cached results
+        from before must stop hitting: bump ``CODE_VERSION``
+        (``repro/eval/cache.py``) and re-pin ``goldens/cache_version.json``
+        in the same change."""
+
+        def sha256(relative):
+            return hashlib.sha256((ROOT / relative).read_bytes()).hexdigest()
+
+        pin = json.loads((ROOT / "goldens/cache_version.json").read_text())
+        assert {
+            "code_version": CODE_VERSION,
+            "golden_stats_sha256": sha256(GOLDEN_PATH),
+            "perfbench_seed0_sha256": sha256("perfbench/reference/seed0.json"),
+        } == pin, self.test_goldens_are_pinned_to_the_code_version.__doc__
 
 
 class TestDriftDetection:
