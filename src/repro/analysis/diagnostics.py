@@ -50,9 +50,9 @@ RULES: Dict[str, tuple] = {
     "SPEC003": (ERROR, "spec IndexFn does not reproduce the observed index"),
     "SPEC004": (ERROR, "spec history demand disagrees with required_*_bits"),
     "SPEC005": (ERROR, "spec payload fields disagree with the MetaCodec"),
-    "SPEC006": (ERROR, "spec kernel class disagrees with columnar_kernel()"),
-    "SPEC007": (ERROR, "spec-derived branchless_inert disagrees with the flag"),
+    "SPEC006": (ERROR, "closed-form engine-drivable component has no kernel"),
     "SPEC008": (ERROR, "component spec is malformed"),
+    "SPEC009": (ERROR, "derived scalar path diverges from its reference"),
 }
 
 

@@ -17,11 +17,11 @@ SPEC004   history-demand consistency: spec ghist/lhist/phist bits equal
 SPEC005   meta-width derivation: spec payload fields match the
           ``MetaCodec`` layout (the CON001 codec) and sum to the
           declared ``meta_bits``
-SPEC006   update-rule purity: the spec kernel class agrees with
-          ``columnar_kernel()``; closed-form components the engine
-          could drive must advertise a kernel or carry a waiver
-SPEC007   ``branchless_inert`` is derivable from the spec's learn
-          triggers and agrees with the declared class flag
+SPEC006   kernel completeness: a component whose update rules are all
+          closed-form and whose tables the engine could drive must
+          advertise a ``columnar_kernel()`` or carry a waiver
+SPEC007   retired: ``branchless_inert`` is declared by the class flag
+          alone and checked against behaviour by CON008
 SPEC008   the spec itself is well-formed
 SPEC009   derivation equivalence: a component whose scalar path executes
           through :mod:`repro.derive` produces bit-identical predictions
@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, diagnostic
 from repro.core.interface import PredictorComponent
 from repro.core.parser import ComponentLibrary
-from repro.spec import CLOSED_FORM_UPDATES, ComponentSpec, waiver_for
+from repro.spec import ComponentSpec, waiver_for
 
 DEFAULT_SEED = 0x5EC5
 #: Seeded probe stimuli per table for SPEC003.
@@ -233,46 +233,13 @@ def _check_meta(
 def _check_kernel(
     component: PredictorComponent, spec: ComponentSpec, subject: str
 ) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    kernel = component.columnar_kernel()
-    if spec.kernel == "none" and kernel is not None:
-        diags.append(
-            diagnostic(
-                "SPEC006",
-                "columnar_kernel() returns a kernel but the spec declares "
-                "kernel='none'",
-                subject,
-            )
-        )
-    if spec.kernel != "none" and kernel is None:
-        diags.append(
-            diagnostic(
-                "SPEC006",
-                f"spec declares kernel={spec.kernel!r} but columnar_kernel() "
-                f"returned None",
-                subject,
-            )
-        )
-    if spec.kernel == "closed-form" and not spec.closed_form_updates:
-        rules = sorted(
-            {t.update for t in spec.tables} - CLOSED_FORM_UPDATES
-        )
-        diags.append(
-            diagnostic(
-                "SPEC006",
-                f"spec claims a closed-form kernel but declares non-closed "
-                f"update rules {rules}",
-                subject,
-            )
-        )
     if (
-        kernel is None
-        and spec.kernel == "none"
-        and spec.closed_form_updates
+        spec.closed_form_updates
         and spec.engine_drivable
+        and component.columnar_kernel() is None
         and waiver_for(_subjects(component), "SPEC006") is None
     ):
-        diags.append(
+        return [
             diagnostic(
                 "SPEC006",
                 "every update rule is closed-form and the columnar engine "
@@ -280,8 +247,8 @@ def _check_kernel(
                 "implement columnar_kernel() or register a SPEC006 waiver",
                 subject,
             )
-        )
-    return diags
+        ]
+    return []
 
 
 #: Seeded stimulus length for the SPEC009 differential drive.
@@ -324,22 +291,6 @@ def _check_derived(
     return []
 
 
-def _check_inert(
-    component: PredictorComponent, spec: ComponentSpec, subject: str
-) -> List[Diagnostic]:
-    if spec.branchless_inert != component.branchless_inert:
-        return [
-            diagnostic(
-                "SPEC007",
-                f"learn triggers {list(spec.learns_from)} derive "
-                f"branchless_inert={spec.branchless_inert} but the class "
-                f"declares {component.branchless_inert}",
-                subject,
-            )
-        ]
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Entry points.
 # ---------------------------------------------------------------------------
@@ -378,7 +329,6 @@ def check_component_spec(
     diags.extend(_check_history(component, spec, subject))
     diags.extend(_check_meta(component, spec, subject))
     diags.extend(_check_kernel(component, spec, subject))
-    diags.extend(_check_inert(component, spec, subject))
     diags.extend(_check_derived(component, subject, seed))
     return diags
 

@@ -117,7 +117,7 @@ class HBIM(SpecComponent):
     # ------------------------------------------------------------------
     def columnar_kernel(self):
         # Local- and path-history schemes read providers the columnar
-        # engine does not model; their spec declares kernel="none" and the
+        # engine does not model; they have no vectorized index, so the
         # generator returns None for them.
         from repro.derive.kernels import derived_kernel
 
@@ -142,12 +142,6 @@ class HBIM(SpecComponent):
             ghist_bits=scheme.history_bits if scheme.uses_global_history else 0,
             lhist_bits=scheme.history_bits if scheme.uses_local_history else 0,
             phist_bits=scheme.history_bits if scheme.uses_path_history else 0,
-            kernel=(
-                "closed-form"
-                if scheme.scheme in ("pc", "ghist", "gshare", "gselect")
-                else "none"
-            ),
-            learns_from=("branch",),
         )
 
     # Exposed for tests.

@@ -192,8 +192,6 @@ class BTB(SpecComponent):
                 ),
             ),
             meta_fields=(FieldSpec("hit", 1), FieldSpec("way", way_bits)),
-            kernel="event-replay",
-            learns_from=("cfi",),
         )
 
 
@@ -338,6 +336,4 @@ class MicroBTB(SpecComponent):
                 FieldSpec("entry", id_bits(self.n_entries)),
                 ctr,
             ),
-            kernel="event-replay",
-            learns_from=("branch", "cfi"),
         )

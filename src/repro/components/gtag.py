@@ -181,6 +181,4 @@ class GTag(SpecComponent):
             ),
             meta_fields=(FieldSpec("hit", 1), ctr),
             ghist_bits=self.history_bits,
-            kernel="event-replay",
-            learns_from=("branch",),
         )

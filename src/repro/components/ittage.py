@@ -193,6 +193,4 @@ class ITTAGE(SpecComponent):
                 conf,
             ),
             ghist_bits=max(self.history_lengths),
-            kernel="none",
-            learns_from=("indirect",),
         )

@@ -243,6 +243,4 @@ class LoopPredictor(SpecComponent):
                 FieldSpec("lane", id_bits(self.fetch_width)),
                 spec_iter,
             ),
-            kernel="event-replay",
-            learns_from=("branch",),
         )

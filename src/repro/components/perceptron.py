@@ -130,6 +130,4 @@ class Perceptron(SpecComponent):
             # The index is PC-only but prediction consumes the history as
             # dot-product inputs, so the demand is declared explicitly.
             ghist_bits=self.history_bits,
-            kernel="none",
-            learns_from=("branch",),
         )

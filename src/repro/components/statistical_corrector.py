@@ -155,6 +155,4 @@ class StatisticalCorrector(SpecComponent):
                 FieldSpec("flipped", 1),
             ),
             ghist_bits=max(self.history_lengths),
-            kernel="none",
-            learns_from=("branch",),
         )

@@ -368,6 +368,4 @@ class TAGE(SpecComponent):
                 FieldSpec("provider_u", self.u_bits),
             ),
             ghist_bits=max(cfg.history_bits for cfg in self.tables),
-            kernel="event-replay",
-            learns_from=("branch",),
         )

@@ -141,8 +141,6 @@ class Tourney(SpecComponent):
                 FieldSpec("b_taken", 1, self.fetch_width),
             ),
             ghist_bits=self.history_bits,
-            kernel="none",
-            learns_from=("branch",),
             n_inputs=2,
         )
 

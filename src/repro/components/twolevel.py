@@ -214,8 +214,8 @@ class TwoLevel(SpecComponent):
 
     def columnar_kernel(self):
         # P variants speculatively advance per-branch level-1 registers at
-        # fire time on every candidate packet; their spec declares
-        # kernel="none" and the generator returns None for them.
+        # fire time on every candidate packet; their pattern table has a
+        # ``custom`` index, so the generator returns None for them.
         from repro.derive.kernels import derived_kernel
 
         return derived_kernel(self)
@@ -278,6 +278,4 @@ class TwoLevel(SpecComponent):
             ),
             # GAg/GAp read the composer's global history; PAg/PAp own theirs.
             ghist_bits=self.history_bits if global_l1 else 0,
-            kernel="closed-form" if global_l1 else "none",
-            learns_from=("branch",),
         )

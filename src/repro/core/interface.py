@@ -198,10 +198,12 @@ class PredictorComponent(abc.ABC):
         :mod:`repro.kernels.components`; the trace-driven backends then
         batch-predict whole branch segments between mispredicts.  The
         default — None — keeps the component on the scalar path, which is
-        always correct.  A returned kernel must match the scalar lookup
-        bit for bit; ``repro check --components`` enforces that with a
-        seeded stimulus sweep (CON009), and the differential fuzzer
-        cross-checks whole-run counts.
+        always correct.  This hook is the only batch-replay declaration:
+        the segment engine's eligibility gate reads nothing else.  A
+        returned kernel must match the scalar lookup bit for bit;
+        ``repro check --components`` enforces that with a seeded stimulus
+        sweep (CON009), and the differential fuzzer cross-checks
+        whole-run counts.
         """
         return None
 
@@ -212,9 +214,11 @@ class PredictorComponent(abc.ABC):
         return the :class:`~repro.spec.ComponentSpec` they were built
         from, which also supplies their metadata codec, storage report
         and history demand, so SPEC002, SPEC004 and SPEC005 hold by
-        construction.  ``repro check --spec`` (SPEC001-SPEC009) verifies
-        the rest against the implementation, and those three rules guard
-        hand-declared components.  The default — None — marks a
+        construction.  ``repro check --spec`` verifies the rest against
+        the implementation, and those three rules guard hand-declared
+        components.  The spec describes state only: batch replay is
+        declared by :meth:`columnar_kernel` and branchless inertness by
+        the ``branchless_inert`` class flag.  The default — None — marks a
         component with no spec; every ``ComponentLibrary`` base must
         either override this or carry a registered waiver
         (:func:`repro.spec.register_waiver`).

@@ -5,8 +5,8 @@ The CI ``check`` job's analogue of the PR-8 spec-coverage gate: where
 spec, ``assert_derived_coverage`` requires every base in the migrated
 indexed-counter families to *execute* it — storage held in
 :class:`~repro.derive.tables.DerivedTable` arrays, the storage report
-produced by the spec, and any columnar kernel generated by
-:mod:`repro.derive.kernels`.  A regression that quietly reverts a family
+produced by the spec, and a columnar kernel, if there is one, generated
+by :mod:`repro.derive.kernels`.  A regression that quietly reverts a family
 to hand-kept state fails here, not at review time.
 """
 
@@ -59,16 +59,12 @@ def derivation_problems(library=None) -> Dict[str, List[str]]:
                 )
         if spec is None:
             issues.append("component declares no spec")
-        else:
-            kernel = component.columnar_kernel()
-            if spec.kernel != "none" and (
-                kernel is None
-                or type(kernel).__module__ != "repro.derive.kernels"
-            ):
-                issues.append(
-                    f"columnar kernel is {type(kernel).__name__ if kernel else None}, "
-                    f"not generated by repro.derive.kernels"
-                )
+        if kernel_is_derived(component) is False:
+            kernel = type(component.columnar_kernel()).__name__
+            issues.append(
+                f"columnar kernel is {kernel}, not generated by "
+                f"repro.derive.kernels"
+            )
         if issues:
             problems[base] = issues
     return problems

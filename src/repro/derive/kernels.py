@@ -50,10 +50,7 @@ from repro.kernels.vector_ops import (
     forward_saturating,
     hash_pc_vec,
 )
-from repro.spec import IndexFn, TableSpec
-
-#: IndexFn schemes :func:`index_columns` vectorizes.
-VECTOR_SCHEMES = frozenset({"pc", "ghist", "gshare", "gselect", "ghist_raw"})
+from repro.spec import VECTOR_SCHEMES, IndexFn, TableSpec
 
 
 def index_columns(fn: IndexFn, ctx) -> np.ndarray:
@@ -220,10 +217,11 @@ class CandidateCounterKernel:
 def derived_kernel(component):
     """The generated columnar kernel for a spec-carrying component.
 
-    Returns None when the spec declares no kernel (``kernel == "none"``:
-    local/path-history schemes, the two-level P variants) or when the
-    trained table's shape falls outside the generated families — the
-    caller then falls back to a hand-written kernel or the scalar path.
+    Returns None when the trained table's shape falls outside the
+    generated families — including every index with no vectorized closed
+    form (:data:`~repro.spec.VECTOR_SCHEMES`: the local/path-history
+    schemes, the two-level P variants' ``custom`` index) — and the caller
+    then falls back to a hand-written kernel or the scalar path.
 
     The kernel is generated from the spec the component was *built*
     from (the ``_spec`` cached at construction, when present), not the
@@ -233,7 +231,7 @@ def derived_kernel(component):
     spec = getattr(component, "_spec", None)
     if spec is None:
         spec = component.spec()
-    if spec is None or spec.kernel == "none":
+    if spec is None:
         return None
     trained = [t for t in spec.tables if t.update == "saturating-counter"]
     if len(trained) != 1:

@@ -209,14 +209,11 @@ def engine_for(predictor) -> Optional["SegmentEngine"]:
     columnar-specific ones: no arbitration step in the plan, kernels for
     every component, matching fetch widths, a <=64-bit global history (the
     rolling-history builder's register width), and no local/path history
-    (their providers are not columnarized).  A component that declares a
-    :class:`repro.spec.ComponentSpec` must also declare batch-replay
-    eligibility there: a spec whose kernel class is ``"none"`` disowns
-    any reachable ``columnar_kernel``, so the engine refuses it even if
-    one exists (SPEC006 keeps the two in agreement for the shipped
-    library).  Spec-less third-party components fall back to kernel
-    presence alone.  Telemetry and stale-history windows are runtime
-    conditions checked by the driver, not here.
+    (their providers are not columnarized).  ``columnar_kernel()`` is the
+    only batch-replay declaration read: a component opts in by returning
+    a kernel, whether or not it carries a spec.  Telemetry and
+    stale-history windows are runtime conditions checked by the driver,
+    not here.
     """
     config = predictor.config
     if config.serialize_cfi or config.global_history_bits > 64:
@@ -228,12 +225,6 @@ def engine_for(predictor) -> Optional["SegmentEngine"]:
     for component in predictor.components:
         width = getattr(component, "fetch_width", None)
         if width is not None and width != config.fetch_width:
-            return None
-        try:
-            spec = component.spec()
-        except Exception:
-            spec = None
-        if spec is not None and spec.kernel == "none":
             return None
     kernels = {}
     for component, _sources, _out, name, _bits, kind in predictor._plan.steps:

@@ -7,16 +7,21 @@ table.  Library components build it once at construction
 (:class:`~repro.components.base.SpecComponent`) and read their
 ``MetaCodec``, ``meta_bits``, ``required_*_bits`` and ``storage()``
 report off it, so they satisfy SPEC002, SPEC004 and SPEC005 by
-construction.  The ``SPEC001``-``SPEC009`` analyzer
-(:mod:`repro.analysis.spec_check`) verifies the rest of the declaration
-against the code: index hashes against observed indexing on seeded
-probes (SPEC003), update-rule purity against ``columnar_kernel()``
-(SPEC006), learn triggers against ``branchless_inert`` (SPEC007).
-SPEC002, SPEC004 and SPEC005 guard hand-declared components: storage
-against :meth:`~repro.core.interface.PredictorComponent.storage` and the
+construction.  The SPEC analyzer (:mod:`repro.analysis.spec_check`)
+verifies the rest of the declaration against the code: index hashes
+against observed indexing on seeded probes (SPEC003), and that a
+component whose tables are closed-form and engine-drivable advertises a
+``columnar_kernel()`` (SPEC006).  SPEC002, SPEC004 and SPEC005 guard
+hand-declared components: storage against
+:meth:`~repro.core.interface.PredictorComponent.storage` and the
 :mod:`repro.synthesis.area` mapping, history demand against
 ``required_*_bits`` (what TOP006 assumes), payload fields against the
 :class:`~repro.components.base.MetaCodec`.
+
+The spec describes state, not runtime capabilities: whether a component
+batch-replays is what its ``columnar_kernel()`` returns, and whether it
+is inert on branchless packets is its ``branchless_inert`` class flag
+(checked against behaviour by CON008).
 
 The spec layer is also consumed by:
 
@@ -25,8 +30,9 @@ The spec layer is also consumed by:
   hand-coded constants;
 - the fuzzer, which draws library sizing parameters from
   :data:`LEGAL_SIZINGS`;
-- the columnar-kernel eligibility gate, which refuses components whose
-  spec does not declare a kernel.
+- the kernel generator (:mod:`repro.derive.kernels`), which builds a
+  columnar kernel for counter tables indexed by a :data:`VECTOR_SCHEMES`
+  hash.
 """
 
 from __future__ import annotations
@@ -46,8 +52,13 @@ CLOSED_FORM_UPDATES = frozenset({"saturating-counter", "shift-register"})
 #: Every recognized update/repair rule class.
 UPDATE_RULES = CLOSED_FORM_UPDATES | {"allocate-on-miss", "exact-event"}
 
-#: Index schemes the columnar engine can drive from trace columns.
-ENGINE_SCHEMES = frozenset({"pc", "ghist", "gshare", "gselect", "none"})
+#: Index hashes the kernel generator evaluates over trace columns
+#: (:func:`repro.derive.kernels.index_columns`).
+VECTOR_SCHEMES = frozenset({"pc", "ghist", "gshare", "gselect", "ghist_raw"})
+
+#: Index schemes the columnar engine can drive from trace columns: the
+#: vectorized hashes plus ``none`` for fully-associative (CAM) tables.
+ENGINE_SCHEMES = VECTOR_SCHEMES | {"none"}
 
 #: All schemes an :class:`IndexFn` may declare.  The first seven mirror
 #: :class:`repro.components.base.IndexScheme`; ``ghist_raw`` is an
@@ -68,12 +79,6 @@ INDEX_SCHEMES = (
 )
 
 TABLE_KINDS = ("sram", "flop")
-KERNEL_KINDS = ("closed-form", "event-replay", "none")
-
-#: Events a component learns from.  ``"any"`` means the component mutates
-#: state on packets with no architectural branch or CFI — i.e. it is NOT
-#: ``branchless_inert``.
-LEARN_TRIGGERS = ("branch", "cfi", "indirect", "candidate", "any")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,11 +206,6 @@ class ComponentSpec:
     ghist_bits: int = 0
     lhist_bits: int = 0
     phist_bits: int = 0
-    #: "closed-form" — a columnar kernel replays updates as pure
-    #: functions; "event-replay" — a kernel exists but walks events
-    #: exactly; "none" — scalar path only.
-    kernel: str = "none"
-    learns_from: Tuple[str, ...] = ("branch",)
     n_inputs: int = 1
 
     # -- derived totals ------------------------------------------------
@@ -224,11 +224,6 @@ class ComponentSpec:
     @property
     def meta_bits(self) -> int:
         return sum(field.total_bits for field in self.meta_fields)
-
-    @property
-    def branchless_inert(self) -> bool:
-        """Derived: inert unless the spec says it learns from any packet."""
-        return "any" not in self.learns_from
 
     @property
     def closed_form_updates(self) -> bool:
@@ -316,11 +311,6 @@ class ComponentSpec:
         for bits_name in ("ghist_bits", "lhist_bits", "phist_bits"):
             if getattr(self, bits_name) < 0:
                 problems.append(f"{bits_name} is negative")
-        if self.kernel not in KERNEL_KINDS:
-            problems.append(f"unknown kernel class {self.kernel!r}")
-        for trigger in self.learns_from:
-            if trigger not in LEARN_TRIGGERS:
-                problems.append(f"unknown learn trigger {trigger!r}")
         if self.n_inputs < 1:
             problems.append("n_inputs must be >= 1")
         return problems

@@ -2,9 +2,10 @@
 
 Each class subclasses the shipped :class:`~repro.components.bimodal.HBIM`
 (in its gshare configuration, whose honest spec passes every rule) and
-overrides ``spec()`` to lie in exactly one way, so the analysis tests can
-assert each ``SPEC001``-``SPEC008`` rule fires — and fires alone — on a
-committed fixture.  They are never part of the shipped library.
+overrides ``spec()`` or ``columnar_kernel()`` to lie in exactly one way,
+so the analysis tests can assert each live ``SPEC001``-``SPEC008`` rule
+fires — and fires alone — on a committed fixture.  They are never part
+of the shipped library.
 """
 
 import dataclasses
@@ -80,36 +81,11 @@ class WrongMeta(_SpecHBIM):
         return dataclasses.replace(honest, meta_fields=(renamed,))
 
 
-class KernelDenier(_SpecHBIM):
-    """SPEC006: declares kernel='none' while columnar_kernel() exists."""
-
-    def spec(self):
-        return dataclasses.replace(self.honest_spec(), kernel="none")
-
-
-class KernelWithoutImpl(_SpecHBIM):
-    """SPEC006: declares a closed-form kernel but implements none."""
-
-    def columnar_kernel(self):
-        return None
-
-
 class UnwaivedClosedForm(_SpecHBIM):
     """SPEC006: closed-form and engine-drivable, no kernel, no waiver."""
 
     def columnar_kernel(self):
         return None
-
-    def spec(self):
-        return dataclasses.replace(self.honest_spec(), kernel="none")
-
-
-class InertLiar(_SpecHBIM):
-    """SPEC007: learn triggers say not inert; the class says inert."""
-
-    def spec(self):
-        honest = self.honest_spec()
-        return dataclasses.replace(honest, learns_from=("branch", "any"))
 
 
 class MalformedSpec(_SpecHBIM):
@@ -139,7 +115,6 @@ SPEC_VIOLATIONS = {
     "SPEC003": WrongIndex,
     "SPEC004": WrongHistory,
     "SPEC005": WrongMeta,
-    "SPEC006": KernelDenier,
-    "SPEC007": InertLiar,
+    "SPEC006": UnwaivedClosedForm,
     "SPEC008": MalformedSpec,
 }

@@ -10,6 +10,7 @@ save/load process boundary.
 
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,21 @@ class TestRoundTrip:
                 presets.build("b2"),
                 WorkloadSource(name="legacy", trace_path=path),
                 RunLimits(max_instructions=12),
+            )
+
+    def test_truncated_trace_is_rejected(self, micro_npz, tmp_path):
+        # A trace cut short (an interrupted copy or capture) must fail
+        # loudly, never replay whatever columns survived.
+        data = micro_npz.read_bytes()
+        path = tmp_path / "truncated.npz"
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(zipfile.BadZipFile):
+            BranchTrace.load(path)
+        with pytest.raises(zipfile.BadZipFile):
+            get_backend("replay").run(
+                presets.build("b2"),
+                WorkloadSource(name="truncated", trace_path=path),
+                RunLimits(max_instructions=BUDGET),
             )
 
     def test_mismatched_columns_are_rejected(self, micro_npz):

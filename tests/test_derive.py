@@ -193,7 +193,6 @@ class TestDerivedKernelSelection:
     @pytest.mark.parametrize("base", ["LBIM", "PSHARE", "PAG", "PAP"])
     def test_local_and_path_history_schemes_stay_scalar(self, base):
         component = build(base)
-        assert component.spec().kernel == "none"
         assert derived_kernel(component) is None
         assert kernel_is_derived(component) is None
 

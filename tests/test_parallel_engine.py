@@ -168,3 +168,23 @@ class TestRunnerInternals:
         assert [(r.system, r.workload) for r in results] == [
             (j.system, j.workload) for j in batch
         ]
+
+    def test_broken_pool_reruns_unfinished_jobs_serially(self, programs):
+        """Every worker dies building its predictor, which breaks the pool;
+        the runner must rerun the unfinished jobs in-process and return
+        what the serial reference path returns."""
+        from tests.fixtures.dying_factory import b2_or_die
+
+        batch = [
+            EvalJob(
+                system="b2",
+                spec=b2_or_die,
+                workload=workload,
+                program=program,
+                max_instructions=MAX_INSTRUCTIONS,
+            )
+            for workload, program in programs.items()
+        ]
+        serial = ParallelRunner(jobs=1).run(batch)
+        assert ParallelRunner(jobs=2).run(batch) == serial
+        assert len(serial) == len(batch)

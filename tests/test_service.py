@@ -36,6 +36,7 @@ from repro.service import (
     parse_job_spec,
     parse_jobs_body,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 SPEC = {
     "predictor": "b2",
@@ -398,6 +399,18 @@ class TestHttpServer:
             assert status == 405
             status, _, _ = await client.request("GET", "/nonesuch")
             assert status == 404
+            # An oversized declared body is refused from the headers alone:
+            # send none, and the server must still answer 413.
+            reader, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(
+                f"POST /jobs HTTP/1.1\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("latin-1")
+            )
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(-1), 10)
+            writer.close()
+            await writer.wait_closed()
+            assert reply.split(None, 2)[1] == b"413"
 
             await client.submit(SPEC)  # occupies the single backlog slot
             with pytest.raises(ServiceClientError) as excinfo:
