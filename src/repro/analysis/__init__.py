@@ -33,11 +33,7 @@ from repro.analysis.diagnostics import (
     validate_report,
 )
 from repro.analysis.lints import lint_paths
-from repro.analysis.spec_check import (
-    check_component_spec,
-    check_library_specs,
-    spec_coverage,
-)
+from repro.analysis.spec_check import check_component_spec, check_library_specs
 from repro.analysis.topology_check import check_spec, check_topology
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "check_spec",
     "check_topology",
     "dims_for",
-    "spec_coverage",
     "exit_code",
     "filter_ignored",
     "lint_paths",

@@ -98,10 +98,7 @@ def dims_for(component: PredictorComponent) -> StimulusDims:
     aliasing bugs), and each history must be at least as wide as the
     spec's declared demand.  Components without a spec get the defaults.
     """
-    try:
-        spec = component.spec()
-    except Exception:
-        spec = None
+    spec = component.spec
     if spec is None:
         return DEFAULT_DIMS
     fetch_width = DEFAULT_DIMS.fetch_width
@@ -382,44 +379,6 @@ def _check_input_mutation(
             )
 
 
-def _check_meta_payload_sweep(
-    component: PredictorComponent, report: _Reporter
-) -> None:
-    """Spec-declared payload boundary sweep (CON001).
-
-    Packs each spec metadata field at its all-ones maximum (all other
-    fields zero), plus the all-zero word, and requires ``check_meta`` to
-    accept every word: the spec's LSB-first field layout must fit the
-    component's declared ``meta_bits`` at every field's extreme.
-    """
-    try:
-        spec = component.spec()
-    except Exception:
-        return  # a raising spec() is SPEC008's finding, not a CON one
-    if spec is None or not spec.meta_fields:
-        return
-    words: List[Tuple[str, int]] = [("all-zero", 0)]
-    offset = 0
-    for field in spec.meta_fields:
-        lane = (1 << field.bits) - 1
-        word = 0
-        for k in range(field.count):
-            word |= lane << (offset + k * field.bits)
-        words.append((field.name, word))
-        offset += field.bits * field.count
-    for label, word in words:
-        try:
-            component.check_meta(word)
-        except InterfaceError as exc:
-            report.report(
-                "CON001",
-                f"spec payload sweep: the {label} boundary word {word:#x} "
-                f"built from the declared meta fields does not fit "
-                f"check_meta: {exc}",
-            )
-            break
-
-
 def _drive(
     component: PredictorComponent,
     seed: int,
@@ -505,10 +464,6 @@ def check_component(
         )
     if storage.sram_bits < 0 or storage.flop_bits < 0 or storage.access_bits < 0:
         report.report("CON006", "storage report contains negative bit counts")
-
-    # CON001 (static leg): every spec payload field at its boundary must
-    # fit the declared meta width before any stimulus runs.
-    _check_meta_payload_sweep(component, report)
 
     # CON001/CON002/CON005 + stimulus drive.  Stimulus dimensions come
     # from the component's declarative spec (index + tag reach, history

@@ -44,14 +44,10 @@ RULES: Dict[str, tuple] = {
     "RPR003": (ERROR, "fire overridden without on_repair"),
     "RPR004": (ERROR, "direct mutation of an incoming PredictionVector"),
     "RPR005": (WARN, "noqa comment references an unknown rule code"),
-    # Spec conformance (repro.analysis.spec_check)
-    "SPEC001": (ERROR, "library component has no spec() and no waiver"),
-    "SPEC002": (ERROR, "spec storage geometry disagrees with storage()/area"),
+    # Spec conformance (repro.analysis.spec_check).  Retired, never
+    # reused: SPEC001, SPEC002, SPEC004, SPEC005, SPEC007, SPEC008.
     "SPEC003": (ERROR, "spec IndexFn does not reproduce the observed index"),
-    "SPEC004": (ERROR, "spec history demand disagrees with required_*_bits"),
-    "SPEC005": (ERROR, "spec payload fields disagree with the MetaCodec"),
     "SPEC006": (ERROR, "closed-form engine-drivable component has no kernel"),
-    "SPEC008": (ERROR, "component spec is malformed"),
     "SPEC009": (ERROR, "derived scalar path diverges from its reference"),
 }
 

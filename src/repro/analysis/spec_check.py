@@ -1,33 +1,28 @@
-"""Spec-conformance analyzer: rules SPEC001-SPEC009.
+"""Spec-conformance analyzer: rules SPEC003, SPEC006 and SPEC009.
 
-Verifies every library component's imperative implementation against its
-declarative :class:`repro.spec.ComponentSpec`:
+Checks a component's declarative :class:`repro.spec.ComponentSpec` (its
+``spec`` attribute) against the behaviour the spec does not itself
+generate:
 
 ========  ==============================================================
-SPEC001   every ``ComponentLibrary`` base returns a spec or carries a
-          registered waiver (:func:`repro.spec.register_waiver`)
-SPEC002   storage accounting: spec bit totals equal ``storage()`` —
-          SRAM/flop split, per-breakdown-key sums, and the resulting
-          :mod:`repro.synthesis.area` mapping — bit for bit
 SPEC003   index-hash conformance: each table's declared ``IndexFn``
           reproduces the implementation's observed index on seeded
           probe stimuli
-SPEC004   history-demand consistency: spec ghist/lhist/phist bits equal
-          the ``required_*_bits`` TOP006 budgets against
-SPEC005   meta-width derivation: spec payload fields match the
-          ``MetaCodec`` layout (the CON001 codec) and sum to the
-          declared ``meta_bits``
 SPEC006   kernel completeness: a component whose update rules are all
           closed-form and whose tables the engine could drive must
           advertise a ``columnar_kernel()`` or carry a waiver
-SPEC007   retired: ``branchless_inert`` is declared by the class flag
-          alone and checked against behaviour by CON008
-SPEC008   the spec itself is well-formed
 SPEC009   derivation equivalence: a component whose scalar path executes
           through :mod:`repro.derive` produces bit-identical predictions
           and metadata to its frozen pre-refactor reference
           (:mod:`repro.derive.reference`) on seeded contract stimulus
 ========  ==============================================================
+
+The spec is the object the component was built from, so what is read
+off it needs no check: a :class:`~repro.components.base.SpecComponent`
+validates its spec at construction (a malformed one raises
+:class:`~repro.core.interface.InterfaceError`) and takes its metadata
+codec, ``meta_bits``, ``required_*_bits`` and ``storage()`` report from
+it.  A component with no spec (``spec`` is None) is not checked.
 """
 
 from __future__ import annotations
@@ -63,74 +58,6 @@ def _subjects(component: PredictorComponent) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Individual rule checks (each returns a list of diagnostics).
 # ---------------------------------------------------------------------------
-
-
-def _check_storage(
-    component: PredictorComponent, spec: ComponentSpec, subject: str
-) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    impl = component.storage()
-    if (spec.sram_bits, spec.flop_bits) != (impl.sram_bits, impl.flop_bits):
-        diags.append(
-            diagnostic(
-                "SPEC002",
-                f"spec declares sram={spec.sram_bits} flop={spec.flop_bits} "
-                f"bits but storage() reports sram={impl.sram_bits} "
-                f"flop={impl.flop_bits}",
-                subject,
-            )
-        )
-    # Per-breakdown-key accounting: each table claims the storage()
-    # breakdown keys it accounts for; claimed keys must sum exactly, and
-    # the implementation may not report unclaimed non-zero keys.
-    claimed = spec.storage_report(component.name).breakdown
-    for key, bits in sorted(claimed.items()):
-        actual = impl.breakdown.get(key)
-        if actual is None:
-            diags.append(
-                diagnostic(
-                    "SPEC002",
-                    f"spec table claims breakdown key {key!r} but storage() "
-                    f"does not report it",
-                    subject,
-                )
-            )
-        elif actual != bits:
-            diags.append(
-                diagnostic(
-                    "SPEC002",
-                    f"breakdown {key!r}: spec accounts {bits} bits, "
-                    f"storage() reports {actual}",
-                    subject,
-                )
-            )
-    for key, bits in sorted(impl.breakdown.items()):
-        if bits and key not in claimed:
-            diags.append(
-                diagnostic(
-                    "SPEC002",
-                    f"storage() reports {bits} bits under {key!r} that no "
-                    f"spec table accounts for",
-                    subject,
-                )
-            )
-    # Same bits through the same silicon mapping: the spec's report must
-    # price identically to the implementation's in the area model.
-    from repro.synthesis.area import AreaModel, spec_area
-
-    model = AreaModel()
-    declared = spec_area(spec, component.name, model)
-    actual_area = model.report_area(impl)
-    if declared != actual_area:
-        diags.append(
-            diagnostic(
-                "SPEC002",
-                f"spec area {declared:.1f}um2 != storage() area "
-                f"{actual_area:.1f}um2 under the synthesis model",
-                subject,
-            )
-        )
-    return diags
 
 
 def _check_indexing(
@@ -177,56 +104,6 @@ def _check_indexing(
                     )
                 )
                 break  # one counterexample per table is enough
-    return diags
-
-
-def _check_history(
-    component: PredictorComponent, spec: ComponentSpec, subject: str
-) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    for label, declared, required in (
-        ("ghist", spec.ghist_bits, component.required_ghist_bits),
-        ("lhist", spec.lhist_bits, component.required_lhist_bits),
-        ("phist", spec.phist_bits, component.required_phist_bits),
-    ):
-        if declared != required:
-            diags.append(
-                diagnostic(
-                    "SPEC004",
-                    f"spec declares {declared} {label} bits but the component "
-                    f"requires {required} (the TOP006 budget)",
-                    subject,
-                )
-            )
-    return diags
-
-
-def _check_meta(
-    component: PredictorComponent, spec: ComponentSpec, subject: str
-) -> List[Diagnostic]:
-    diags: List[Diagnostic] = []
-    if spec.meta_bits != component.meta_bits:
-        diags.append(
-            diagnostic(
-                "SPEC005",
-                f"spec payload fields total {spec.meta_bits} bits but the "
-                f"component declares meta_bits={component.meta_bits}",
-                subject,
-            )
-        )
-    codec = getattr(component, "_codec", None)
-    if codec is not None:
-        declared = [(f.name, f.bits, f.count) for f in spec.meta_fields]
-        actual = list(codec._fields)
-        if declared != actual:
-            diags.append(
-                diagnostic(
-                    "SPEC005",
-                    f"spec payload layout {declared} does not match the "
-                    f"MetaCodec layout {actual}",
-                    subject,
-                )
-            )
     return diags
 
 
@@ -301,33 +178,13 @@ def check_component_spec(
     subject: Optional[str] = None,
     seed: int = DEFAULT_SEED,
 ) -> List[Diagnostic]:
-    """Run SPEC001-SPEC009 against one instantiated component."""
+    """Run SPEC003, SPEC006 and SPEC009 against one instantiated component."""
     subject = subject or component.name
-    try:
-        spec = component.spec()
-    except Exception as exc:  # noqa: BLE001 - a crashing spec is a finding
-        return [diagnostic("SPEC008", f"spec() raised: {exc!r}", subject)]
+    spec = component.spec
     if spec is None:
-        if waiver_for(_subjects(component), "SPEC001") is not None:
-            return []
-        return [
-            diagnostic(
-                "SPEC001",
-                f"{type(component).__name__} returns no spec and no SPEC001 "
-                f"waiver is registered",
-                subject,
-            )
-        ]
-    problems = spec.validate()
-    if problems:
-        return [
-            diagnostic("SPEC008", problem, subject) for problem in problems
-        ]
+        return []
     diags: List[Diagnostic] = []
-    diags.extend(_check_storage(component, spec, subject))
     diags.extend(_check_indexing(component, spec, subject, seed))
-    diags.extend(_check_history(component, spec, subject))
-    diags.extend(_check_meta(component, spec, subject))
     diags.extend(_check_kernel(component, spec, subject))
     diags.extend(_check_derived(component, subject, seed))
     return diags
@@ -343,55 +200,6 @@ def check_library_specs(
         library = _library()
     diags: List[Diagnostic] = []
     for base in library.known():
-        subject = f"{base}{latency}"
-        try:
-            component = library.factory(base)(base.lower(), latency)
-        except Exception as exc:  # noqa: BLE001
-            diags.append(
-                diagnostic(
-                    "SPEC008",
-                    f"factory raised while instantiating at latency "
-                    f"{latency}: {exc!r}",
-                    subject,
-                )
-            )
-            continue
-        diags.extend(check_component_spec(component, subject, seed))
+        component = library.factory(base)(base.lower(), latency)
+        diags.extend(check_component_spec(component, f"{base}{latency}", seed))
     return diags
-
-
-def spec_coverage(
-    library: Optional[ComponentLibrary] = None,
-) -> Tuple[List[str], List[str]]:
-    """(covered, missing) base names: spec or waiver vs neither."""
-    if library is None:
-        library = _library()
-    covered: List[str] = []
-    missing: List[str] = []
-    for base in library.known():
-        try:
-            component = library.factory(base)(base.lower(), 2)
-            has_spec = component.spec() is not None
-        except Exception:  # noqa: BLE001
-            has_spec = False
-            component = None
-        subjects = _subjects(component) if component is not None else (base,)
-        if has_spec or waiver_for(subjects, "SPEC001") is not None:
-            covered.append(base)
-        else:
-            missing.append(base)
-    return covered, missing
-
-
-def assert_full_coverage(library: Optional[ComponentLibrary] = None) -> None:
-    """Raise unless every library base has a spec or a SPEC001 waiver.
-
-    The CI spec-coverage gate calls this; a new library component cannot
-    land without declaring itself.
-    """
-    covered, missing = spec_coverage(library)
-    if missing:
-        raise AssertionError(
-            f"library components without spec() or SPEC001 waiver: {missing} "
-            f"(covered: {len(covered)})"
-        )

@@ -4,7 +4,8 @@ Commands
 --------
 - ``run``      — run one workload on one predictor, print the metrics.
 - ``sweep``    — run a set of workloads across a set of predictors.
-- ``trace``    — capture a branch trace to npz, or replay a stored one.
+- ``trace``    — capture a branch trace to npz (replay it with
+  ``run --backend replay --workload FILE.npz``).
 - ``area``     — area breakdown of a predictor (Fig. 8 style).
 - ``storage``  — Table-I style storage summary of the three presets.
 - ``topology`` — parse and describe a topology string (sanity check).
@@ -165,33 +166,15 @@ def _cmd_golden(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.action == "capture":
-        source = resolve_workload(args.workload, args.scale)
-        if source.program is None:
-            print(
-                f"{args.workload} is already a stored trace", file=sys.stderr
-            )
-            return 2
-        trace = source.branch_trace(args.max_instructions)
-        trace.save(args.out)
-        print(
-            f"captured {source.name}: {trace.instruction_count} instructions, "
-            f"{len(trace)} branch records -> {args.out}"
-        )
-        return 0
-    # replay
-    result = run_workload(
-        build_predictor(args.predictor),
-        args.trace_file,
-        max_instructions=args.max_instructions,
-        system_name=args.predictor,
-        backend="replay",
-    )
-    print(f"backend: {result.backend}")
-    print(result.row())
+    source = resolve_workload(args.workload, args.scale)
+    if source.program is None:
+        print(f"{args.workload} is already a stored trace", file=sys.stderr)
+        return 2
+    trace = source.branch_trace(args.max_instructions)
+    trace.save(args.out)
     print(
-        f"  branches={result.branches} "
-        f"mispredicts={result.branch_mispredicts}"
+        f"captured {source.name}: {trace.instruction_count} instructions, "
+        f"{len(trace)} branch records -> {args.out}"
     )
     return 0
 
@@ -613,9 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "is cycle-only)")
     sweep.set_defaults(func=_cmd_sweep)
 
-    trace = sub.add_parser(
-        "trace", help="capture a branch trace to npz, or replay one"
-    )
+    trace = sub.add_parser("trace", help="capture a branch trace to npz")
     trace_sub = trace.add_subparsers(dest="action", required=True)
     capture = trace_sub.add_parser(
         "capture", help="run a workload and store its branch trace"
@@ -629,14 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="capture budget (default: the trace backends' "
                               "shared 1M-instruction default)")
     capture.set_defaults(func=_cmd_trace)
-    replay = trace_sub.add_parser(
-        "replay", help="drive a predictor from a stored .npz trace"
-    )
-    replay.add_argument("trace_file", help="stored-trace .npz path")
-    replay.add_argument("--predictor", default="tage_l",
-                        help="preset name or topology string")
-    replay.add_argument("--max-instructions", type=int, default=None)
-    replay.set_defaults(func=_cmd_trace)
 
     area = sub.add_parser("area", help="area breakdown of a predictor")
     area.add_argument("--predictor", default="tage_l",

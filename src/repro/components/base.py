@@ -5,8 +5,9 @@ per-prediction state into the interface's fixed-width metadata integer
 (§III-D), mirroring how RTL implementations concatenate bitfields.
 
 :class:`SpecComponent` is the base of every library component: its
-:class:`~repro.spec.ComponentSpec`, built once at construction, supplies
-the codec, the storage report and the history demand.
+:class:`~repro.spec.ComponentSpec`, built and validated once at
+construction and kept as the ``spec`` attribute, supplies the codec, the
+storage report and the history demand.
 
 :class:`IndexScheme` implements the parameterized indexing option of the
 counter tables (§III-G1): "indexed by a global history, local history, PC,
@@ -123,24 +124,25 @@ class SpecComponent(PredictorComponent):
     """A component declared once, by the spec it builds at construction.
 
     A subclass sets its sizing attributes, builds its
-    :class:`~repro.spec.ComponentSpec` and passes it here.  Every
-    interface declaration is then read off that one object:
+    :class:`~repro.spec.ComponentSpec` and passes it here.  A spec that
+    fails :meth:`~repro.spec.ComponentSpec.validate` raises
+    :class:`~repro.core.interface.InterfaceError` naming each problem;
+    a valid one is stored as :attr:`spec`, and every interface
+    declaration is read off that one object:
 
     - the :class:`MetaCodec` (``self._codec``) from ``spec.meta_fields``,
       and ``meta_bits`` from the codec;
     - ``uses_*_history`` and ``required_*_bits`` from the spec's history
       bits, and ``n_inputs`` from the spec;
     - :meth:`storage` is :func:`~repro.derive.tables.derived_storage` of
-      the spec, and :meth:`spec` returns it.
-
-    The codec and :meth:`storage` read the construction-time
-    ``self._spec``, never ``self.spec()``: a subclass that overrides
-    ``spec()`` with a different declaration is caught by SPEC002,
-    SPEC004 and SPEC005.
+      the spec.
     """
 
     def __init__(self, name: str, latency: int, spec: ComponentSpec):
-        self._spec = spec
+        problems = spec.validate()
+        if problems:
+            raise InterfaceError(f"{name}: malformed spec: {'; '.join(problems)}")
+        self.spec = spec
         self._codec = MetaCodec(
             [(field.name, field.bits, field.count) for field in spec.meta_fields]
         )
@@ -165,10 +167,7 @@ class SpecComponent(PredictorComponent):
         # Imported here: repro.derive imports this module.
         from repro.derive.tables import derived_storage
 
-        return derived_storage(self.name, self._spec)
-
-    def spec(self) -> ComponentSpec:
-        return self._spec
+        return derived_storage(self.name, self.spec)
 
 
 class IndexScheme:

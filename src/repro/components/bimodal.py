@@ -60,7 +60,7 @@ class HBIM(SpecComponent):
         # Initialize weakly not-taken.
         self._weak_nt = (1 << (counter_bits - 1)) - 1
         self._counters = DerivedTable(
-            self._spec.tables[0], init={"ctr": self._weak_nt}
+            self.spec.tables[0], init={"ctr": self._weak_nt}
         )
         self.derived_tables = {"counters": self._counters}
         # Legacy-shaped view of the derived array (rows x lanes).

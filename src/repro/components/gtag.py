@@ -48,9 +48,9 @@ class GTag(SpecComponent):
         super().__init__(name, latency, self._build_spec())
         self._weak_nt = (1 << (counter_bits - 1)) - 1
         self._counters = DerivedTable(
-            self._spec.tables[0], init={"ctr": self._weak_nt}
+            self.spec.tables[0], init={"ctr": self._weak_nt}
         )
-        self._tagstore = DerivedTable(self._spec.tables[1])
+        self._tagstore = DerivedTable(self.spec.tables[1])
         self.derived_tables = {
             "counters": self._counters,
             "tags": self._tagstore,

@@ -93,7 +93,7 @@ class TwoLevel(SpecComponent):
         self._l1_table = DerivedTable(self._l1_table_spec())
         # Level 2: pattern tables.
         self._l2_table = DerivedTable(
-            self._spec.tables[-1], init={"ctr": self._weak_nt}
+            self.spec.tables[-1], init={"ctr": self._weak_nt}
         )
         self.derived_tables = {
             "l1_histories": self._l1_table,
@@ -204,7 +204,7 @@ class TwoLevel(SpecComponent):
     def storage(self) -> StorageReport:
         return derived_storage(
             self.name,
-            self._spec,
+            self.spec,
             # One level-1 register read plus one pattern counter read per
             # prediction, for every variant (the G variants read the
             # composer's register, same width).

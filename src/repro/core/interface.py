@@ -80,6 +80,17 @@ class PredictorComponent(abc.ABC):
         branchless packets entirely.  A component that learns from non-branch packets
         must set this to False; the contract is enforced by rule CON008 of
         ``repro check --components``.
+    spec:
+        The :class:`~repro.spec.ComponentSpec` the component was built
+        from, or None (the default) for a component with no declarative
+        description.  Library components
+        (:class:`~repro.components.base.SpecComponent`) set it at
+        construction and read their metadata codec, storage report and
+        history demand off it; the contract harness, the kernel
+        generator, the RTL emitter and ``repro check --spec`` read it
+        too.  It describes state only: batch replay is declared by
+        :meth:`columnar_kernel` and branchless inertness by
+        ``branchless_inert``.
 
     Parameters
     ----------
@@ -100,6 +111,8 @@ class PredictorComponent(abc.ABC):
 
     #: See the class docstring; checked dynamically by CON008.
     branchless_inert: bool = True
+    #: See the class docstring; set per instance by ``SpecComponent``.
+    spec = None
 
     def __init__(
         self,
@@ -204,24 +217,6 @@ class PredictorComponent(abc.ABC):
         ``repro check --components`` enforces that with a seeded stimulus
         sweep (CON009), and the differential fuzzer cross-checks
         whole-run counts.
-        """
-        return None
-
-    def spec(self):
-        """Declarative self-description (:class:`repro.spec.ComponentSpec`).
-
-        Library components (:class:`~repro.components.base.SpecComponent`)
-        return the :class:`~repro.spec.ComponentSpec` they were built
-        from, which also supplies their metadata codec, storage report
-        and history demand, so SPEC002, SPEC004 and SPEC005 hold by
-        construction.  ``repro check --spec`` verifies the rest against
-        the implementation, and those three rules guard hand-declared
-        components.  The spec describes state only: batch replay is
-        declared by :meth:`columnar_kernel` and branchless inertness by
-        the ``branchless_inert`` class flag.  The default — None — marks a
-        component with no spec; every ``ComponentLibrary`` base must
-        either override this or carry a registered waiver
-        (:func:`repro.spec.register_waiver`).
         """
         return None
 

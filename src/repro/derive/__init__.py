@@ -3,7 +3,7 @@
 Phase 2 of the declarative spec layer (:mod:`repro.spec`).  PR 8 made
 every component *declare* its table geometry, index closed forms, and
 update-rule classes, and verified the declarations against the hand
-implementations (SPEC001-008).  This package *executes* the
+implementations (the SPEC rules).  This package *executes* the
 declarations, so one spec drives every layer that used to be hand-kept
 in sync:
 

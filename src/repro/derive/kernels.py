@@ -222,15 +222,8 @@ def derived_kernel(component):
     form (:data:`~repro.spec.VECTOR_SCHEMES`: the local/path-history
     schemes, the two-level P variants' ``custom`` index) — and the caller
     then falls back to a hand-written kernel or the scalar path.
-
-    The kernel is generated from the spec the component was *built*
-    from (the ``_spec`` cached at construction, when present), not the
-    live ``spec()`` hook: state layout is fixed at construction, and a
-    shadowed declaration must not silently re-wire the runtime.
     """
-    spec = getattr(component, "_spec", None)
-    if spec is None:
-        spec = component.spec()
+    spec = component.spec
     if spec is None:
         return None
     trained = [t for t in spec.tables if t.update == "saturating-counter"]

@@ -37,17 +37,10 @@ def _pred_bus_bits(fetch_width: int) -> int:
     return fetch_width * PRED_BITS_PER_SLOT
 
 
-def _component_spec(component):
-    try:
-        return component.spec()
-    except Exception:
-        return None
-
-
 def _component_module(component, fetch_width: int, ghist_bits: int) -> str:
     """One sub-component module with the full event interface."""
     pred_bits = _pred_bus_bits(fetch_width)
-    spec = _component_spec(component)
+    spec = component.spec
     storage_lines: List[str] = []
     if spec is not None and spec.tables:
         storage_lines.append(
@@ -149,7 +142,7 @@ def generate_verilog_skeleton(predictor: ComposedPredictor) -> str:
     ]
     for component in predictor.components:
         parts.append(_component_module(component, fetch_width, ghist))
-        spec = _component_spec(component)
+        spec = component.spec
         if spec is not None:
             for table in spec.tables:
                 parts.append(emit_table_module(component.name, table))

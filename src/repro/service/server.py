@@ -102,7 +102,9 @@ async def _read_request(
     try:
         length = int(length_text)
     except ValueError:
-        raise HttpError(400, f"bad Content-Length: {length_text!r}") from None
+        length = -1
+    if length < 0:
+        raise HttpError(400, f"bad Content-Length: {length_text!r}")
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""

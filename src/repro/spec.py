@@ -4,19 +4,17 @@ Every library component declares a :class:`ComponentSpec`: table
 geometries (sets/ways/entry payload fields), indexing functions, history
 demands, metadata payload layout, and an update-rule classification per
 table.  Library components build it once at construction
-(:class:`~repro.components.base.SpecComponent`) and read their
-``MetaCodec``, ``meta_bits``, ``required_*_bits`` and ``storage()``
-report off it, so they satisfy SPEC002, SPEC004 and SPEC005 by
-construction.  The SPEC analyzer (:mod:`repro.analysis.spec_check`)
-verifies the rest of the declaration against the code: index hashes
-against observed indexing on seeded probes (SPEC003), and that a
-component whose tables are closed-form and engine-drivable advertises a
-``columnar_kernel()`` (SPEC006).  SPEC002, SPEC004 and SPEC005 guard
-hand-declared components: storage against
-:meth:`~repro.core.interface.PredictorComponent.storage` and the
-:mod:`repro.synthesis.area` mapping, history demand against
-``required_*_bits`` (what TOP006 assumes), payload fields against the
-:class:`~repro.components.base.MetaCodec`.
+(:class:`~repro.components.base.SpecComponent`), which validates it
+(:meth:`ComponentSpec.validate`; a malformed spec raises
+:class:`~repro.core.interface.InterfaceError`) and keeps it as the
+component's ``spec`` attribute.  Their ``MetaCodec``, ``meta_bits``,
+``required_*_bits`` and ``storage()`` report are read off that one
+object, so they cannot disagree with it.  The SPEC analyzer
+(:mod:`repro.analysis.spec_check`) checks what the spec does not
+generate: index hashes against observed indexing on seeded probes
+(SPEC003), that a component whose tables are closed-form and
+engine-drivable advertises a ``columnar_kernel()`` (SPEC006), and that
+derived scalar paths match their frozen references (SPEC009).
 
 The spec describes state, not runtime capabilities: whether a component
 batch-replays is what its ``columnar_kernel()`` returns, and whether it
@@ -26,8 +24,8 @@ is inert on branchless packets is its ``branchless_inert`` class flag
 The spec layer is also consumed by:
 
 - the CON contract harness, which derives its stimulus dimensions
-  (PC width, history widths, payload sweeps) from the spec instead of
-  hand-coded constants;
+  (PC width, history widths) from the spec instead of hand-coded
+  constants;
 - the fuzzer, which draws library sizing parameters from
   :data:`LEGAL_SIZINGS`;
 - the kernel generator (:mod:`repro.derive.kernels`), which builds a
@@ -259,7 +257,8 @@ class ComponentSpec:
 
     # -- well-formedness ----------------------------------------------
     def validate(self) -> List[str]:
-        """Structural problems with the spec itself (SPEC008 fodder)."""
+        """Structural problems with the spec itself; ``SpecComponent``
+        refuses to build from a spec that has any."""
         problems: List[str] = []
         if not self.component:
             problems.append("component name is empty")
@@ -289,8 +288,8 @@ class ComponentSpec:
                 if fn.scheme not in INDEX_SCHEMES:
                     problems.append(f"{where}: unknown index scheme {fn.scheme!r}")
                 elif fn.scheme not in ("none", "custom"):
-                    if fn.index_bits <= 0:
-                        problems.append(f"{where}: index_bits must be positive")
+                    if fn.index_bits < 0:
+                        problems.append(f"{where}: index_bits is negative")
                     if fn.scheme != "pc" and fn.history_bits <= 0 and (
                         fn.scheme != "gselect"
                     ):

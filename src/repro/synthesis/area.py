@@ -86,15 +86,3 @@ class AreaModel:
     def predictor_fraction(self, predictor: ComposedPredictor) -> float:
         """Fraction of core area spent on the predictor."""
         return self.predictor_total(predictor) / self.core_total(predictor)
-
-
-def spec_area(spec, name: str = "spec", model: AreaModel = None) -> float:
-    """Area of a declarative :class:`repro.spec.ComponentSpec`.
-
-    Routes the spec's SRAM/flop bit totals through the same
-    :meth:`AreaModel.report_area` mapping the implementation's
-    :meth:`storage` report uses, so SPEC002 can assert the two agree not
-    just in bits but in modeled silicon.
-    """
-    model = model or AreaModel()
-    return model.report_area(spec.storage_report(name))

@@ -21,6 +21,8 @@ the schema-2 columns.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -114,18 +116,22 @@ class BranchTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BranchTrace":
-        data = np.load(Path(path))
-        has_replay = "slot_kinds" in data.files
-        return cls(
-            pcs=data["pcs"],
-            types=data["types"],
-            taken=data["taken"],
-            targets=data["targets"],
-            instruction_count=int(data["instruction_count"]),
-            entry_pc=int(data["entry_pc"]) if has_replay else 0,
-            slot_kinds=data["slot_kinds"] if has_replay else None,
-            slot_targets=data["slot_targets"] if has_replay else None,
-        )
+        try:
+            with np.load(Path(path)) as data:
+                has_replay = "slot_kinds" in data.files
+                columns = dict(
+                    pcs=data["pcs"],
+                    types=data["types"],
+                    taken=data["taken"],
+                    targets=data["targets"],
+                    instruction_count=int(data["instruction_count"]),
+                    entry_pc=int(data["entry_pc"]) if has_replay else 0,
+                    slot_kinds=data["slot_kinds"] if has_replay else None,
+                    slot_targets=data["slot_targets"] if has_replay else None,
+                )
+        except (zipfile.BadZipFile, zlib.error, KeyError, EOFError, ValueError) as exc:
+            raise ValueError(f"unreadable trace {path}: {exc}") from exc
+        return cls(**columns)
 
     # ------------------------------------------------------------------
     def characterize(self) -> Dict[str, float]:

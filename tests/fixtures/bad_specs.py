@@ -1,56 +1,32 @@
-"""Deliberately lying component specs: one SPEC rule violation per class.
+"""Deliberately lying components: one live SPEC rule violation per class.
 
-Each class subclasses the shipped :class:`~repro.components.bimodal.HBIM`
-(in its gshare configuration, whose honest spec passes every rule) and
-overrides ``spec()`` or ``columnar_kernel()`` to lie in exactly one way,
-so the analysis tests can assert each live ``SPEC001``-``SPEC008`` rule
-fires — and fires alone — on a committed fixture.  They are never part
-of the shipped library.
+A library component's spec is the object it was built from, so the only
+declarations that can lie are the ones the spec does not generate: an
+index hash the implementation computes by hand (SPEC003) and the batch
+replay hook (SPEC006).  Each class subclasses a shipped component and
+lies in exactly one of those ways, so the analysis tests can assert each
+rule fires, and fires alone, on a committed fixture.  They are never
+part of the shipped library.
 """
 
 import dataclasses
 
 from repro.components.bimodal import HBIM
-from repro.spec import FieldSpec, IndexFn
+from repro.components.tournament import Tourney
+from repro.spec import IndexFn
 
 
-class _SpecHBIM(HBIM):
-    """A fixed gshare HBIM whose honest spec is clean under the analyzer."""
+class WrongIndex(Tourney):
+    """SPEC003: declares a pc index while the chooser indexes by ghist.
 
-    def __init__(self, name, latency):
-        super().__init__(
-            name, latency, n_sets=1024, index="gshare", history_bits=16
-        )
+    The tournament chooser computes its row by hand, so a lying
+    ``IndexFn`` leaves the implementation as it is.  On a spec-derived
+    table (HBIM) the declared ``IndexFn`` *is* the row computation, so
+    the same lie would re-wire the table and SPEC003 could not fire.
+    """
 
-    def honest_spec(self):
-        return HBIM.spec(self)
-
-
-class MissingSpec(_SpecHBIM):
-    """SPEC001: no spec and no registered waiver."""
-
-    def spec(self):
-        return None
-
-
-class LyingGeometry(_SpecHBIM):
-    """SPEC002: the declared counter field is wider than the real table."""
-
-    def spec(self):
-        honest = self.honest_spec()
-        table = honest.tables[0]
-        fat = FieldSpec("ctr", self.counter_bits + 1, self.fetch_width)
-        return dataclasses.replace(
-            honest,
-            tables=(dataclasses.replace(table, fields=(fat,)),),
-        )
-
-
-class WrongIndex(_SpecHBIM):
-    """SPEC003: declares a pc index while the implementation uses gshare."""
-
-    def spec(self):
-        honest = self.honest_spec()
+    def _build_spec(self):
+        honest = super()._build_spec()
         table = honest.tables[0]
         lie = IndexFn(
             "pc",
@@ -64,57 +40,20 @@ class WrongIndex(_SpecHBIM):
         )
 
 
-class WrongHistory(_SpecHBIM):
-    """SPEC004: declares one more ghist bit than required_ghist_bits."""
-
-    def spec(self):
-        honest = self.honest_spec()
-        return dataclasses.replace(honest, ghist_bits=honest.ghist_bits + 1)
-
-
-class WrongMeta(_SpecHBIM):
-    """SPEC005: renames the metadata field the MetaCodec calls ``ctr``."""
-
-    def spec(self):
-        honest = self.honest_spec()
-        renamed = FieldSpec("counter", self.counter_bits, self.fetch_width)
-        return dataclasses.replace(honest, meta_fields=(renamed,))
-
-
-class UnwaivedClosedForm(_SpecHBIM):
+class UnwaivedClosedForm(HBIM):
     """SPEC006: closed-form and engine-drivable, no kernel, no waiver."""
+
+    def __init__(self, name, latency):
+        super().__init__(
+            name, latency, n_sets=1024, index="gshare", history_bits=16
+        )
 
     def columnar_kernel(self):
         return None
 
 
-class MalformedSpec(_SpecHBIM):
-    """SPEC008: a structurally invalid spec (non-positive field width)."""
-
-    def spec(self):
-        honest = self.honest_spec()
-        table = honest.tables[0]
-        broken = FieldSpec("ctr", -2, self.fetch_width)
-        return dataclasses.replace(
-            honest,
-            tables=(dataclasses.replace(table, fields=(broken,)),),
-        )
-
-
-class CrashingSpec(_SpecHBIM):
-    """SPEC008: spec() itself raises."""
-
-    def spec(self):
-        raise RuntimeError("spec construction exploded")
-
-
 #: rule code -> the fixture class built to trip exactly that rule.
 SPEC_VIOLATIONS = {
-    "SPEC001": MissingSpec,
-    "SPEC002": LyingGeometry,
     "SPEC003": WrongIndex,
-    "SPEC004": WrongHistory,
-    "SPEC005": WrongMeta,
     "SPEC006": UnwaivedClosedForm,
-    "SPEC008": MalformedSpec,
 }

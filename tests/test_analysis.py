@@ -233,11 +233,15 @@ class TestDiagnosticsModel:
     def test_rule_catalog_covers_every_emitted_code(self):
         assert set(RULES) == {
             *(f"TOP{n:03d}" for n in range(8)),
-            # CON004 (reset completeness) and SPEC007 (learn triggers vs
-            # branchless_inert) are retired and their codes not reused.
+            # CON004 (reset completeness) is retired and its code not
+            # reused; so are SPEC001/002/004/005/008, which compared a
+            # component's spec with itself, and SPEC007 (learn triggers vs
+            # branchless_inert).
             *(f"CON{n:03d}" for n in range(1, 10) if n != 4),
             *(f"RPR{n:03d}" for n in range(1, 6)),
-            *(f"SPEC{n:03d}" for n in range(1, 10) if n != 7),
+            "SPEC003",
+            "SPEC006",
+            "SPEC009",
         }
 
     def test_exit_codes(self):

@@ -380,9 +380,10 @@ class TestRoundTrip:
         data = micro_npz.read_bytes()
         path = tmp_path / "truncated.npz"
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(zipfile.BadZipFile):
+        with pytest.raises(ValueError, match="truncated.npz") as excinfo:
             BranchTrace.load(path)
-        with pytest.raises(zipfile.BadZipFile):
+        assert isinstance(excinfo.value.__cause__, zipfile.BadZipFile)
+        with pytest.raises(ValueError, match="truncated.npz"):
             get_backend("replay").run(
                 presets.build("b2"),
                 WorkloadSource(name="truncated", trace_path=path),
@@ -725,8 +726,8 @@ class TestCli:
         assert "captured" in capture_out
 
         rc = cli.main(
-            ["trace", "replay", str(npz), "--predictor", "b2",
-             "--max-instructions", str(BUDGET)]
+            ["run", "--predictor", "b2", "--workload", str(npz),
+             "--backend", "replay", "--max-instructions", str(BUDGET)]
         )
         assert rc == 0
         replay_out = capsys.readouterr().out

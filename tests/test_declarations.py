@@ -21,6 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.components.base import SpecComponent
 from repro.components.library import standard_library
 from repro.spec import LEGAL_SIZINGS
 
@@ -123,11 +124,14 @@ def test_default_table_is_current():
 
 
 def test_spec_is_the_construction_time_declaration():
+    # Every base is a SpecComponent, so it carries the spec it was built
+    # from and reads its declarations off it; nothing can disagree.
     library = standard_library()
     for base in library.known():
         component = library.factory(base)(base.lower(), LATENCY)
-        spec = component.spec()
-        assert component.spec() is spec, base
+        assert isinstance(component, SpecComponent), base
+        spec = component.spec
+        assert spec is not None and spec.validate() == [], base
         layout = [(f.name, f.bits, f.count) for f in spec.meta_fields]
         assert component._codec._fields == layout, base
 

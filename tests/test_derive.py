@@ -32,6 +32,7 @@ from repro.derive import (
     twin_pair,
 )
 from repro.derive.kernels import CandidateCounterKernel, LaneCounterKernel
+from repro.derive.reference import ReferenceHBIM
 from repro.rtl import generate_verilog_skeleton
 from repro.spec import (
     LEGAL_SIZINGS,
@@ -320,7 +321,7 @@ class TestLegalSizingsDrift:
             library = standard_library(**{key: value})
             for base in library.known():
                 component = library.factory(base)(base.lower(), 2)
-                spec = component.spec()
+                spec = component.spec
                 assert spec is not None
                 assert spec.validate() == [], (
                     f"{base} with {key}={value} declares an invalid spec"
@@ -336,11 +337,9 @@ class TestDerivationCoverage:
         assert_derived_coverage()
 
     def test_gate_flags_regressed_base(self):
-        from tests.fixtures import bad_specs
-
-        library = standard_library().with_params(
-            "BIM", lambda name, latency: bad_specs.MissingSpec(name, latency)
-        )
+        # The frozen reference HBIM is the family before the migration:
+        # hand-kept numpy state and no spec.
+        library = standard_library().with_params("BIM", ReferenceHBIM)
         problems = derivation_problems(library)
         assert "BIM" in problems
 
@@ -351,5 +350,5 @@ class TestDerivationCoverage:
         assert tables and all(
             isinstance(t, DerivedTable) for t in tables.values()
         )
-        declared = {t.name for t in component.spec().tables}
+        declared = {t.name for t in component.spec.tables}
         assert declared <= set(tables)

@@ -399,18 +399,19 @@ class TestHttpServer:
             assert status == 405
             status, _, _ = await client.request("GET", "/nonesuch")
             assert status == 404
-            # An oversized declared body is refused from the headers alone:
-            # send none, and the server must still answer 413.
-            reader, writer = await asyncio.open_connection(client.host, client.port)
-            writer.write(
-                f"POST /jobs HTTP/1.1\r\n"
-                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("latin-1")
-            )
-            await writer.drain()
-            reply = await asyncio.wait_for(reader.read(-1), 10)
-            writer.close()
-            await writer.wait_closed()
-            assert reply.split(None, 2)[1] == b"413"
+            # A bad declared length is refused from the headers alone:
+            # send no body, and the server must still answer.
+            for length, want in ((MAX_BODY_BYTES + 1, b"413"), (-1, b"400")):
+                reader, writer = await asyncio.open_connection(client.host, client.port)
+                writer.write(
+                    f"POST /jobs HTTP/1.1\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+                )
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(-1), 10)
+                writer.close()
+                await writer.wait_closed()
+                assert reply.split(None, 2)[1] == want, length
 
             await client.submit(SPEC)  # occupies the single backlog slot
             with pytest.raises(ServiceClientError) as excinfo:

@@ -1,12 +1,14 @@
 """Tests for the declarative spec layer (``repro.spec``) and its analyzer.
 
-Three-sided coverage: every shipped component's spec round-trips against
-its implementation (storage, indexing, area) across multiple library
-sizings; every SPEC rule fires on a committed violation fixture; and the
-spec layer's consumers (engine gate, contract harness dims, fuzzer
-sizings, reproducer artifacts) honor what the specs declare.
+Three-sided coverage: every shipped component's spec agrees with its
+implementation (storage, indexing) across multiple library sizings;
+every live SPEC rule fires on a committed violation fixture, and a
+malformed spec refuses to build; and the spec layer's consumers (engine
+gate, contract harness dims, fuzzer sizings, reproducer artifacts) honor
+what the specs declare.
 """
 
+import dataclasses
 import functools
 import json
 import pickle
@@ -25,12 +27,12 @@ from repro.analysis import (
 )
 from repro.analysis.diagnostics import REPORT_VERSION, diagnostic
 from repro.analysis.lints import lint_paths
-from repro.analysis.spec_check import (
-    assert_full_coverage,
-    check_component_spec,
-    spec_coverage,
-)
+from repro.analysis.spec_check import check_component_spec
+from repro.components.base import SpecComponent
 from repro.components.library import standard_library
+from repro.components.tournament import Tourney
+from repro.core.interface import InterfaceError
+from repro.derive.reference import ReferenceHBIM
 from repro.kernels.engine import engine_for
 from repro.spec import (
     LEGAL_SIZINGS,
@@ -42,7 +44,6 @@ from repro.spec import (
     register_waiver,
     waiver_for,
 )
-from repro.synthesis.area import AreaModel, spec_area
 
 from tests.fixtures import bad_specs
 
@@ -73,6 +74,9 @@ SIZINGS = [
 ]
 
 BASES = sorted(standard_library().known())
+
+#: The tournament preset's shape with the lying chooser in the selector.
+LIAR_TOPOLOGY = "LIAR3 > [GBIM2 > BTB2, LBIM2]"
 
 
 def codes(diags):
@@ -171,22 +175,18 @@ class TestLibraryConformance:
     @pytest.mark.parametrize("sizing", range(len(SIZINGS)))
     def test_storage_round_trip(self, base, sizing):
         component = build(base, sizing)
-        spec = component.spec()
+        spec = component.spec
         assert spec is not None
         impl = component.storage()
         assert (spec.sram_bits, spec.flop_bits) == (
             impl.sram_bits,
             impl.flop_bits,
         )
-        model = AreaModel()
-        assert spec_area(spec, component.name, model) == pytest.approx(
-            model.report_area(impl)
-        )
 
     @pytest.mark.parametrize("base", BASES)
     def test_index_fn_matches_observed_indexing(self, base):
         component = build(base)
-        spec = component.spec()
+        spec = component.spec
         rng = random.Random(f"test-spec-probe:{base}")
         probed = 0
         for table in spec.tables:
@@ -209,22 +209,29 @@ class TestLibraryConformance:
         if base not in ("UBTB", "SC", "PERC"):
             assert probed, f"{base} exposed no probeable table"
 
+    def test_spec_coverage_is_total(self):
+        # Every library base, at every sizing, is a SpecComponent: it is
+        # built from a well-formed spec and carries it, so none is left
+        # without a declaration for the analyzers to read.
+        for sizing in range(len(SIZINGS)):
+            library = standard_library(**SIZINGS[sizing])
+            assert sorted(library.known()) == BASES
+            for base in BASES:
+                component = build(base, sizing)
+                assert isinstance(component, SpecComponent), base
+                assert isinstance(component.spec, ComponentSpec), base
+                assert component.spec.validate() == [], base
+
     def test_meta_fields_match_declared_meta_bits(self):
         for base in BASES:
             component = build(base)
-            spec = component.spec()
+            spec = component.spec
             assert spec.meta_bits == component.meta_bits, base
-
-    def test_spec_coverage_is_total(self):
-        covered, missing = spec_coverage()
-        assert missing == []
-        assert sorted(covered) == BASES
-        assert_full_coverage()  # the CI gate: must not raise
 
     def test_history_demand_matches_top006_budget(self):
         for base in BASES:
             component = build(base)
-            spec = component.spec()
+            spec = component.spec
             assert spec.ghist_bits == component.required_ghist_bits, base
             assert spec.lhist_bits == component.required_lhist_bits, base
             assert spec.phist_bits == component.required_phist_bits, base
@@ -278,7 +285,7 @@ class TestBatchReplayDeclaration:
     def test_kernel_implies_engine_drivable_spec(self, base):
         for params, component in legal_builds(base):
             if component.columnar_kernel() is not None:
-                assert component.spec().engine_drivable, (
+                assert component.spec.engine_drivable, (
                     f"{base} at {params} has a kernel but an undrivable spec"
                 )
 
@@ -316,17 +323,25 @@ class TestSpecViolations:
         finally:
             clear_waiver("UnwaivedClosedForm", "SPEC006")
 
-    def test_crashing_spec_is_spec008(self):
-        diags = check_component_spec(bad_specs.CrashingSpec("liar", 2))
-        assert codes(diags) == ["SPEC008"]
-        assert "spec() raised" in diags[0].message
+    def test_malformed_spec_refuses_to_build(self):
+        class NegativeWidth(Tourney):
+            def _build_spec(self):
+                honest = super()._build_spec()
+                broken = FieldSpec("choice", -2, self.fetch_width)
+                return dataclasses.replace(honest, meta_fields=(broken,))
+
+        with pytest.raises(InterfaceError) as excinfo:
+            NegativeWidth("liar", 2)
+        message = str(excinfo.value)
+        assert "liar" in message
+        assert "'choice'" in message and "must be positive" in message
 
     def test_bad_specs_surface_through_check_library_specs(self):
         library = standard_library().with_params(
             "LIAR",
-            lambda name, lat: bad_specs.LyingGeometry(name, lat),
+            lambda name, lat: bad_specs.WrongIndex(name, lat),
         )
-        assert "SPEC002" in codes(check_library_specs(library))
+        assert "SPEC003" in codes(check_library_specs(library))
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +349,14 @@ class TestSpecViolations:
 # ----------------------------------------------------------------------
 class TestSpecConsumers:
     def test_dims_default_without_spec(self):
-        component = bad_specs.MissingSpec("x", 2)
+        component = ReferenceHBIM("x", 2)
+        assert component.spec is None
         assert dims_for(component) == StimulusDims()
 
     def test_dims_widen_to_index_plus_tag_reach(self):
         btb = build("BTB")
         dims = dims_for(btb)
-        spec = btb.spec()
+        spec = btb.spec
         tags = next(t for t in spec.tables if t.name == "tags")
         tag_bits = sum(f.bits for f in tags.fields if f.name == "tag")
         assert dims.pc_bits == max(20, tags.index.index_bits + tag_bits)
@@ -350,17 +366,20 @@ class TestSpecConsumers:
         for base in BASES:
             component = build(base)
             dims = dims_for(component)
-            spec = component.spec()
+            spec = component.spec
             assert dims.ghist_bits >= spec.ghist_bits
             assert dims.lhist_bits >= spec.lhist_bits
             assert dims.phist_bits >= spec.phist_bits
 
     def test_engine_gate_falls_back_for_specless_component(self):
         # The gate reads only columnar_kernel(): a spec-less third-party
-        # component with a kernel engages like a spec-carrying one.
+        # component with a hand-written kernel engages like a
+        # spec-carrying one.  (A generated kernel is built from the spec,
+        # so the BTB, whose kernel is hand-written, stands in.)
         predictor = presets.build("b2")
         assert engine_for(predictor) is not None
-        predictor.components[0].spec = lambda: None
+        btb = next(c for c in predictor.components if c.name == "btb")
+        btb.spec = None
         assert engine_for(predictor) is not None
 
 
@@ -420,22 +439,22 @@ class TestFuzzIntegration:
 
             library = standard_library().with_params(
                 "LIAR",
-                lambda name, lat: bad_specs.LyingGeometry(name, lat),
+                lambda name, lat: bad_specs.WrongIndex(name, lat),
             )
-            return compose("LIAR2 > BTB2 > BIM2", library=library)
+            return compose(LIAR_TOPOLOGY, library=library)
 
         case = FuzzCase(
             case_id=0,
             seed=0,
             label="liar",
             predictor_spec=lying_predictor,
-            topology="LIAR2 > BTB2 > BIM2",
+            topology=LIAR_TOPOLOGY,
             program_spec=random_program_spec(random.Random(0)),
         )
         mismatches = run_oracle("spec", case, tmp_path)
         assert mismatches
         assert mismatches[0].oracle == "spec"
-        assert any("SPEC002" in str(m.actual) for m in mismatches)
+        assert any("SPEC003" in str(m.actual) for m in mismatches)
 
     def test_reproducer_round_trips_library_params(self, tmp_path):
         from repro.fuzz.generate import TopologyFactory, random_program_spec
@@ -472,9 +491,12 @@ class TestFuzzIntegration:
 class TestSchemaAndCli:
     def test_report_version_bumped_for_spec_family(self):
         assert REPORT_VERSION == 2
-        # SPEC007 is retired and its code not reused.
+        # SPEC001/002/004/005/007/008 are retired and their codes not
+        # reused.
         assert {code for code in RULES if code.startswith("SPEC")} == {
-            f"SPEC{n:03d}" for n in range(1, 10) if n != 7
+            "SPEC003",
+            "SPEC006",
+            "SPEC009",
         }
 
     def test_every_registered_rule_code_round_trips_the_schema(self):
@@ -498,6 +520,14 @@ class TestSchemaAndCli:
         rc = cli.main(
             ["check", "--topology", "BTB2 > BIM2", "--ignore", "NOPE999"]
         )
+        assert rc == 2
+        assert "unknown rule code" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "code", ["SPEC001", "SPEC002", "SPEC004", "SPEC005", "SPEC007", "SPEC008"]
+    )
+    def test_retired_spec_code_is_unknown_to_ignore(self, code, capsys):
+        rc = cli.main(["check", "--spec", "--ignore", code])
         assert rc == 2
         assert "unknown rule code" in capsys.readouterr().err
 

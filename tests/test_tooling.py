@@ -158,7 +158,7 @@ class TestVerilogSkeleton:
         predictor = presets.tage_l()
         text = generate_verilog_skeleton(predictor)
         tables = sum(
-            len(c.spec().tables) if c.spec() is not None else 0
+            len(c.spec.tables) if c.spec is not None else 0
             for c in predictor.components
         )
         expected = len(predictor.components) + tables + 1
