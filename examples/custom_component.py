@@ -67,15 +67,15 @@ class AgreeFilter(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             index, tag = self._index_tag(req.fetch_pc + lane, req.ghist)
             if self._valid[index] and int(self._tags[index]) == tag:
                 ctr = int(self._ctrs[index])
-                out.slots[lane].taken = counter_taken(ctr, 2)
-                out.slots[lane].hit = True
+                taken = counter_taken(ctr, 2)
+                out = out.with_slot(lane, slot.with_direction(taken))
                 meta = self._codec.pack(hit=1, ctr=ctr, lane=lane,
                                         inc=int(slot.taken))
             else:

@@ -62,7 +62,12 @@ from repro.analysis.diagnostics import Diagnostic, diagnostic
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError, PredictorComponent
 from repro.core.parser import ComponentLibrary
-from repro.core.prediction import PredictionVector, SlotPrediction, packet_span
+from repro.core.prediction import (
+    EMPTY_SLOT,
+    PredictionVector,
+    SlotPrediction,
+    packet_span,
+)
 
 DEFAULT_SEED = 0xC0B7A
 DEFAULT_STEPS = 48
@@ -213,8 +218,8 @@ def _random_vector(
                 )
             )
         else:
-            slots.append(SlotPrediction())
-    return PredictionVector(fetch_pc, slots)
+            slots.append(EMPTY_SLOT)
+    return PredictionVector(fetch_pc, tuple(slots))
 
 
 def _stimulus(
@@ -292,10 +297,6 @@ def _branchless_bundle(req: PredictRequest, meta: int) -> UpdateBundle:
     )
 
 
-def _slot_key(slot: SlotPrediction) -> tuple:
-    return (slot.hit, slot.is_branch, slot.is_jump, slot.taken, slot.target)
-
-
 # ----------------------------------------------------------------------
 # Per-component checks
 # ----------------------------------------------------------------------
@@ -323,7 +324,7 @@ def _check_lookup_contract(
     report: _Reporter,
     step: int,
 ) -> None:
-    """CON001 (meta width) and CON002 (pass-through / input mutation)."""
+    """CON001 (meta width) and CON002 (pass-through, selector directions)."""
     try:
         component.check_meta(meta)
     except InterfaceError as exc:
@@ -342,7 +343,7 @@ def _check_lookup_contract(
                 report.report(
                     "CON002",
                     f"step {step}: jump slot {i} came in as "
-                    f"{_slot_key(in_slot)} and left as {_slot_key(out_slot)}; "
+                    f"{tuple(in_slot)} and left as {tuple(out_slot)}; "
                     f"unpredicted fields must pass through verbatim",
                 )
                 break
@@ -364,21 +365,6 @@ def _check_lookup_contract(
                 break
 
 
-def _check_input_mutation(
-    inputs: List[PredictionVector],
-    snapshots: List[PredictionVector],
-    report: _Reporter,
-    step: int,
-) -> None:
-    for k, (vector, snapshot) in enumerate(zip(inputs, snapshots)):
-        if vector != snapshot:
-            report.report(
-                "CON002",
-                f"step {step}: lookup mutated predict_in[{k}] in place; "
-                f"components must copy before overriding",
-            )
-
-
 def _drive(
     component: PredictorComponent,
     seed: int,
@@ -395,12 +381,10 @@ def _drive(
     overrides_fire = type(component).fire is not PredictorComponent.fire
     for step in range(steps):
         req, inputs = _stimulus(rng, component.n_inputs, dims)
-        snapshots = [v.copy() for v in inputs]
         out, meta = component.lookup(req, inputs)
         if report is not None:
             _check_lookup_contract(component, req, inputs, out, meta, report, step)
-            _check_input_mutation(inputs, snapshots, report, step)
-        log.append((req.fetch_pc, meta, tuple(_slot_key(s) for s in out.slots)))
+        log.append((req.fetch_pc, meta, out.slots))
 
         bundle = _bundle(rng, req, out, inputs, meta)
         if overrides_fire:
@@ -546,7 +530,7 @@ def check_component(
             batch = None
         if batch is not None:
             for p, (req, vector) in enumerate(zip(reqs, vectors)):
-                out, _meta = replay.lookup(req, [vector.copy()])
+                out, _meta = replay.lookup(req, [vector])
                 ok, why = state_matches_vector(
                     batch, p, int(ctx.offset[p]), out
                 )
@@ -580,7 +564,7 @@ def check_component(
             if violated:
                 break
             req, inputs = _stimulus(rng, fast.n_inputs, fast_dims)
-            out_a, meta_a = fast.lookup(req, [v.copy() for v in inputs])
+            out_a, meta_a = fast.lookup(req, inputs)
             # Perturb each history independently, single-bit and full-width
             # flips both, so neither parity tricks nor wide hashes escape.
             for field in ("ghist", "lhist", "phist"):
@@ -592,13 +576,8 @@ def check_component(
                         lhist=req.lhist ^ (flip if field == "lhist" else 0),
                         phist=req.phist ^ (flip if field == "phist" else 0),
                     )
-                    out_b, meta_b = fast.lookup(
-                        shifted, [v.copy() for v in inputs]
-                    )
-                    if meta_a != meta_b or any(
-                        _slot_key(a) != _slot_key(b)
-                        for a, b in zip(out_a.slots, out_b.slots)
-                    ):
+                    out_b, meta_b = fast.lookup(shifted, inputs)
+                    if meta_a != meta_b or out_a.slots != out_b.slots:
                         report.report(
                             "CON003",
                             f"step {step}: at latency 1 the output changed "

@@ -38,11 +38,10 @@ RULES: Dict[str, tuple] = {
     "CON007": (ERROR, "component is not deterministic under a fixed seed"),
     "CON008": (ERROR, "branchless packet changes state despite branchless_inert"),
     "CON009": (ERROR, "columnar kernel lookup diverges from the scalar lookup"),
-    # Source lints (repro.analysis.lints)
+    # Source lints (repro.analysis.lints).  Retired, never reused: RPR004.
     "RPR001": (ERROR, "unseeded RNG or wall-clock use in deterministic code"),
     "RPR002": (ERROR, "mutable default argument"),
     "RPR003": (ERROR, "fire overridden without on_repair"),
-    "RPR004": (ERROR, "direct mutation of an incoming PredictionVector"),
     "RPR005": (WARN, "noqa comment references an unknown rule code"),
     # Spec conformance (repro.analysis.spec_check).  Retired, never
     # reused: SPEC001, SPEC002, SPEC004, SPEC005, SPEC007, SPEC008.

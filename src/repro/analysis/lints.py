@@ -8,9 +8,12 @@ code    finding
 RPR001  unseeded RNG or wall-clock call in deterministic code
 RPR002  mutable default argument
 RPR003  PredictorComponent subclass overrides fire without on_repair
-RPR004  in-place mutation of an incoming ``predict_in`` vector
 RPR005  noqa comment references an unknown rule code (warn)
 ======  ========================================================
+
+RPR004 (in-place mutation of an incoming ``predict_in`` vector) is retired
+and its code not reused: prediction vectors and their slots are immutable,
+so such a write raises at run time.
 
 RPR001 applies only to the determinism-critical packages (``core``,
 ``components``, ``frontend``, ``isa``): simulation results must be a pure
@@ -59,12 +62,6 @@ _ALLOWED_NP_RANDOM = {"RandomState", "default_rng", "Generator",
                       "SeedSequence", "PCG64", "Philox", "MT19937", "SFC64"}
 _BANNED_DATETIME_METHODS = {"now", "utcnow", "today"}
 
-#: Methods that mutate their receiver in place (RPR004).
-_MUTATING_METHODS = {
-    "append", "extend", "insert", "remove", "pop", "clear", "sort",
-    "reverse", "fill", "update", "add", "discard", "setdefault", "popitem",
-}
-
 
 class _ClassInfo:
     __slots__ = ("name", "bases", "methods", "file", "line")
@@ -84,13 +81,6 @@ def _base_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _call_root(node: ast.expr) -> Optional[str]:
-    """The name at the root of an attribute/subscript chain, if any."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _dotted(node: ast.expr) -> Optional[str]:
@@ -117,8 +107,6 @@ class _FileLinter(ast.NodeVisitor):
         #: Names imported from banned modules (``from time import time``).
         self.from_imports: Dict[str, Tuple[str, str]] = {}
         self.classes: List[_ClassInfo] = []
-        #: Stack of function scopes carrying their predict_in parameter name.
-        self._predict_in_stack: List[bool] = []
 
     # -- suppression ----------------------------------------------------
     def _suppressed(self, code: str, line: int) -> bool:
@@ -226,20 +214,6 @@ class _FileLinter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         if self.deterministic_scope:
             self._check_entropy_call(node)
-        # RPR004: mutating method call on a predict_in-rooted chain.
-        if (
-            self._predict_in_stack
-            and self._predict_in_stack[-1]
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
-            and _call_root(node.func.value) == "predict_in"
-        ):
-            self._report(
-                "RPR004",
-                f"{node.func.attr}() mutates an incoming prediction vector; "
-                f"copy predict_in before overriding slots (§III-F)",
-                node,
-            )
         self.generic_visit(node)
 
     # -- RPR002 ---------------------------------------------------------
@@ -263,19 +237,9 @@ class _FileLinter(ast.NodeVisitor):
 
     def _visit_function(self, node) -> None:
         self._check_defaults(node)
-        has_predict_in = any(
-            arg.arg == "predict_in"
-            for arg in node.args.args + node.args.kwonlyargs
-        )
-        self._predict_in_stack.append(has_predict_in)
         self.generic_visit(node)
-        self._predict_in_stack.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
@@ -292,28 +256,6 @@ class _FileLinter(ast.NodeVisitor):
         self.classes.append(
             _ClassInfo(node.name, bases, methods, self.path, node.lineno)
         )
-        self.generic_visit(node)
-
-    # -- RPR004 (assignments) -------------------------------------------
-    def _check_store_target(self, target: ast.expr, node: ast.AST) -> None:
-        if not (self._predict_in_stack and self._predict_in_stack[-1]):
-            return
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            if _call_root(target) == "predict_in":
-                self._report(
-                    "RPR004",
-                    "assignment into an incoming prediction vector; copy "
-                    "predict_in before overriding slots (§III-F)",
-                    node,
-                )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_store_target(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store_target(node.target, node)
         self.generic_visit(node)
 
 

@@ -35,7 +35,6 @@ from repro.core.parser import ComponentLibrary, TopologyParseError, parse_topolo
 from repro.core.prediction import PredictionVector, packet_span
 from repro.core.topology import (
     Arbitrate,
-    Leaf,
     Override,
     TopologyNode,
     validate_topology,

@@ -180,6 +180,10 @@ class IndexScheme:
     - ``"lhist"``   — folded local history XOR a short PC hash (two-level
       local predictor second stage).
     - ``"gshare"``  — PC hash XOR folded global history (GShare).
+    - ``"gselect"`` — PC hash bits concatenated with the low global-history
+      bits, half the index each (GSelect).
+    - ``"phist"``   — folded path history only.
+    - ``"pshare"``  — PC hash XOR folded path history.
     """
 
     SCHEMES = ("pc", "ghist", "lhist", "gshare", "gselect", "phist", "pshare")

@@ -25,6 +25,8 @@ from repro.core.prediction import PredictionVector
 from repro.derive.tables import DerivedTable
 from repro.spec import ComponentSpec, FieldSpec, TableSpec
 
+_new_tuple = tuple.__new__
+
 
 class HBIM(SpecComponent):
     """History/PC-indexed bimodal counter table.
@@ -76,16 +78,19 @@ class HBIM(SpecComponent):
         row = self._table[
             self._index(req.fetch_pc, req.ghist, req.lhist, req.phist)
         ].tolist()
-        out = predict_in[0].copy()
+        predicted = predict_in[0]
         offset = req.fetch_pc % self.fetch_width
-        for slot_idx, slot in enumerate(out.slots):
+        slots = []
+        for slot_idx, slot in enumerate(predicted.slots):
             counter = row[offset + slot_idx]
             # An untagged table provides a base direction for every slot; it
             # does not know branch locations or targets, so those fields pass
             # through from predict_in (§III-F).
-            slot.hit = True
+            taken = slot.taken
             if not slot.is_jump:
-                slot.taken = counter_taken(counter, self.counter_bits)
+                taken = counter_taken(counter, self.counter_bits)
+            slots.append(slot.with_direction(taken))
+        out = _new_tuple(PredictionVector, (predicted.fetch_pc, tuple(slots)))
         # A MetaCodec field with one lane packs as a scalar, so a scalar
         # (fetch_width=1) pipeline hands over the bare counter.
         meta = self._codec.pack(ctr=row if self.fetch_width > 1 else row[0])

@@ -27,8 +27,10 @@ from repro._util import (
 )
 from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
+
+_new_tuple = tuple.__new__
 
 #: Width of stored target addresses (word-addressed PCs).
 TARGET_BITS = 30
@@ -85,27 +87,27 @@ class BTB(SpecComponent):
     ) -> Tuple[PredictionVector, int]:
         index, tag = self._index_tag(req.fetch_pc)
         way = self._find_way(index, tag)
-        out = predict_in[0].copy()
+        predicted = predict_in[0]
         if way is None:
             # Tag miss: pass the incoming prediction through unmodified
             # (§III-F), recording the miss in metadata.
-            return out, self._codec.pack(hit=0, way=0)
+            return predicted, self._codec.pack(hit=0, way=0)
         offset = req.fetch_pc % self.fetch_width
-        for slot_idx, slot in enumerate(out.slots):
+        slots = list(predicted.slots)
+        for slot_idx, slot in enumerate(predicted.slots):
             lane = offset + slot_idx
             if not self._slot_valid[index, way, lane]:
                 continue
-            slot.hit = True
-            slot.target = int(self._targets[index, way, lane])
+            target = int(self._targets[index, way, lane])
             if self._slot_jump[index, way, lane]:
-                slot.is_jump = True
-                slot.is_branch = False
-                slot.taken = True
+                fields = (True, False, True, True, target)
             else:
-                slot.is_branch = True
                 # Direction comes from predict_in where a direction
                 # predictor below already spoke; a bare BTB hit defaults to
                 # not-taken until some component predicts the direction.
+                fields = (True, True, slot.is_jump, slot.taken, target)
+            slots[slot_idx] = _new_tuple(SlotPrediction, fields)
+        out = _new_tuple(PredictionVector, (predicted.fetch_pc, tuple(slots)))
         return out, self._codec.pack(hit=1, way=way)
 
     # ------------------------------------------------------------------
@@ -244,7 +246,7 @@ class MicroBTB(SpecComponent):
     ) -> Tuple[PredictionVector, int]:
         tag = self._tag(req.fetch_pc)
         entry = self._find(tag)
-        out = predict_in[0].copy()
+        out = predict_in[0]
         if entry is None:
             return out, self._codec.pack(hit=0, entry=0, ctr=0)
         offset = req.fetch_pc % self.fetch_width
@@ -252,14 +254,13 @@ class MicroBTB(SpecComponent):
         counter = int(self._ctrs[entry])
         if 0 <= slot_idx < len(out.slots):
             slot = out.slots[slot_idx]
-            slot.hit = True
-            slot.target = int(self._targets[entry])
+            target = int(self._targets[entry])
             if self._is_jump[entry]:
-                slot.is_jump = True
-                slot.taken = True
+                fields = (True, slot.is_branch, True, True, target)
             else:
-                slot.is_branch = True
-                slot.taken = counter_taken(counter, self.counter_bits)
+                taken = counter_taken(counter, self.counter_bits)
+                fields = (True, True, slot.is_jump, taken, target)
+            out = out.with_slot(slot_idx, _new_tuple(SlotPrediction, fields))
         return out, self._codec.pack(hit=1, entry=entry, ctr=counter)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,8 @@ from repro.core.prediction import PredictionVector
 from repro.derive.tables import DerivedTable
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
+_new_tuple = tuple.__new__
+
 
 class GTag(SpecComponent):
     """Partially tagged, global-history-indexed superscalar counter table."""
@@ -88,18 +90,19 @@ class GTag(SpecComponent):
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
         index, tag = self._index_tag(req.fetch_pc, req.ghist)
-        out = predict_in[0].copy()
+        out = predict_in[0]
         hit = bool(self._valid[index]) and int(self._tags[index]) == tag
         row = self._ctrs[index]
         if hit:
             offset = req.fetch_pc % self.fetch_width
+            slots = []
             for slot_idx, slot in enumerate(out.slots):
-                if slot.is_jump:
-                    continue
-                slot.hit = True
-                slot.taken = counter_taken(
-                    int(row[offset + slot_idx]), self.counter_bits
-                )
+                if not slot.is_jump:
+                    slot = slot.with_direction(
+                        counter_taken(int(row[offset + slot_idx]), self.counter_bits)
+                    )
+                slots.append(slot)
+            out = _new_tuple(PredictionVector, (out.fetch_pc, tuple(slots)))
         meta = self._codec.pack(hit=int(hit), ctr=row.tolist())
         return out, meta
 

@@ -31,7 +31,7 @@ from repro._util import (
 from repro.components.base import SpecComponent
 from repro.components.btb import TARGET_BITS
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 
@@ -94,7 +94,7 @@ class ITTAGE(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
+        out = predict_in[0]
         hits = self._matches(req.fetch_pc, req.ghist)
         if not hits:
             return out, self._codec.pack(provider_valid=0, provider=0, lane=0, conf=0)
@@ -104,12 +104,9 @@ class ITTAGE(SpecComponent):
         offset = req.fetch_pc % self.fetch_width
         slot_idx = lane - offset
         if 0 <= slot_idx < len(out.slots) and conf >= (1 << (self.conf_bits - 1)):
-            slot = out.slots[slot_idx]
-            slot.hit = True
-            slot.is_jump = True
-            slot.is_branch = False
-            slot.taken = True
-            slot.target = int(self._targets[provider][index])
+            target = int(self._targets[provider][index])
+            slot = SlotPrediction(hit=True, is_jump=True, taken=True, target=target)
+            out = out.with_slot(slot_idx, slot)
         return out, self._codec.pack(
             provider_valid=1, provider=provider, lane=slot_idx if slot_idx >= 0 else 0,
             conf=conf,

@@ -79,8 +79,8 @@ class LoopPredictor(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             entry = self._entry_for(req.fetch_pc + lane)
@@ -95,9 +95,7 @@ class LoopPredictor(SpecComponent):
                 # missed speculative update), predicting exit on *every*
                 # remaining iteration would turn one mispredict into many.
                 predicted = not body if spec_iter == int(self._trip[entry]) else body
-                out_slot = out.slots[lane]
-                out_slot.hit = True
-                out_slot.taken = predicted
+                out = out.with_slot(lane, slot.with_direction(predicted))
             return out, meta
         return out, self._codec.pack(cand_valid=0, lane=0, spec_iter=0)
 

@@ -68,15 +68,13 @@ class Perceptron(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             _, total = self._dot(req.fetch_pc + lane, req.ghist)
             taken = total >= 0
-            out_slot = out.slots[lane]
-            out_slot.hit = True
-            out_slot.taken = taken
+            out = out.with_slot(lane, slot.with_direction(taken))
             meta = self._codec.pack(
                 cand_valid=1,
                 lane=lane,

@@ -85,8 +85,8 @@ class StatisticalCorrector(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             incoming = bool(slot.taken)
@@ -96,8 +96,7 @@ class StatisticalCorrector(SpecComponent):
             corrected = total >= 0
             flipped = corrected != incoming and abs(total) >= self.flip_threshold
             if flipped:
-                out.slots[lane].taken = corrected
-                out.slots[lane].hit = True
+                out = out.with_slot(lane, slot.with_direction(corrected))
             meta = self._codec.pack(
                 cand_valid=1,
                 lane=lane,

@@ -33,6 +33,8 @@ from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
+_new_tuple = tuple.__new__
+
 
 @dataclass(frozen=True)
 class TageTableConfig:
@@ -163,11 +165,11 @@ class TAGE(SpecComponent):
             if index is not None:
                 hits.append((table, index))
 
-        out = predict_in[0].copy()
+        out = predict_in[0]
         offset = req.fetch_pc % self.fetch_width
         width = self.fetch_width
         base_taken = [False] * width
-        for slot_idx, slot in enumerate(predict_in[0].slots):
+        for slot_idx, slot in enumerate(out.slots):
             base_taken[offset + slot_idx] = bool(slot.hit and slot.taken)
 
         provider_valid = alt_valid = 0
@@ -191,8 +193,10 @@ class TAGE(SpecComponent):
                     counter_taken(c, self.counter_bits)
                     for c in alt_row.tolist()
                 ]
+            slots = []
             for slot_idx, slot in enumerate(out.slots):
                 if slot.is_jump:
+                    slots.append(slot)
                     continue
                 lane = offset + slot_idx
                 ctr = provider_ctr[lane]
@@ -205,8 +209,8 @@ class TAGE(SpecComponent):
                 if newly_allocated and self._use_alt_on_na >= 8:
                     taken = alt_taken[lane]
                     used_alt[lane] = 1
-                slot.hit = True
-                slot.taken = taken
+                slots.append(slot.with_direction(taken))
+            out = _new_tuple(PredictionVector, (out.fetch_pc, tuple(slots)))
 
         meta = self._codec.pack(
             provider_valid=provider_valid,

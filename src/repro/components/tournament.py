@@ -17,8 +17,10 @@ from repro._util import fold_history, hash_pc, log2_exact, saturating_update
 from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import EMPTY_SLOT, PredictionVector, SlotPrediction
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
+
+_new_tuple = tuple.__new__
 
 
 class Tourney(SpecComponent):
@@ -70,21 +72,23 @@ class Tourney(SpecComponent):
         first, second = predict_in
         row = self._table[self._index(req.fetch_pc, req.ghist)]
         offset = req.fetch_pc % self.fetch_width
-        out = first.copy()
         half = 1 << (self.counter_bits - 1)
-        for slot_idx, slot in enumerate(out.slots):
+        slots = []
+        for slot_idx, slot in enumerate(first.slots):
             counter = int(row[offset + slot_idx])
-            chosen = second.slots[slot_idx] if counter >= half else first.slots[slot_idx]
+            if counter >= half:
+                chosen, other = second.slots[slot_idx], slot
+            else:
+                chosen, other = slot, second.slots[slot_idx]
             if chosen.hit and not slot.is_jump:
-                slot.hit = True
-                slot.taken = chosen.taken
                 # Targets flow from whichever side knows them; prefer the
                 # chosen side's target, falling back to the other.
-                other = first.slots[slot_idx] if counter >= half else second.slots[slot_idx]
-                slot.target = (
-                    chosen.target if chosen.target is not None else other.target
-                )
-                slot.is_branch = chosen.is_branch or other.is_branch
+                target = chosen.target if chosen.target is not None else other.target
+                is_branch = chosen.is_branch or other.is_branch
+                fields = (True, is_branch, False, chosen.taken, target)
+                slot = _new_tuple(SlotPrediction, fields)
+            slots.append(slot)
+        out = _new_tuple(PredictionVector, (first.fetch_pc, tuple(slots)))
         meta = self._codec.pack(
             choice=row.tolist(),
             a_taken=[int(s.hit and s.taken) for s in _padded(first, self.fetch_width, offset)],
@@ -147,9 +151,7 @@ class Tourney(SpecComponent):
 
 def _padded(vector: PredictionVector, fetch_width: int, offset: int):
     """Expand a packet-span vector to full fetch-width lanes for metadata."""
-    from repro.core.prediction import SlotPrediction
-
-    lanes = [SlotPrediction() for _ in range(fetch_width)]
+    lanes = [EMPTY_SLOT] * fetch_width
     for slot_idx, slot in enumerate(vector.slots):
         lanes[offset + slot_idx] = slot
     return lanes

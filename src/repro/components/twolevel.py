@@ -127,16 +127,16 @@ class TwoLevel(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             branch_pc = req.fetch_pc + lane
             history = self._level1_history(branch_pc, req.ghist)
             table, index = self._l2_slot(branch_pc, history)
             counter = int(self._l2[table, index])
-            out.slots[lane].hit = True
-            out.slots[lane].taken = counter_taken(counter, self.counter_bits)
+            taken = counter_taken(counter, self.counter_bits)
+            out = out.with_slot(lane, slot.with_direction(taken))
             meta = self._codec.pack(
                 cand_valid=1, lane=lane, hist=history, ctr=counter
             )

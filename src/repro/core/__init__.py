@@ -24,7 +24,6 @@ from repro.core.prediction import (
     PreDecodedSlot,
     PredictionVector,
     SlotPrediction,
-    StagedPrediction,
     packet_span,
 )
 from repro.core.repair import RepairStateMachine
@@ -60,7 +59,6 @@ __all__ = [
     "parse_topology",
     "PredictionVector",
     "SlotPrediction",
-    "StagedPrediction",
     "packet_span",
     "RepairStateMachine",
     "Arbitrate",

@@ -54,6 +54,7 @@ from repro.core.prediction import (
     PREDECODE_JAL,
     PREDECODE_NONE,
     PREDECODE_RET,
+    EMPTY_SLOT,
     PredictionVector,
     PreDecodedSlot,
     SlotPrediction,
@@ -62,10 +63,6 @@ from repro.core.repair import RepairStateMachine, bundle_fields
 from repro.core.topology import EvaluationPlan, TopologyNode, validate_topology
 
 _new_tuple = tuple.__new__
-
-#: The final prediction of every slot pre-decode finds no CFI in.  Shared:
-#: final vectors are read-only, like every vector the composer hands out.
-_NO_PREDICTION = SlotPrediction()
 
 
 @dataclass
@@ -305,11 +302,11 @@ class ComposedPredictor:
         staged = [values[i] for i in self._plan.filled_stages]
         predicted = staged[-1]
 
-        # Pre-decode (see the module docstring) builds the final vector
-        # without copying the predicted one: a fresh slot per decoded CFI,
-        # the shared empty slot elsewhere.  The packet ends at the first
-        # slot that redirects fetch (or, serialized, at the first CFI);
-        # branch lanes up to and including it enter the history and masks.
+        # Pre-decode (see the module docstring) builds the final vector: a
+        # fresh slot per decoded CFI, the empty slot elsewhere.  The packet
+        # ends at the first slot that redirects fetch (or, serialized, at
+        # the first CFI); branch lanes up to and including it enter the
+        # history and masks.
         final_slots = []
         br_mask = []
         taken_mask = []
@@ -320,17 +317,14 @@ class ComposedPredictor:
             kind = info.predecode_kind
             if kind == PREDECODE_NONE:
                 # Bogus predictions on non-CFI slots are dropped.
-                slot = _NO_PREDICTION
+                slot = EMPTY_SLOT
                 redirects = False
             elif kind == PREDECODE_BRANCH:
                 # Direct targets come from the instruction bits.
                 redirects = raw.taken
-                slot = SlotPrediction(
-                    hit=raw.hit,
-                    is_branch=True,
-                    taken=redirects,
-                    target=info.direct_target if redirects else None,
-                )
+                target = info.direct_target if redirects else None
+                fields = (raw.hit, True, False, redirects, target)
+                slot = _new_tuple(SlotPrediction, fields)
             else:
                 # Unconditional jumps are taken; returns take the RAS
                 # target, other indirect targets come from the BTB.
@@ -341,9 +335,7 @@ class ComposedPredictor:
                     target = ras_top
                 else:
                     target = raw.target
-                slot = SlotPrediction(
-                    hit=raw.hit, is_jump=True, taken=True, target=target
-                )
+                slot = _new_tuple(SlotPrediction, (raw.hit, False, True, True, target))
             final_slots.append(slot)
             if cut is None:
                 if info.counts_branch:
@@ -357,7 +349,7 @@ class ComposedPredictor:
                     cut = cfi_idx = len(final_slots) - 1
                 elif serialize and info.is_cfi:
                     cut = len(final_slots) - 1
-        final = PredictionVector(fetch_pc, final_slots)
+        final = _new_tuple(PredictionVector, (fetch_pc, tuple(final_slots)))
         if cut is None:
             fetched_len = width
             next_pc = aligned_next

@@ -174,8 +174,10 @@ class PredictorComponent(abc.ABC):
         ``predict_in`` holds ``n_inputs`` incoming predictions (the final
         predictions of the sub-topologies feeding this component at this
         component's response stage).  Implementations must *pass through*
-        ``predict_in[0]`` slots for which they form no prediction, and may
-        override fields for which they do (§III-F).
+        ``predict_in[0]`` slots for which they form no prediction, and
+        replace the slots for which they do (§III-F); vectors and slots are
+        immutable, so a lookup that predicts nothing may return
+        ``predict_in[0]`` itself.
 
         Returns the outgoing prediction vector and the metadata integer
         (masked by the framework to ``meta_bits``).

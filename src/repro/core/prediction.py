@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
 
-_new = object.__new__
+_new_tuple = tuple.__new__
 
 
 def packet_span(fetch_pc: int, fetch_width: int) -> int:
@@ -145,14 +145,18 @@ def predecode_slot(
     return PLAIN_SLOT
 
 
-class SlotPrediction:
+class SlotPrediction(NamedTuple):
     """Prediction for a single instruction slot within a fetch packet.
+
+    An immutable value: a component overrides a slot by building a new one
+    and passes every slot it does not predict on as the same object
+    (§III-F).
 
     Attributes
     ----------
     hit:
         Some sub-component formed a real prediction for this slot.  The
-    composer uses this to implement structural overriding: in a topology
+        composer uses this to implement structural overriding: in a topology
         where a fast component is ordered above a slower one (e.g.
         ``uBTB1 > PHT2``), the fast component cannot consume the slow
         component's output as ``predict_in``, so the composer muxes on
@@ -169,89 +173,60 @@ class SlotPrediction:
         (BTB/uBTB) hit for this slot.
     """
 
-    __slots__ = ("hit", "is_branch", "is_jump", "taken", "target")
-
-    def __init__(
-        self,
-        hit: bool = False,
-        is_branch: bool = False,
-        is_jump: bool = False,
-        taken: bool = False,
-        target: Optional[int] = None,
-    ):
-        self.hit = hit
-        self.is_branch = is_branch
-        self.is_jump = is_jump
-        self.taken = taken
-        self.target = target
-
-    def copy(self) -> "SlotPrediction":
-        # The hottest allocation in a sweep (every component lookup copies
-        # its input vector): bypass __init__ and write the slots directly.
-        clone = SlotPrediction.__new__(SlotPrediction)
-        clone.hit = self.hit
-        clone.is_branch = self.is_branch
-        clone.is_jump = self.is_jump
-        clone.taken = self.taken
-        clone.target = self.target
-        return clone
+    hit: bool = False
+    is_branch: bool = False
+    is_jump: bool = False
+    taken: bool = False
+    target: Optional[int] = None
 
     @property
     def redirects(self) -> bool:
         """True when this slot, as predicted, ends the fetch packet."""
         return self.is_jump or (self.is_branch and self.taken)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SlotPrediction)
-            and self.hit == other.hit
-            and self.is_branch == other.is_branch
-            and self.is_jump == other.is_jump
-            and self.taken == other.taken
-            and self.target == other.target
+    def with_direction(self, taken: bool) -> "SlotPrediction":
+        """This slot predicted ``taken`` by a direction predictor.
+
+        The result is a hit; kind and target pass through (§III-F).
+        """
+        return _new_tuple(
+            SlotPrediction, (True, self.is_branch, self.is_jump, taken, self.target)
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "br" if self.is_branch else ("jmp" if self.is_jump else "-")
-        direction = "T" if self.taken else "N"
-        return f"<{kind} {direction} ->{self.target}>"
+
+#: The slot no component has predicted.
+EMPTY_SLOT = SlotPrediction()
 
 
-class PredictionVector:
-    """A superscalar prediction: one slot per instruction in the packet."""
+class PredictionVector(NamedTuple):
+    """A superscalar prediction: one slot per instruction in the packet.
 
-    __slots__ = ("fetch_pc", "slots")
+    Immutable like its slots: ``slots`` is a tuple, so vectors and their
+    slots can be shared between stages and queries.
+    """
 
-    def __init__(self, fetch_pc: int, slots: List[SlotPrediction]):
-        self.fetch_pc = fetch_pc
-        self.slots = slots
+    fetch_pc: int
+    slots: Tuple[SlotPrediction, ...]
 
     @classmethod
     def fallthrough(cls, fetch_pc: int, width: int) -> "PredictionVector":
         """The default prediction: no branches, fall through to next packet."""
-        return cls(fetch_pc, [SlotPrediction() for _ in range(width)])
+        return cls(fetch_pc, (EMPTY_SLOT,) * width)
 
     @property
     def width(self) -> int:
         return len(self.slots)
 
-    def copy(self) -> "PredictionVector":
-        # Every component lookup copies its input vector: clone the slots
-        # inline rather than through one ``SlotPrediction.copy`` call each
-        # (same attributes; tests pin both to ``SlotPrediction.__slots__``).
-        slots = []
-        for slot in self.slots:
-            clone = _new(SlotPrediction)
-            clone.hit = slot.hit
-            clone.is_branch = slot.is_branch
-            clone.is_jump = slot.is_jump
-            clone.taken = slot.taken
-            clone.target = slot.target
-            slots.append(clone)
-        vector = _new(PredictionVector)
-        vector.fetch_pc = self.fetch_pc
-        vector.slots = slots
-        return vector
+    def with_slot(self, index: int, slot: SlotPrediction) -> "PredictionVector":
+        """This vector with slot ``index`` replaced.
+
+        The other slots are passed on as the same objects.
+        """
+        slots = self.slots
+        return _new_tuple(
+            PredictionVector,
+            (self.fetch_pc, slots[:index] + (slot,) + slots[index + 1 :]),
+        )
 
     def cfi_index(self) -> Optional[int]:
         """Index of the first slot predicted to redirect, or None."""
@@ -277,44 +252,3 @@ class PredictionVector:
     def taken_mask(self) -> Tuple[bool, ...]:
         """Per-slot predicted directions for conditional-branch slots."""
         return tuple(s.is_branch and s.taken for s in self.slots)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PredictionVector)
-            and self.fetch_pc == other.fetch_pc
-            and self.slots == other.slots
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PredictionVector(pc={self.fetch_pc}, {self.slots})"
-
-
-class StagedPrediction:
-    """Per-stage final predictions for one fetch packet (§IV-A).
-
-    ``per_stage[d - 1]`` is the final prediction the composed pipeline emits
-    ``d`` cycles after the query.  The COBRA contract guarantees the
-    prediction at stage ``d`` is "the same or more powerful" than at earlier
-    stages; the composer constructs these by merging the topology subset with
-    latency ``<= d``.
-    """
-
-    __slots__ = ("per_stage", "metas")
-
-    def __init__(self, per_stage: List[PredictionVector], metas: dict):
-        self.per_stage = per_stage
-        self.metas = metas
-
-    @property
-    def depth(self) -> int:
-        return len(self.per_stage)
-
-    def stage(self, d: int) -> PredictionVector:
-        """The final prediction at cycle ``d`` (1-indexed)."""
-        if not 1 <= d <= self.depth:
-            raise IndexError(f"stage {d} outside pipeline depth {self.depth}")
-        return self.per_stage[d - 1]
-
-    @property
-    def final(self) -> PredictionVector:
-        return self.per_stage[-1]

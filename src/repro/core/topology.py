@@ -33,6 +33,8 @@ from repro.core.events import PredictRequest
 from repro.core.interface import InterfaceError, PredictorComponent
 from repro.core.prediction import PredictionVector
 
+_new_tuple = tuple.__new__
+
 #: Attribution map filled in telemetry mode: per-slot provider names for
 #: every produced vector, keyed by ``id(vector)``.
 Attribution = Dict[int, List[Optional[str]]]
@@ -45,18 +47,18 @@ def merge_by_hit(
 
     This is the control-flow-redirection multiplexing the composer generates
     between ordered sub-components (§IV-B): the higher-priority prediction
-    provides the final prediction in any cycle where it exists.
-
-    The merged vector aliases the input slots instead of copying them: every
-    consumer that mutates slot predictions (component ``lookup``
-    implementations) copies the whole vector first, and the composer's
-    pre-decode builds fresh slots, so merged outputs are read-only and
-    sharing is safe.  This runs once per override edge per fetch packet,
-    making it one of the hottest allocation sites in a sweep.
+    provides the final prediction in any cycle where it exists.  Slots are
+    immutable values, so the merged vector holds the input slots themselves.
+    This runs once per override edge per fetch packet.
     """
-    return PredictionVector(
-        winner.fetch_pc,
-        [(w if w.hit else f) for w, f in zip(winner.slots, fallback.slots)],
+    return _new_tuple(
+        PredictionVector,
+        (
+            winner.fetch_pc,
+            tuple(
+                [(w if w.hit else f) for w, f in zip(winner.slots, fallback.slots)]
+            ),
+        ),
     )
 
 
@@ -103,8 +105,7 @@ class TopologyNode(abc.ABC):
 def _shared_fallthrough(fetch_pc: int, width: int) -> PredictionVector:
     """A canonical fall-through vector for default predict_in wiring.
 
-    Safe to share across queries: every consumer that mutates slot
-    predictions copies the vector first, so these defaults are read-only.
+    Vectors are immutable, so one is shared across queries.
     """
     return PredictionVector.fallthrough(fetch_pc, width)
 
@@ -202,9 +203,11 @@ class EvaluationPlan:
         ``i``'s prediction, or None for the fall-through default.  Provider
         identity follows the same muxing the vectors themselves do — a
         pass-through slot keeps its upstream provider — so the map is exact
-        for any vector the composer hands to the frontend.  The ids are
-        only valid while the vectors are alive; callers must consume the
-        map before releasing the value slots.
+        for any vector the composer hands to the frontend.  A lookup that
+        predicts nothing may return its input vector itself; every slot
+        then keeps its upstream provider, so that id's entry is rewritten
+        unchanged.  The ids are only valid while the vectors are alive;
+        callers must consume the map before releasing the value slots.
         """
         values = self._blank.copy()
         values[_FALLTHROUGH] = _shared_fallthrough(req.fetch_pc, req.width)

@@ -98,13 +98,15 @@ class ReferenceHBIM(PredictorComponent):
         row = self._table[
             self._index(req.fetch_pc, req.ghist, req.lhist, req.phist)
         ].tolist()
-        out = predict_in[0].copy()
         offset = req.fetch_pc % self.fetch_width
-        for slot_idx, slot in enumerate(out.slots):
+        slots = []
+        for slot_idx, slot in enumerate(predict_in[0].slots):
             counter = row[offset + slot_idx]
-            slot.hit = True
+            taken = slot.taken
             if not slot.is_jump:
-                slot.taken = counter_taken(counter, self.counter_bits)
+                taken = counter_taken(counter, self.counter_bits)
+            slots.append(slot.with_direction(taken))
+        out = PredictionVector(predict_in[0].fetch_pc, tuple(slots))
         meta = self._codec.pack(
             ctr=row if self.fetch_width > 1 else row[0]
         )
@@ -220,16 +222,16 @@ class ReferenceTwoLevel(PredictorComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
-        out = predict_in[0].copy()
-        for lane, slot in enumerate(predict_in[0].slots):
+        out = predict_in[0]
+        for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
                 continue
             branch_pc = req.fetch_pc + lane
             history = self._level1_history(branch_pc, req.ghist)
             table, index = self._l2_slot(branch_pc, history)
             counter = int(self._l2[table, index])
-            out.slots[lane].hit = True
-            out.slots[lane].taken = counter_taken(counter, self.counter_bits)
+            taken = counter_taken(counter, self.counter_bits)
+            out = out.with_slot(lane, slot.with_direction(taken))
             meta = self._codec.pack(
                 cand_valid=1, lane=lane, hist=history, ctr=counter
             )
@@ -354,18 +356,19 @@ class ReferenceGTag(PredictorComponent):
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
         index, tag = self._index_tag(req.fetch_pc, req.ghist)
-        out = predict_in[0].copy()
+        out = predict_in[0]
         hit = bool(self._valid[index]) and int(self._tags[index]) == tag
         row = self._ctrs[index]
         if hit:
             offset = req.fetch_pc % self.fetch_width
+            slots = []
             for slot_idx, slot in enumerate(out.slots):
-                if slot.is_jump:
-                    continue
-                slot.hit = True
-                slot.taken = counter_taken(
-                    int(row[offset + slot_idx]), self.counter_bits
-                )
+                if not slot.is_jump:
+                    slot = slot.with_direction(
+                        counter_taken(int(row[offset + slot_idx]), self.counter_bits)
+                    )
+                slots.append(slot)
+            out = PredictionVector(out.fetch_pc, tuple(slots))
         meta = self._codec.pack(hit=int(hit), ctr=row.tolist())
         return out, meta
 

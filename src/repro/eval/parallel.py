@@ -35,7 +35,7 @@ import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro import presets
 from repro.core.composer import ComposedPredictor, compose
@@ -155,9 +155,6 @@ class ParallelRunner:
         A :class:`~repro.eval.cache.ResultCache`, a directory path, or
         None (caching off).  Cached results are returned without
         scheduling any work; fresh results are written back.
-    retries:
-        In-parent retries for a job whose worker raised (a worker-side
-        exception is retried serially so the real traceback surfaces).
     progress:
         Optional ``progress(system, workload)`` callback fired once per
         job as it is dispatched (including cache hits).
@@ -167,14 +164,12 @@ class ParallelRunner:
         self,
         jobs: int = 1,
         cache: Union[None, str, "result_cache.ResultCache"] = None,
-        retries: int = 1,
         progress: Optional[ProgressFn] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = result_cache.resolve_cache(cache)
-        self.retries = retries
         self.progress = progress
 
     # ------------------------------------------------------------------
@@ -231,12 +226,12 @@ class ParallelRunner:
         """Fan ``indices`` over a process pool, filling ``results``.
 
         Any pool-level failure (a worker killed by the OS, a broken pipe)
-        falls back to executing the unfinished jobs serially; a job-level
-        exception is retried in the parent up to ``retries`` times before
-        propagating.
+        falls back to executing the unfinished jobs serially.  A job that
+        raised in a worker reruns once in the parent, so a deterministic
+        failure propagates from there with its real traceback.
         """
         unfinished = list(indices)
-        failed: Dict[int, BaseException] = {}
+        failed: List[int] = []
         try:
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 futures = {pool.submit(_execute_job, batch[i]): i for i in indices}
@@ -254,7 +249,7 @@ class ParallelRunner:
                         elif isinstance(error, BrokenProcessPool):
                             raise error
                         else:
-                            failed[index] = error
+                            failed.append(index)
                             unfinished.remove(index)
         except BrokenProcessPool:
             # The pool died (e.g. a worker was OOM-killed); everything not
@@ -263,13 +258,5 @@ class ParallelRunner:
                 results[index] = _execute_job(batch[index])
                 unfinished.remove(index)
 
-        for index, error in failed.items():
-            last: BaseException = error
-            for _ in range(self.retries):
-                try:
-                    results[index] = _execute_job(batch[index])
-                    break
-                except Exception as retry_error:  # pragma: no cover - rare
-                    last = retry_error
-            else:
-                raise last
+        for index in failed:
+            results[index] = _execute_job(batch[index])

@@ -40,7 +40,6 @@ from repro.explore.population import (
     seed_candidates,
     seed_population,
 )
-from repro.workloads.micro import MICRO_NAMES
 
 ProgressFn = Callable[[str], None]
 

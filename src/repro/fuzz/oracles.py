@@ -30,18 +30,14 @@ reports every disagreement as a :class:`Mismatch`.  The catalog:
     ``repro check`` on the generated topology must report zero
     error-severity diagnostics (warnings are legal for random designs).
 ``spec``
-    ``repro check --spec`` semantics over the composed predictor: every
-    instantiated component — including ones built from fuzz-drawn library
-    sizings — must conform to its declarative
-    :class:`repro.spec.ComponentSpec` (zero error-severity SPEC
-    diagnostics).
-``derive``
-    For composed components in the spec-derived families (HBIM, the
-    two-level variants, GTag), a fresh twin built through
-    :mod:`repro.derive` must be bit-identical — prediction and metadata,
-    step for step — to the frozen pre-refactor reference implementation
-    (:mod:`repro.derive.reference`) on seeded stimulus at the case's
-    fuzz-drawn sizing.
+    ``repro check --spec`` semantics over the composed predictor, seeded
+    with the case's seed: every instantiated component — including ones
+    built from fuzz-drawn library sizings — must conform to its
+    declarative :class:`repro.spec.ComponentSpec` (zero error-severity
+    SPEC diagnostics).  SPEC009 makes this the fuzz-scale twin drive too:
+    a component in a spec-derived family (HBIM, the two-level variants,
+    GTag) must be bit-identical, step for step, to its frozen
+    pre-refactor reference (:mod:`repro.derive.reference`).
 ``explore``
     The `repro explore` search operators applied to the case's topology
     (at its fuzz-drawn library sizings) must produce children that
@@ -400,7 +396,8 @@ def oracle_spec(case: FuzzCase, scratch: Path) -> List[Mismatch]:
 
     Runs ``repro check --spec`` semantics over the case's instantiated
     components rather than the shipped library, so fuzz-drawn sizings
-    (:func:`repro.fuzz.generate.random_library_params`) are covered too.
+    (:func:`repro.fuzz.generate.random_library_params`) are covered too,
+    and seeds the probes and the SPEC009 twin drive with the case's seed.
     """
     from repro.analysis.diagnostics import ERROR
     from repro.analysis.spec_check import check_component_spec
@@ -408,7 +405,9 @@ def oracle_spec(case: FuzzCase, scratch: Path) -> List[Mismatch]:
     predictor = case.build_predictor()
     errors = []
     for component in predictor.components:
-        diags = check_component_spec(component, subject=component.name)
+        diags = check_component_spec(
+            component, subject=component.name, seed=case.seed
+        )
         errors.extend(d for d in diags if d.severity == ERROR)
     if not errors:
         return []
@@ -421,46 +420,6 @@ def oracle_spec(case: FuzzCase, scratch: Path) -> List[Mismatch]:
             "a composed component diverges from its declarative spec",
         )
     ]
-
-
-def oracle_derive(case: FuzzCase, scratch: Path) -> List[Mismatch]:
-    """Spec-derived scalar paths must match the pre-refactor references.
-
-    For every composed component in a migrated family (HBIM, two-level,
-    GTag), builds a fresh twin pair — one through :mod:`repro.derive`,
-    one frozen pre-refactor copy (:mod:`repro.derive.reference`) — at the
-    case's fuzz-drawn sizing and drives both with identical seeded
-    stimulus.  Predictions and metadata must be bit-identical step for
-    step: the SPEC009 check widened from the shipped library defaults to
-    whatever sizings the fuzzer draws.
-    """
-    from repro.analysis.contracts import _drive
-    from repro.derive.reference import twin_dims, twin_pair
-
-    predictor = case.build_predictor()
-    mismatches: List[Mismatch] = []
-    for component in predictor.components:
-        pair = twin_pair(component)
-        if pair is None:
-            continue
-        derived, reference = pair
-        dims = twin_dims(derived)
-        derived_log = _drive(derived, case.seed, 96, dims=dims)
-        reference_log = _drive(reference, case.seed, 96, dims=dims)
-        for step, (got, want) in enumerate(zip(derived_log, reference_log)):
-            if got != want:
-                mismatches.append(
-                    Mismatch(
-                        "derive",
-                        f"{component.name}-step{step}",
-                        {"log": want},
-                        {"log": got},
-                        f"{type(component).__name__} derived path diverges "
-                        f"from its reference at step {step}",
-                    )
-                )
-                break  # first divergence per component is enough
-    return mismatches
 
 
 def oracle_explore(case: FuzzCase, scratch: Path) -> List[Mismatch]:
@@ -554,7 +513,6 @@ ORACLES: Dict[str, Callable[[FuzzCase, Path], List[Mismatch]]] = {
     "telemetry": oracle_telemetry,
     "check": oracle_check,
     "spec": oracle_spec,
-    "derive": oracle_derive,
     "explore": oracle_explore,
 }
 

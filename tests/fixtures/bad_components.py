@@ -2,7 +2,9 @@
 
 Each class trips exactly one CON rule in the ``repro check --components``
 harness (plus TOP003 for :class:`MiscountedMeta`, which lies about its
-metadata layout).  The analysis tests register these into a fresh
+metadata layout).  :class:`InputMutator` trips none: prediction vectors
+are immutable, so its write into ``predict_in`` raises at the first
+lookup.  The analysis tests register these into a fresh
 :class:`~repro.core.parser.ComponentLibrary` and assert the expected rule
 fires; they are never part of the shipped library.
 """
@@ -17,7 +19,7 @@ class _Base(PredictorComponent):
     """Shared honest implementations so each subclass breaks one thing."""
 
     def lookup(self, req, predict_in):
-        return predict_in[0].copy(), 0
+        return predict_in[0], 0
 
     def storage(self):
         return StorageReport(self.name, sram_bits=64, breakdown={"t": 64})
@@ -30,11 +32,11 @@ class WideMeta(_Base):
         super().__init__(name, latency, meta_bits=4)
 
     def lookup(self, req, predict_in):
-        return predict_in[0].copy(), 0xFF
+        return predict_in[0], 0xFF
 
 
 class InputMutator(_Base):
-    """CON002: overrides slots directly in the incoming vector."""
+    """Writes into the incoming vector: immutable slots make this raise."""
 
     def __init__(self, name, latency):
         super().__init__(name, latency)
@@ -53,13 +55,12 @@ class JumpClobberer(_Base):
         super().__init__(name, latency)
 
     def lookup(self, req, predict_in):
-        out = predict_in[0].copy()
-        for slot in out.slots:
-            slot.hit = True
-            slot.is_jump = False
-            slot.taken = (req.fetch_pc & 1) == 0
-            slot.target = None
-        return out, 0
+        taken = (req.fetch_pc & 1) == 0
+        slots = tuple(
+            slot._replace(hit=True, is_jump=False, taken=taken, target=None)
+            for slot in predict_in[0].slots
+        )
+        return predict_in[0]._replace(slots=slots), 0
 
 
 class HistorySniffer(_Base):
@@ -70,14 +71,12 @@ class HistorySniffer(_Base):
         super().__init__(name, latency, meta_bits=1)
 
     def lookup(self, req, predict_in):
-        out = predict_in[0].copy()
         parity = bin(req.ghist).count("1") & 1
-        for slot in out.slots:
-            if slot.is_jump:
-                continue
-            slot.hit = True
-            slot.taken = bool(parity)
-        return out, parity
+        slots = tuple(
+            slot if slot.is_jump else slot.with_direction(bool(parity))
+            for slot in predict_in[0].slots
+        )
+        return predict_in[0]._replace(slots=slots), parity
 
 
 class FireWithoutRepair(_Base):
@@ -115,7 +114,7 @@ class Flaky(_Base):
         super().__init__(name, latency, meta_bits=8, uses_global_history=True)
 
     def lookup(self, req, predict_in):
-        return predict_in[0].copy(), random.getrandbits(8)
+        return predict_in[0], random.getrandbits(8)
 
 
 class BranchlessLearner(_Base):
@@ -166,13 +165,11 @@ class KernelLiar(_Base):
         super().__init__(name, latency)
 
     def lookup(self, req, predict_in):
-        out = predict_in[0].copy()
-        for slot in out.slots:
-            if slot.is_jump:
-                continue
-            slot.hit = True
-            slot.taken = True
-        return out, 0
+        slots = tuple(
+            slot if slot.is_jump else slot.with_direction(True)
+            for slot in predict_in[0].slots
+        )
+        return predict_in[0]._replace(slots=slots), 0
 
     def columnar_kernel(self):
         return _InvertingKernel(self)
@@ -186,13 +183,13 @@ class MiscountedMeta(_Base):
         super().__init__(name, latency, meta_bits=6)
 
     def lookup(self, req, predict_in):
-        return predict_in[0].copy(), 0
+        return predict_in[0], 0
 
 
 #: Factories keyed by the rule each one violates.
 VIOLATIONS = {
     "CON001": ("WMETA", WideMeta),
-    "CON002": ("MUTATOR", InputMutator),
+    "CON002": ("CLOB", JumpClobberer),
     "CON003": ("SNIFFER", HistorySniffer),
     "CON005": ("NOREPAIR", FireWithoutRepair),
     "CON006": ("BADSTORE", WrongStorage),

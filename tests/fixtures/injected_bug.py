@@ -41,12 +41,11 @@ class PhantomPhase(PredictorComponent):
     def lookup(self, req, predict_in):
         self._lookups += 1
         phase = bool(self._lookups & 1)
-        out = predict_in[0].copy()
-        for slot in out.slots:
-            if not slot.is_jump:
-                slot.hit = True
-                slot.taken = phase
-        return out, 0
+        slots = tuple(
+            slot if slot.is_jump else slot.with_direction(phase)
+            for slot in predict_in[0].slots
+        )
+        return predict_in[0]._replace(slots=slots), 0
 
     def storage(self) -> StorageReport:
         return StorageReport(self.name, flop_bits=32, breakdown={"phase": 32})

@@ -35,3 +35,7 @@ class RepairsProperly(PredictorComponent):
 class InheritsRepair(RepairsProperly):
     def fire(self, bundle):
         self.counter = getattr(self, "counter", 0) + 2
+
+
+class SuppressedIntermediate(SpeculatesWithoutRepair):  # repro: noqa[RPR003]
+    pass

@@ -28,7 +28,7 @@ from repro.analysis.diagnostics import diagnostic
 from repro.analysis.lints import lint_paths
 from repro.components.library import standard_library
 from repro.core.composer import ComposerConfig
-from repro.core.topology import Leaf, Override
+from repro.core.topology import Leaf
 
 from tests.fixtures import bad_components
 
@@ -149,6 +149,15 @@ class TestContractRules:
             lambda name, lat: bad_components.JumpClobberer(name, lat), "CLOB"
         )
         assert "CON002" in codes(diags)
+        assert "jump slot" in diags[codes(diags).index("CON002")].message
+
+    def test_input_mutation_raises_at_first_lookup(self):
+        # Prediction vectors are immutable: writing into predict_in fails
+        # at once, so no contract check is needed to catch it.
+        with pytest.raises(AttributeError):
+            check_component(
+                lambda name, lat: bad_components.InputMutator(name, lat), "MUT"
+            )
 
     def test_violations_are_specific(self):
         # A fixture must not spray unrelated diagnostics: each one trips
@@ -201,10 +210,6 @@ class TestLintRules:
         names = {d.message.split()[1] for d in hits}
         assert names == {"SpeculatesWithoutRepair", "Intermediate"}
 
-    def test_rpr004_fires_on_mutation_fixture(self, fixture_diags):
-        hits = [d for d in fixture_diags if d.code == "RPR004"]
-        assert len(hits) == 2  # assignment + append
-
     def test_noqa_suppression(self, fixture_diags):
         # Every fixture contains a suppressed violation on a noqa line.
         flagged_lines = {
@@ -235,10 +240,11 @@ class TestDiagnosticsModel:
             *(f"TOP{n:03d}" for n in range(8)),
             # CON004 (reset completeness) is retired and its code not
             # reused; so are SPEC001/002/004/005/008, which compared a
-            # component's spec with itself, and SPEC007 (learn triggers vs
-            # branchless_inert).
+            # component's spec with itself, SPEC007 (learn triggers vs
+            # branchless_inert), and RPR004 (predict_in mutation, which
+            # immutable prediction vectors now refuse at run time).
             *(f"CON{n:03d}" for n in range(1, 10) if n != 4),
-            *(f"RPR{n:03d}" for n in range(1, 6)),
+            *(f"RPR{n:03d}" for n in range(1, 6) if n != 4),
             "SPEC003",
             "SPEC006",
             "SPEC009",

@@ -463,13 +463,11 @@ class _NotTaken(PredictorComponent):
     """Stateless always-not-taken: every taken branch mispredicts."""
 
     def lookup(self, req, predict_in):
-        out = predict_in[0].copy()
-        for slot in out.slots:
-            if slot.is_jump:
-                continue
-            slot.hit = True
-            slot.taken = False
-        return out, 0
+        slots = tuple(
+            slot if slot.is_jump else slot.with_direction(False)
+            for slot in predict_in[0].slots
+        )
+        return predict_in[0]._replace(slots=slots), 0
 
     def storage(self):
         return StorageReport(self.name, sram_bits=0)

@@ -5,7 +5,7 @@ import pytest
 from repro.components.bimodal import HBIM
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 def lookup(bim, pc=0, ghist=0, lhist=0, width=4):
@@ -38,8 +38,7 @@ class TestPrediction:
     def test_passes_through_targets(self):
         bim = HBIM("bim", n_sets=64)
         base = PredictionVector.fallthrough(0, 4)
-        base.slots[2].target = 99
-        base.slots[2].is_branch = True
+        base = base.with_slot(2, SlotPrediction(is_branch=True, target=99))
         out, _ = bim.lookup(PredictRequest(0, 4), [base])
         assert out.slots[2].target == 99
         assert out.slots[2].is_branch
@@ -47,8 +46,7 @@ class TestPrediction:
     def test_does_not_touch_jump_direction(self):
         bim = HBIM("bim", n_sets=64)
         base = PredictionVector.fallthrough(0, 4)
-        base.slots[1].is_jump = True
-        base.slots[1].taken = True
+        base = base.with_slot(1, SlotPrediction(is_jump=True, taken=True))
         out, _ = bim.lookup(PredictRequest(0, 4), [base])
         assert out.slots[1].taken
 

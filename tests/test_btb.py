@@ -2,7 +2,7 @@
 
 from repro.components.btb import BTB, MicroBTB
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 def lookup(btb, pc=0, width=4):
@@ -58,8 +58,7 @@ class TestBTB:
         _, meta = lookup(btb, 0)
         taken_update(btb, 0, 0, 50, meta)
         base = PredictionVector.fallthrough(0, 4)
-        base.slots[0].hit = True
-        base.slots[0].taken = True
+        base = base.with_slot(0, SlotPrediction(hit=True, taken=True))
         out, _ = btb.lookup(PredictRequest(0, 4), [base])
         assert out.slots[0].taken and out.slots[0].target == 50
 

@@ -69,7 +69,7 @@ class MetaStub(PredictorComponent):
         self.meta = meta
 
     def lookup(self, req, predict_in):
-        return predict_in[0].copy(), self.meta
+        return predict_in[0], self.meta
 
     def storage(self):
         return StorageReport(self.name)

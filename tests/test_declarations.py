@@ -10,7 +10,10 @@ TOP006 budgets against.  None of them may move silently.  For every
 - the ``MetaCodec`` layout and ``meta_bits``;
 - ``required_*_bits`` and ``uses_*_history``.
 
-into one SHA-256 digest.  ``goldens/declarations.txt`` holds the same
+into one SHA-256 digest.  A second digest pins what each of those instances
+predicts: the output log of the seeded contract-harness drive
+(``contracts._drive``), one ``(pc, meta, slots)`` row per lookup, each
+output slot serialized as a plain JSON array of its five fields.  ``goldens/declarations.txt`` holds the same
 values at the default sizing as a readable table, so a failing digest
 can be diagnosed by regenerating the table and diffing it::
 
@@ -21,6 +24,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.analysis.contracts import DEFAULT_SEED, DEFAULT_STEPS, _drive
 from repro.components.base import SpecComponent
 from repro.components.library import standard_library
 from repro.spec import LEGAL_SIZINGS
@@ -29,6 +33,9 @@ TABLE = Path(__file__).resolve().parent.parent / "goldens" / "declarations.txt"
 
 #: Digest of every declaration at every sizing (see the module docstring).
 DIGEST = "bf50e587ac9f61e998b68acf7038bfae209ac90dc56c6d0f1a8b587771f0d113"
+
+#: Digest of every instance's seeded lookup log (see the module docstring).
+LOOKUP_DIGEST = "3ca4ec888af5ec527e36092a1ed0904c716f7d500ad4902def6efd6f09af0d72"
 
 LATENCY = 2
 
@@ -79,6 +86,17 @@ def digest() -> str:
     return sha.hexdigest()
 
 
+def lookup_digest() -> str:
+    sha = hashlib.sha256()
+    for label, kwargs in sizings():
+        library = standard_library(**kwargs)
+        for base in library.known():
+            component = library.factory(base)(base.lower(), LATENCY)
+            log = _drive(component, DEFAULT_SEED, DEFAULT_STEPS)
+            sha.update(json.dumps([label, base, log]).encode())
+    return sha.hexdigest()
+
+
 def render_table() -> str:
     """The default-sizing declarations, one block per library base."""
     lines = [
@@ -119,6 +137,10 @@ def test_declaration_digest_is_pinned():
     assert digest() == DIGEST
 
 
+def test_lookup_digest_is_pinned():
+    assert lookup_digest() == LOOKUP_DIGEST
+
+
 def test_default_table_is_current():
     assert render_table() == TABLE.read_text()
 
@@ -141,5 +163,6 @@ if __name__ == "__main__":
 
     if sys.argv[1:] == ["--digest"]:
         print(digest())
+        print(lookup_digest())
     else:
         sys.stdout.write(render_table())

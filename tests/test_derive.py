@@ -3,8 +3,8 @@
 Covers the derived-execution layer end to end: the
 :class:`~repro.derive.tables.DerivedTable` runtime (allocation, row
 selection, closed-form updates, packing), generated-kernel selection,
-the frozen-reference twin equivalence gate (SPEC009 and the fuzz
-``derive`` oracle share this machinery), the golden Verilog snapshots,
+the frozen-reference twin equivalence gate (SPEC009, which the fuzz
+``spec`` oracle also runs), the golden Verilog snapshots,
 the LEGAL_SIZINGS drift guard, and the derivation-coverage gate.
 """
 

@@ -4,17 +4,14 @@ from repro.components.gtag import GTag
 from repro.components.perceptron import Perceptron
 from repro.components.statistical_corrector import StatisticalCorrector
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 def branch_base(pc=0, width=4, taken=False, all_slots=False):
-    base = PredictionVector.fallthrough(pc, width)
-    slots = base.slots if all_slots else [base.slots[0]]
-    for slot in slots:
-        slot.hit = True
-        slot.is_branch = True
-        slot.taken = taken
-    return base
+    branch = SlotPrediction(hit=True, is_branch=True, taken=taken)
+    if all_slots:
+        return PredictionVector(pc, (branch,) * width)
+    return PredictionVector.fallthrough(pc, width).with_slot(0, branch)
 
 
 def bundle(pc, slot, taken, meta, ghist=0, mispredicted=False, width=4):

@@ -3,15 +3,13 @@
 from repro.components.loop import LoopPredictor
 from repro.components.tournament import Tourney
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 def branch_base(pc=0, width=4, slot=0, taken=False):
     base = PredictionVector.fallthrough(pc, width)
-    base.slots[slot].hit = True
-    base.slots[slot].is_branch = True
-    base.slots[slot].taken = taken
-    return base
+    branch = SlotPrediction(hit=True, is_branch=True, taken=taken)
+    return base.with_slot(slot, branch)
 
 
 def loop_commit(loop, pc, slot, taken, meta, mispredicted=False, width=4):
@@ -115,17 +113,9 @@ class TestLoopPredictor:
 
 class TestTourney:
     def _mk_inputs(self, a_taken, b_taken, width=4):
-        a = PredictionVector.fallthrough(0, width)
-        b = PredictionVector.fallthrough(0, width)
-        for slot in a.slots:
-            slot.hit = True
-            slot.taken = a_taken
-            slot.is_branch = True
-        for slot in b.slots:
-            slot.hit = True
-            slot.taken = b_taken
-            slot.is_branch = True
-        return a, b
+        a = SlotPrediction(hit=True, is_branch=True, taken=a_taken)
+        b = SlotPrediction(hit=True, is_branch=True, taken=b_taken)
+        return PredictionVector(0, (a,) * width), PredictionVector(0, (b,) * width)
 
     def test_requires_two_inputs(self):
         t = Tourney("t", n_sets=16)
@@ -175,7 +165,7 @@ class TestTourney:
     def test_target_flows_from_either_side(self):
         t = Tourney("t", n_sets=16, history_bits=8)
         a, b = self._mk_inputs(True, False)
-        a.slots[0].target = 123
+        a = a.with_slot(0, a.slots[0]._replace(target=123))
         out, _ = t.lookup(PredictRequest(0, 4, 0), [a, b])
         assert out.slots[0].target == 123
 

@@ -188,3 +188,28 @@ class TestRunnerInternals:
         serial = ParallelRunner(jobs=1).run(batch)
         assert ParallelRunner(jobs=2).run(batch) == serial
         assert len(serial) == len(batch)
+
+    def test_job_that_raised_in_a_worker_reruns_once_in_the_parent(
+        self, programs
+    ):
+        """A job-level exception fails only that job: the parent reruns it
+        once, returning its result, or propagating its exception when the
+        job fails there too."""
+        from tests.fixtures.dying_factory import b2_or_raise, never_builds
+
+        def batch(spec):
+            return [
+                EvalJob(
+                    system="b2",
+                    spec=spec,
+                    workload=workload,
+                    program=program,
+                    max_instructions=MAX_INSTRUCTIONS,
+                )
+                for workload, program in programs.items()
+            ]
+
+        serial = ParallelRunner(jobs=1).run(batch(b2_or_raise))
+        assert ParallelRunner(jobs=2).run(batch(b2_or_raise)) == serial
+        with pytest.raises(RuntimeError, match="never builds"):
+            ParallelRunner(jobs=2).run(batch(never_builds))

@@ -524,7 +524,8 @@ class TestSchemaAndCli:
         assert "unknown rule code" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "code", ["SPEC001", "SPEC002", "SPEC004", "SPEC005", "SPEC007", "SPEC008"]
+        "code",
+        ["SPEC001", "SPEC002", "SPEC004", "SPEC005", "SPEC007", "SPEC008", "RPR004"],
     )
     def test_retired_spec_code_is_unknown_to_ignore(self, code, capsys):
         rc = cli.main(["check", "--spec", "--ignore", code])

@@ -9,14 +9,12 @@ from repro.components.tage import (
     geometric_history_lengths,
 )
 from repro.core.events import PredictRequest, UpdateBundle
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 
 
 def lookup(tage, pc=0, ghist=0, width=4, base_taken=False):
-    base = PredictionVector.fallthrough(pc, width)
-    for slot in base.slots:
-        slot.hit = True
-        slot.taken = base_taken
+    slot = SlotPrediction(hit=True, taken=base_taken)
+    base = PredictionVector(pc, (slot,) * width)
     return tage.lookup(PredictRequest(pc, width, ghist), [base])
 
 

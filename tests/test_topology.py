@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.events import PredictRequest
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import EMPTY_SLOT, PredictionVector, SlotPrediction
 from repro.core.topology import (
     Arbitrate,
     EvaluationPlan,
@@ -30,15 +30,13 @@ class StubPredictor(PredictorComponent):
         self.seen_predict_in = None
 
     def lookup(self, req, predict_in):
-        self.seen_predict_in = [v.copy() for v in predict_in]
-        out = predict_in[0].copy()
+        self.seen_predict_in = list(predict_in)
+        out = predict_in[0]
         if self.hits:
-            slot = out.slots[0]
-            slot.hit = True
-            slot.is_branch = True
-            slot.taken = self.taken
+            slot = out.slots[0]._replace(hit=True, is_branch=True, taken=self.taken)
             if self.target is not None:
-                slot.target = self.target
+                slot = slot._replace(target=self.target)
+            out = out.with_slot(0, slot)
         return out, self.meta
 
     def storage(self):
@@ -49,8 +47,8 @@ class ChooseSecond(StubPredictor):
     """Arbiter stub that always selects its second input."""
 
     def lookup(self, req, predict_in):
-        self.seen_predict_in = [v.copy() for v in predict_in]
-        return predict_in[1].copy(), self.meta
+        self.seen_predict_in = list(predict_in)
+        return predict_in[1], self.meta
 
 
 REQ = PredictRequest(fetch_pc=0, width=4)
@@ -179,12 +177,8 @@ class TestArbitrate:
 
 class TestMergeByHit:
     def test_winner_slot_taken_when_hit(self):
-        w = PredictionVector.fallthrough(0, 2)
-        f = PredictionVector.fallthrough(0, 2)
-        w.slots[0].hit = True
-        w.slots[0].taken = True
-        f.slots[1].hit = True
-        f.slots[1].target = 5
+        w = PredictionVector(0, (SlotPrediction(hit=True, taken=True), EMPTY_SLOT))
+        f = PredictionVector(0, (EMPTY_SLOT, SlotPrediction(hit=True, target=5)))
         merged = merge_by_hit(w, f)
         assert merged.slots[0].taken is True
         assert merged.slots[1].target == 5

@@ -6,7 +6,7 @@ from repro.components.twolevel import TwoLevel, VARIANTS
 from repro.core import compose
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError
-from repro.core.prediction import PredictionVector
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.eval import run_workload
 from repro.isa import Interpreter, Opcode
 from repro.workloads.micro import MICRO_NAMES, build_all_micro, build_micro
@@ -14,9 +14,7 @@ from repro.workloads.micro import MICRO_NAMES, build_all_micro, build_micro
 
 def branch_base(pc=0, width=4):
     base = PredictionVector.fallthrough(pc, width)
-    base.slots[0].hit = True
-    base.slots[0].is_branch = True
-    return base
+    return base.with_slot(0, SlotPrediction(hit=True, is_branch=True))
 
 
 def step(two_level, taken, pc=0, ghist=0, train=True):
