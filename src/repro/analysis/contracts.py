@@ -421,9 +421,15 @@ def check_component(
     seed: int = DEFAULT_SEED,
     steps: int = DEFAULT_STEPS,
 ) -> List[Diagnostic]:
-    """Run the full CON rule set against one component factory."""
+    """Run the full CON rule set against one component factory.
+
+    A factory that raises, or a component hook (``lookup``, ``fire``,
+    ``on_mispredict``, ``on_repair``, ``on_update``) that raises while the
+    rules drive it, ends the check with a CON007 error naming the failure
+    and the exception, so ``check_library`` and ``repro check
+    --components`` report it instead of aborting with a traceback.
+    """
     subject = f"{base}{latency}"
-    report = _Reporter(subject)
     try:
         component = factory(f"{base.lower()}_a", latency)
         twin = factory(f"{base.lower()}_a", latency)
@@ -436,7 +442,76 @@ def check_component(
                 subject,
             )
         ]
+    report = _Reporter(subject)
+    try:
+        _apply_rules(
+            lambda name, lat: _guard(factory(name, lat)),
+            base,
+            latency,
+            seed,
+            steps,
+            _guard(component),
+            _guard(twin),
+            report,
+        )
+    except _HookRaised as raised:
+        error = raised.__cause__
+        report.diags.append(
+            diagnostic(
+                "CON007",
+                f"{raised.hook} raised while the rules drove the component: "
+                f"{type(error).__name__}: {error}",
+                subject,
+            )
+        )
+    return report.diags
 
+
+#: The interface hooks the rules call; :func:`_guard` names whichever raises.
+_HOOKS = ("lookup", "fire", "on_mispredict", "on_repair", "on_update")
+
+
+class _HookRaised(Exception):
+    """A component hook raised; the original error is ``__cause__``."""
+
+    def __init__(self, hook: str):
+        super().__init__(hook)
+        self.hook = hook
+
+
+def _guard(component: PredictorComponent) -> PredictorComponent:
+    """Shadow ``component``'s hooks with ones that name themselves on error.
+
+    The shadows are instance attributes: the class (which decides which
+    hooks a component overrides) and the state fingerprint (which skips
+    callables) do not see them.
+    """
+    for hook in _HOOKS:
+        method = getattr(component, hook)
+
+        def guarded(*args, _method=method, _hook=hook):
+            try:
+                return _method(*args)
+            except _HookRaised:
+                raise
+            except Exception as error:
+                raise _HookRaised(_hook) from error
+
+        setattr(component, hook, guarded)
+    return component
+
+
+def _apply_rules(
+    factory: Callable[[str, int], PredictorComponent],
+    base: str,
+    latency: int,
+    seed: int,
+    steps: int,
+    component: PredictorComponent,
+    twin: PredictorComponent,
+    report: _Reporter,
+) -> None:
+    """Every CON rule over two built instances; diagnostics go to ``report``."""
     # CON006: storage accounting (static — check before driving).
     storage = component.storage()
     declared = storage.sram_bits + storage.flop_bits
@@ -588,8 +663,6 @@ def check_component(
                         break
                 if violated:
                     break
-
-    return report.diags
 
 
 def check_library(

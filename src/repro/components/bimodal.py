@@ -75,22 +75,26 @@ class HBIM(SpecComponent):
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
     ) -> Tuple[PredictionVector, int]:
+        fetch_pc = req.fetch_pc
         row = self._table[
-            self._index(req.fetch_pc, req.ghist, req.lhist, req.phist)
+            self._counters.row(fetch_pc, req.ghist, req.lhist, req.phist)
         ].tolist()
         predicted = predict_in[0]
-        offset = req.fetch_pc % self.fetch_width
-        slots = []
-        for slot_idx, slot in enumerate(predicted.slots):
-            counter = row[offset + slot_idx]
-            # An untagged table provides a base direction for every slot; it
-            # does not know branch locations or targets, so those fields pass
-            # through from predict_in (§III-F).
-            taken = slot.taken
-            if not slot.is_jump:
-                taken = counter_taken(counter, self.counter_bits)
-            slots.append(slot.with_direction(taken))
-        out = _new_tuple(PredictionVector, (predicted.fetch_pc, tuple(slots)))
+        bits = self.counter_bits
+        # An untagged table provides a base direction for every slot; it
+        # does not know branch locations or targets, so those fields pass
+        # through from predict_in (§III-F).
+        slots = tuple(
+            [
+                slot.with_direction(
+                    slot.taken if slot.is_jump else counter_taken(counter, bits)
+                )
+                for slot, counter in zip(
+                    predicted.slots, row[fetch_pc % self.fetch_width :]
+                )
+            ]
+        )
+        out = _new_tuple(PredictionVector, (predicted.fetch_pc, slots))
         # A MetaCodec field with one lane packs as a scalar, so a scalar
         # (fetch_width=1) pipeline hands over the bare counter.
         meta = self._codec.pack(ctr=row if self.fetch_width > 1 else row[0])
@@ -104,19 +108,21 @@ class HBIM(SpecComponent):
         counters = self._codec.unpack(bundle.meta)["ctr"]
         if self.fetch_width == 1:
             counters = [counters]
-        index = self._index(bundle.fetch_pc, bundle.ghist, bundle.lhist, bundle.phist)
+        table = self._counters
+        index = table.row(bundle.fetch_pc, bundle.ghist, bundle.lhist, bundle.phist)
         offset = bundle.fetch_pc % self.fetch_width
+        laned = self.fetch_width > 1
         for slot_idx, is_branch in enumerate(bundle.br_mask):
             if not is_branch:
                 continue
             lane = offset + slot_idx
             # Closed-form train from the predict-time counter value carried
             # in the metadata, avoiding a second read port (§III-D).
-            self._counters.train(
+            table.train(
                 index,
                 bundle.taken_mask[slot_idx],
-                lane=lane if self.fetch_width > 1 else None,
-                counter=int(counters[lane]),
+                lane=lane if laned else None,
+                counter=counters[lane],
             )
 
     # ------------------------------------------------------------------

@@ -58,6 +58,7 @@ class BTB(SpecComponent):
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self._index_bits = log2_exact(n_sets)
+        self._tag_mask = mask(tag_bits)
         super().__init__(name, latency, self._build_spec())
         self.provides_targets = True
         shape = (n_sets, n_ways)
@@ -70,10 +71,10 @@ class BTB(SpecComponent):
 
     # ------------------------------------------------------------------
     def _index_tag(self, fetch_pc: int) -> Tuple[int, int]:
-        packet = (fetch_pc - (fetch_pc % self.fetch_width)) // self.fetch_width
-        index = hash_pc(packet, self._index_bits)
-        tag = (packet >> self._index_bits) & mask(self.tag_bits)
-        return index, tag
+        packet = fetch_pc // self.fetch_width
+        return hash_pc(packet, self._index_bits), (
+            packet >> self._index_bits
+        ) & self._tag_mask
 
     def _find_way(self, index: int, tag: int) -> Optional[int]:
         for way in range(self.n_ways):
@@ -219,6 +220,7 @@ class MicroBTB(SpecComponent):
         self.fetch_width = fetch_width
         self.tag_bits = tag_bits
         self.counter_bits = counter_bits
+        self._tag_mask = mask(tag_bits)
         super().__init__(name, latency, self._build_spec())
         self.provides_targets = True
         self._valid = np.zeros(n_entries, dtype=bool)
@@ -231,8 +233,7 @@ class MicroBTB(SpecComponent):
 
     # ------------------------------------------------------------------
     def _tag(self, fetch_pc: int) -> int:
-        packet = (fetch_pc - (fetch_pc % self.fetch_width)) // self.fetch_width
-        return packet & mask(self.tag_bits)
+        return (fetch_pc // self.fetch_width) & self._tag_mask
 
     def _find(self, tag: int) -> Optional[int]:
         for entry in range(self.n_entries):

@@ -20,16 +20,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import (
-    fold_history,
-    hash_pc,
-    id_bits,
-    log2_exact,
-    mask,
-    saturating_update,
-)
+from repro._util import id_bits, log2_exact, saturating_update
 from repro.components.base import SpecComponent
 from repro.components.btb import TARGET_BITS
+from repro.components.tage import geometric_history_lengths, tagged_hasher
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
@@ -50,8 +44,6 @@ class ITTAGE(SpecComponent):
         tag_bits: int = 9,
         conf_bits: int = 2,
     ):
-        from repro.components.tage import geometric_history_lengths
-
         self.fetch_width = fetch_width
         self.n_sets = n_sets
         self.tag_bits = tag_bits
@@ -60,6 +52,16 @@ class ITTAGE(SpecComponent):
             n_tables, min_history, max_history
         )
         self._index_bits = log2_exact(n_sets)
+        #: ``(fetch_pc, ghist) -> ((index, tag), ...)`` over every table,
+        #: shared by lookup, update and allocation.
+        self._index_tags = tagged_hasher(
+            fetch_width,
+            tuple(
+                (length, self._index_bits, tag_bits)
+                for length in self.history_lengths
+            ),
+            split_tag=False,
+        )
         super().__init__(name, latency, self._build_spec())
         self.provides_targets = True
         n = len(self.history_lengths)
@@ -70,22 +72,9 @@ class ITTAGE(SpecComponent):
         self._conf = [np.zeros(n_sets, dtype=np.int64) for _ in range(n)]
 
     # ------------------------------------------------------------------
-    def _index_tag(self, fetch_pc: int, ghist: int, table: int) -> Tuple[int, int]:
-        packet = fetch_pc // self.fetch_width
-        length = self.history_lengths[table]
-        index = hash_pc(packet, self._index_bits) ^ fold_history(
-            ghist, length, self._index_bits
-        )
-        tag = (
-            hash_pc(packet >> 1, self.tag_bits)
-            ^ fold_history(ghist, length, self.tag_bits)
-        ) & mask(self.tag_bits)
-        return index, tag
-
     def _matches(self, fetch_pc: int, ghist: int) -> List[Tuple[int, int]]:
         hits = []
-        for table in range(len(self.history_lengths)):
-            index, tag = self._index_tag(fetch_pc, ghist, table)
+        for table, (index, tag) in enumerate(self._index_tags(fetch_pc, ghist)):
             if self._valid[table][index] and int(self._tags[table][index]) == tag:
                 hits.append((table, index))
         return hits
@@ -122,9 +111,11 @@ class ITTAGE(SpecComponent):
         fields = self._codec.unpack(bundle.meta)
         lane = (bundle.fetch_pc % self.fetch_width) + bundle.cfi_idx
 
+        # The predict-time hash pass, memoised: nothing is re-hashed here.
+        rows = self._index_tags(bundle.fetch_pc, bundle.ghist)
         if fields["provider_valid"]:
             provider = int(fields["provider"])
-            index, tag = self._index_tag(bundle.fetch_pc, bundle.ghist, provider)
+            index, tag = rows[provider]
             if self._valid[provider][index] and int(self._tags[provider][index]) == tag:
                 if int(self._targets[provider][index]) == actual_target:
                     self._conf[provider][index] = saturating_update(
@@ -141,7 +132,7 @@ class ITTAGE(SpecComponent):
         if bundle.mispredicted:
             start = int(fields["provider"]) + 1 if fields["provider_valid"] else 0
             for table in range(start, len(self.history_lengths)):
-                index, tag = self._index_tag(bundle.fetch_pc, bundle.ghist, table)
+                index, tag = rows[table]
                 if not self._valid[table][index] or int(self._conf[table][index]) == 0:
                     self._valid[table][index] = True
                     self._tags[table][index] = tag
@@ -175,7 +166,7 @@ class ITTAGE(SpecComponent):
                         key="packet",
                         fetch_width=self.fetch_width,
                     ),
-                    probe=lambda c, pc, g, l, p, t=table_id: c._index_tag(pc, g, t)[
+                    probe=lambda c, pc, g, l, p, t=table_id: c._index_tags(pc, g)[t][
                         0
                     ],
                 )

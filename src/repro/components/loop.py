@@ -50,6 +50,7 @@ class LoopPredictor(SpecComponent):
         self.tag_bits = tag_bits
         self.iter_bits = iter_bits
         self._index_bits = log2_exact(n_entries)
+        self._tag_mask = mask(tag_bits)
         super().__init__(name, latency, self._build_spec())
         self._valid = np.zeros(n_entries, dtype=bool)
         self._tags = np.zeros(n_entries, dtype=np.int64)
@@ -66,7 +67,7 @@ class LoopPredictor(SpecComponent):
     # ------------------------------------------------------------------
     def _index_tag(self, branch_pc: int) -> Tuple[int, int]:
         index = hash_pc(branch_pc, self._index_bits)
-        tag = (branch_pc >> self._index_bits) & mask(self.tag_bits)
+        tag = (branch_pc >> self._index_bits) & self._tag_mask
         return index, tag
 
     def _entry_for(self, branch_pc: int) -> Optional[int]:

@@ -17,7 +17,7 @@ from repro._util import fold_history, hash_pc, log2_exact, saturating_update
 from repro.components.base import SpecComponent
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.interface import InterfaceError
-from repro.core.prediction import EMPTY_SLOT, PredictionVector, SlotPrediction
+from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.spec import ComponentSpec, FieldSpec, IndexFn, TableSpec
 
 _new_tuple = tuple.__new__
@@ -70,16 +70,23 @@ class Tourney(SpecComponent):
                 f"{self.name}: expected 2 predict_in vectors, got {len(predict_in)}"
             )
         first, second = predict_in
-        row = self._table[self._index(req.fetch_pc, req.ghist)]
+        row = self._table[self._index(req.fetch_pc, req.ghist)].tolist()
         offset = req.fetch_pc % self.fetch_width
         half = 1 << (self.counter_bits - 1)
+        # Each side's predicted directions, padded to full fetch-width
+        # lanes for the metadata.
+        a_taken = [0] * self.fetch_width
+        b_taken = [0] * self.fetch_width
         slots = []
-        for slot_idx, slot in enumerate(first.slots):
-            counter = int(row[offset + slot_idx])
-            if counter >= half:
-                chosen, other = second.slots[slot_idx], slot
+        for lane, (slot, second_slot) in enumerate(
+            zip(first.slots, second.slots), offset
+        ):
+            a_taken[lane] = int(slot.hit and slot.taken)
+            b_taken[lane] = int(second_slot.hit and second_slot.taken)
+            if row[lane] >= half:
+                chosen, other = second_slot, slot
             else:
-                chosen, other = slot, second.slots[slot_idx]
+                chosen, other = slot, second_slot
             if chosen.hit and not slot.is_jump:
                 # Targets flow from whichever side knows them; prefer the
                 # chosen side's target, falling back to the other.
@@ -89,11 +96,7 @@ class Tourney(SpecComponent):
                 slot = _new_tuple(SlotPrediction, fields)
             slots.append(slot)
         out = _new_tuple(PredictionVector, (first.fetch_pc, tuple(slots)))
-        meta = self._codec.pack(
-            choice=row.tolist(),
-            a_taken=[int(s.hit and s.taken) for s in _padded(first, self.fetch_width, offset)],
-            b_taken=[int(s.hit and s.taken) for s in _padded(second, self.fetch_width, offset)],
-        )
+        meta = self._codec.pack(choice=row, a_taken=a_taken, b_taken=b_taken)
         return out, meta
 
     # ------------------------------------------------------------------
@@ -148,10 +151,3 @@ class Tourney(SpecComponent):
             n_inputs=2,
         )
 
-
-def _padded(vector: PredictionVector, fetch_width: int, offset: int):
-    """Expand a packet-span vector to full fetch-width lanes for metadata."""
-    lanes = [EMPTY_SLOT] * fetch_width
-    for slot_idx, slot in enumerate(vector.slots):
-        lanes[offset + slot_idx] = slot
-    return lanes

@@ -46,9 +46,13 @@ class PredictRequest(NamedTuple):
     phist: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateBundle:
     """Common payload of the fire / mispredict / repair / update events.
+
+    Slotted: the composer builds one per component per event, and
+    components read its fields many times, so construction and field
+    reads both stay cheap.
 
     Attributes
     ----------
@@ -103,21 +107,37 @@ _new_bundle = object.__new__
 def dispatch_event(
     hook: str,
     components: Iterable[object],
-    fields: Dict[str, object],
+    fields: Tuple[object, ...],
     metas: Dict[str, int],
 ) -> None:
     """Call ``component.<hook>`` with a fresh bundle for each component.
 
     Each component gets its own :class:`UpdateBundle` carrying ``fields``
     (every bundle field in declaration order, as
-    :func:`repro.core.repair.bundle_fields` builds them) and its own
-    predict-time metadata from ``metas`` (0 if it has none).  Runs for
-    every event of every fetch packet, so it skips the generated
-    ``__init__`` and fills each instance dict directly.
+    :func:`repro.core.repair.bundle_fields` builds them once per event)
+    and its own predict-time metadata from ``metas`` (0 if it has none).
+    Runs for every event of every fetch packet, so it skips the generated
+    ``__init__`` and fills the slots from the field tuple directly.
     """
     for component in components:
         bundle = _new_bundle(UpdateBundle)
-        state = bundle.__dict__
-        state.update(fields)
-        state["meta"] = metas.get(component.name, 0)
+        (
+            bundle.fetch_pc,
+            bundle.width,
+            bundle.ghist,
+            bundle.lhist,
+            bundle.phist,
+            bundle.meta,
+            bundle.br_mask,
+            bundle.taken_mask,
+            bundle.cfi_idx,
+            bundle.cfi_taken,
+            bundle.cfi_target,
+            bundle.cfi_is_br,
+            bundle.cfi_is_jal,
+            bundle.cfi_is_jalr,
+            bundle.mispredicted,
+            bundle.mispredict_idx,
+        ) = fields
+        bundle.meta = metas.get(component.name, 0)
         getattr(component, hook)(bundle)

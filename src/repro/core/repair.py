@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.core.events import dispatch_event
 from repro.core.history import LocalHistoryProvider
@@ -84,29 +84,29 @@ class RepairStateMachine:
 
 def bundle_fields(
     entry: HistoryFileEntry, mispredicted: bool = False
-) -> Dict[str, object]:
+) -> Tuple[object, ...]:
     """The common event payload of a history-file entry (§III-E).
 
     Every :class:`~repro.core.events.UpdateBundle` field in declaration
-    order, with ``meta`` left 0;
+    order, with ``meta`` left 0, built once per event;
     :func:`~repro.core.events.dispatch_event` gives each component its own
     bundle of these fields and its own metadata.
     """
-    return {
-        "fetch_pc": entry.fetch_pc,
-        "width": entry.width,
-        "ghist": entry.req_ghist,
-        "lhist": entry.lhist_snapshot,
-        "phist": entry.phist_snapshot,
-        "meta": 0,
-        "br_mask": entry.br_mask,
-        "taken_mask": entry.taken_mask,
-        "cfi_idx": entry.cfi_idx,
-        "cfi_taken": entry.cfi_taken,
-        "cfi_target": entry.cfi_target,
-        "cfi_is_br": entry.cfi_is_br,
-        "cfi_is_jal": entry.cfi_is_jal,
-        "cfi_is_jalr": entry.cfi_is_jalr,
-        "mispredicted": mispredicted or entry.mispredicted,
-        "mispredict_idx": entry.mispredict_idx,
-    }
+    return (
+        entry.fetch_pc,
+        entry.width,
+        entry.req_ghist,
+        entry.lhist_snapshot,
+        entry.phist_snapshot,
+        0,
+        entry.br_mask,
+        entry.taken_mask,
+        entry.cfi_idx,
+        entry.cfi_taken,
+        entry.cfi_target,
+        entry.cfi_is_br,
+        entry.cfi_is_jal,
+        entry.cfi_is_jalr,
+        mispredicted or entry.mispredicted,
+        entry.mispredict_idx,
+    )

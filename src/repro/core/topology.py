@@ -35,9 +35,10 @@ from repro.core.prediction import PredictionVector
 
 _new_tuple = tuple.__new__
 
-#: Attribution map filled in telemetry mode: per-slot provider names for
-#: every produced vector, keyed by ``id(vector)``.
-Attribution = Dict[int, List[Optional[str]]]
+#: Attribution filled in telemetry mode, parallel to the plan's value
+#: slots: per-slot provider names for every produced vector (None for a
+#: value no step produced, such as the fall-through default).
+Attribution = List[Optional[List[Optional[str]]]]
 
 
 def merge_by_hit(
@@ -49,17 +50,28 @@ def merge_by_hit(
     between ordered sub-components (§IV-B): the higher-priority prediction
     provides the final prediction in any cycle where it exists.  Slots are
     immutable values, so the merged vector holds the input slots themselves.
-    This runs once per override edge per fetch packet.
+    This runs once per override edge per fetch packet, and mostly changes
+    nothing: the winner passed the fallback through, or every slot it did
+    not hit already equals the fallback's.  Then the winner itself is the
+    result, and no vector is built.
     """
-    return _new_tuple(
-        PredictionVector,
-        (
-            winner.fetch_pc,
-            tuple(
-                [(w if w.hit else f) for w, f in zip(winner.slots, fallback.slots)]
-            ),
-        ),
-    )
+    if winner is not fallback:
+        fallback_slots = fallback.slots
+        for w, f in zip(winner.slots, fallback_slots):
+            if not w.hit and w != f:
+                return _new_tuple(
+                    PredictionVector,
+                    (
+                        winner.fetch_pc,
+                        tuple(
+                            [
+                                (w if w.hit else f)
+                                for w, f in zip(winner.slots, fallback_slots)
+                            ]
+                        ),
+                    ),
+                )
+    return winner
 
 
 def _notation(component: PredictorComponent) -> str:
@@ -136,17 +148,21 @@ class EvaluationPlan:
     so running the plan performs each lookup and merge of the staged
     semantics exactly once, in a fixed order.
 
-    Steps are ``(component, sources, out, name, meta_bits, kind)``;
-    ``sources`` is one slot for leaf and override lookups and a tuple for
-    arbitration lookups and merges (winner, fallback).
+    Steps are ``(component, sources, out, name, meta_bits, kind,
+    predict_in)``; ``sources`` is one slot for leaf and override lookups
+    and a tuple for arbitration lookups and merges (winner, fallback).
+    ``predict_in`` is the step's own input list, refilled on every run
+    instead of built per packet (None for merges).
     """
 
-    __slots__ = ("steps", "stages", "filled_stages", "_blank")
+    __slots__ = ("steps", "stages", "filled_stages", "n_values", "_blank")
 
     def __init__(self, root: TopologyNode, depth: int):
         self.steps: List[tuple] = []
         self._blank: List[Optional[PredictionVector]] = [None, None]
         stages = root._emit(self, depth)
+        #: Number of value slots (the length of :meth:`run`'s result).
+        self.n_values = len(self._blank)
         #: Value slot per stage, None stages on :data:`_NO_VALUE`.
         self.stages: Tuple[int, ...] = tuple(stages)
         #: The same with None stages on the fall-through default.
@@ -161,14 +177,23 @@ class EvaluationPlan:
 
     def lookup(self, component: PredictorComponent, sources, kind: int) -> int:
         out = self._new_value()
+        predict_in = [None] * (len(sources) if kind == _ARBITRATE else 1)
         self.steps.append(
-            (component, sources, out, component.name, component.meta_bits, kind)
+            (
+                component,
+                sources,
+                out,
+                component.name,
+                component.meta_bits,
+                kind,
+                predict_in,
+            )
         )
         return out
 
     def merge(self, winner: int, fallback: int) -> int:
         out = self._new_value()
-        self.steps.append((None, (winner, fallback), out, None, 0, _MERGE))
+        self.steps.append((None, (winner, fallback), out, None, 0, _MERGE, None))
         return out
 
     @staticmethod
@@ -197,36 +222,36 @@ class EvaluationPlan:
         against the declared width (``InterfaceError`` otherwise).  Index
         the result with :attr:`stages` or :attr:`filled_stages`.
 
-        ``attribution``, when supplied (telemetry mode), is filled with a
-        per-slot provider list for every produced vector, keyed by
-        ``id(vector)``: entry ``i`` names the component that supplied slot
-        ``i``'s prediction, or None for the fall-through default.  Provider
-        identity follows the same muxing the vectors themselves do — a
-        pass-through slot keeps its upstream provider — so the map is exact
-        for any vector the composer hands to the frontend.  A lookup that
-        predicts nothing may return its input vector itself; every slot
-        then keeps its upstream provider, so that id's entry is rewritten
-        unchanged.  The ids are only valid while the vectors are alive;
-        callers must consume the map before releasing the value slots.
+        ``attribution``, when supplied (telemetry mode), is a list as long
+        as the value slots, all None; each step fills its output slot's
+        entry with a per-slot provider list: entry ``i`` names the
+        component that supplied slot ``i``'s prediction, or None for the
+        fall-through default.  Provider identity follows the same muxing
+        the vectors themselves do — a pass-through slot keeps its upstream
+        provider — so the map is exact for any vector the composer hands
+        to the frontend.  It is keyed by value slot, not by vector, so a
+        step that returns an input vector itself (a lookup that predicts
+        nothing, a merge that changes nothing) still gets its own entry.
         """
         values = self._blank.copy()
         values[_FALLTHROUGH] = _shared_fallthrough(req.fetch_pc, req.width)
-        for component, sources, out, name, meta_bits, kind in self.steps:
+        for component, sources, out, name, meta_bits, kind, predict_in in self.steps:
             if kind == _MERGE:
                 winner, fallback = sources
                 vector = merge_by_hit(values[winner], values[fallback])
             else:
                 if kind == _ARBITRATE:
-                    predict_in = [values[source] for source in sources]
+                    for position, source in enumerate(sources):
+                        predict_in[position] = values[source]
                 else:
-                    predict_in = [values[sources]]
+                    predict_in[0] = values[sources]
                 vector, meta = component.lookup(req, predict_in)
-                if meta < 0 or meta >> meta_bits:
+                if meta >> meta_bits:  # also every negative meta
                     meta = component.check_meta(meta)
                 metas[name] = meta
             values[out] = vector
             if attribution is not None:
-                _attribute(attribution, values, sources, vector, name, kind)
+                _attribute(attribution, values, sources, out, name, kind)
         return values
 
 
@@ -234,19 +259,19 @@ def _attribute(
     attribution: Attribution,
     values: List[Optional[PredictionVector]],
     sources,
-    out: PredictionVector,
+    out: int,
     name: Optional[str],
     kind: int,
 ) -> None:
     """Record the per-slot providers of the vector one step produced."""
-    slots = out.slots
+    slots = values[out].slots
     if kind == _LEAF:
         providers = [name if slot.hit else None for slot in slots]
     elif kind == _OVERRIDE:
         # Slots the component left untouched (equal to its predict_in) keep
         # their upstream provider; slots it changed are its own.
         predict_in = values[sources]
-        upstream = attribution.get(id(predict_in))
+        upstream = attribution[sources]
         providers = [
             (upstream[i] if upstream else None)
             if slots[i] == predict_in.slots[i]
@@ -257,28 +282,27 @@ def _attribute(
         # A slot equal to one of the arbitrated inputs is that child's
         # prediction (the selector chose it); anything else is the
         # selector's own.
-        inputs = [values[source] for source in sources]
         providers = []
         for i, slot in enumerate(slots):
             provider: Optional[str] = name
-            for vector in inputs:
-                if slot == vector.slots[i]:
-                    child_providers = attribution.get(id(vector))
+            for source in sources:
+                if slot == values[source].slots[i]:
+                    child_providers = attribution[source]
                     provider = child_providers[i] if child_providers else None
                     break
             providers.append(provider)
     else:
         # A merge: the winner's provider where it hit, else the fallback's.
         winner = values[sources[0]]
-        winner_providers = attribution.get(id(winner))
-        fallback_providers = attribution.get(id(values[sources[1]]))
+        winner_providers = attribution[sources[0]]
+        fallback_providers = attribution[sources[1]]
         providers = [
             winner_providers[i]
             if winner.slots[i].hit
             else (fallback_providers[i] if fallback_providers else None)
             for i in range(len(slots))
         ]
-    attribution[id(out)] = providers
+    attribution[out] = providers
 
 
 class Leaf(TopologyNode):

@@ -16,7 +16,8 @@ What the runtime covers:
   fetch slot).  Dtypes follow the field width: 1-bit fields are boolean,
   fields up to 8 bits are ``uint8``, wider fields are ``int64``.
 - **Row selection**: :meth:`row` evaluates the table's declared
-  :meth:`IndexFn.compute <repro.spec.IndexFn.compute>` closed form;
+  :meth:`IndexFn.closed_form <repro.spec.IndexFn.closed_form>`, resolved
+  once per table;
   :meth:`way_of` applies the library's way-selection hash.
 - **Closed-form updates**: :meth:`train` applies the
   ``saturating-counter`` rule (inc/dec with bounds), :meth:`roll` the
@@ -68,16 +69,18 @@ def field_shape(table: TableSpec, field: FieldSpec) -> Tuple[int, ...]:
 def _row_function(spec: TableSpec):
     """The function :meth:`DerivedTable.row` calls for ``spec``.
 
-    The declared :meth:`IndexFn.compute` when the scheme has a closed form;
-    otherwise one that refuses.  Resolved once per table, because row
-    selection runs on every scalar lookup and update.
+    The declared index's :meth:`IndexFn.closed_form`, resolved to its
+    scheme once per table, because row selection runs on every scalar
+    lookup and update; for a table without a closed form, one that
+    refuses.
     """
     index = spec.index
-    if index is not None and index.scheme not in ("none", "custom"):
-        return index.compute
+    row = index.closed_form() if index is not None else None
+    if row is not None:
+        return row
     scheme = index.scheme if index is not None else None
 
-    def no_row(fetch_pc, ghist, lhist, phist):
+    def no_row(fetch_pc, ghist=0, lhist=0, phist=0):
         raise ValueError(
             f"table {spec.name!r} declares scheme {scheme!r}: no closed-form row"
         )
@@ -108,7 +111,9 @@ class DerivedTable:
         self._sole_bits = spec.fields[0].bits
         self._multiway = spec.ways > 1
         self._is_counter = spec.update == "saturating-counter"
-        self._row = _row_function(spec)
+        #: ``row(fetch_pc, ghist=0, lhist=0, phist=0)``: the row the
+        #: spec's :class:`IndexFn` closed form selects, called directly.
+        self.row = _row_function(spec)
 
     # -- array access --------------------------------------------------
     def _only_field(self) -> str:
@@ -138,12 +143,6 @@ class DerivedTable:
         return self.data(field).reshape(-1)
 
     # -- row selection -------------------------------------------------
-    def row(
-        self, fetch_pc: int, ghist: int = 0, lhist: int = 0, phist: int = 0
-    ) -> int:
-        """The row the spec's :class:`IndexFn` closed form selects."""
-        return self._row(fetch_pc, ghist, lhist, phist)
-
     def way_of(self, branch_pc: int) -> int:
         """Way-selection hash for multi-way tables (identity for 1 way)."""
         ways = self.spec.ways

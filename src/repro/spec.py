@@ -122,30 +122,74 @@ class IndexFn:
         self, fetch_pc: int, ghist: int = 0, lhist: int = 0, phist: int = 0
     ) -> Optional[int]:
         """The row this spec says the stimulus indexes (None: no claim)."""
-        if self.scheme in ("none", "custom"):
+        row = self.closed_form()
+        return None if row is None else row(fetch_pc, ghist, lhist, phist)
+
+    def closed_form(self) -> Optional[Callable[..., int]]:
+        """This index as a function ``row(fetch_pc, ghist=0, lhist=0, phist=0)``.
+
+        The scheme, key and widths are resolved here, once, so a table
+        that selects a row on every scalar lookup and update calls the
+        returned function directly (see
+        :class:`repro.derive.tables.DerivedTable`).  None for the
+        ``"none"`` and ``"custom"`` schemes, which make no claim.
+        """
+        scheme = self.scheme
+        if scheme in ("none", "custom"):
             return None
-        pc = fetch_pc if self.key == "branch_pc" else fetch_pc // self.fetch_width
+        width = 1 if self.key == "branch_pc" else self.fetch_width
         bits = self.index_bits
-        if self.scheme == "ghist_raw":
-            return ghist & mask(self.history_bits) & mask(bits)
-        if self.scheme == "pc":
-            return hash_pc(pc, bits)
-        if self.scheme == "ghist":
-            return fold_history(ghist, self.history_bits, bits)
-        if self.scheme == "gshare":
-            return hash_pc(pc, bits) ^ fold_history(ghist, self.history_bits, bits)
-        if self.scheme == "gselect":
+        history_bits = self.history_bits
+        if scheme == "ghist_raw":
+            keep = mask(history_bits) & mask(bits)
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                return ghist & keep
+
+        elif scheme == "pc":
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                return hash_pc(fetch_pc // width, bits)
+
+        elif scheme == "ghist":
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                return fold_history(ghist, history_bits, bits)
+
+        elif scheme == "gshare":
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                folded = fold_history(ghist, history_bits, bits)
+                return hash_pc(fetch_pc // width, bits) ^ folded
+
+        elif scheme == "gselect":
             hist_part = bits // 2
             pc_part = bits - hist_part
-            return (hash_pc(pc, pc_part) << hist_part) | (ghist & mask(hist_part))
-        if self.scheme == "phist":
-            return fold_history(phist, self.history_bits, bits)
-        if self.scheme == "pshare":
-            return hash_pc(pc, bits) ^ fold_history(phist, self.history_bits, bits)
-        # "lhist"
-        return fold_history(lhist, self.history_bits, bits) ^ hash_pc(
-            pc, max(bits - 2, 1)
-        )
+            hist_mask = mask(hist_part)
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                pc_hash = hash_pc(fetch_pc // width, pc_part)
+                return (pc_hash << hist_part) | (ghist & hist_mask)
+
+        elif scheme == "phist":
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                return fold_history(phist, history_bits, bits)
+
+        elif scheme == "pshare":
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                folded = fold_history(phist, history_bits, bits)
+                return hash_pc(fetch_pc // width, bits) ^ folded
+
+        else:  # "lhist"
+            pc_bits = max(bits - 2, 1)
+
+            def row(fetch_pc, ghist=0, lhist=0, phist=0):
+                folded = fold_history(lhist, history_bits, bits)
+                return folded ^ hash_pc(fetch_pc // width, pc_bits)
+
+        return row
 
     @property
     def ghist_bits(self) -> int:

@@ -167,8 +167,12 @@ class TelemetryCollector:
     # ------------------------------------------------------------------
     # Event hooks (called by the composer)
     # ------------------------------------------------------------------
-    def on_predict(self, entry, staged, attribution, occupancy: int) -> None:
-        """One predict event: the packet was queried and fired."""
+    def on_predict(self, entry, staged, stage_providers, occupancy: int) -> None:
+        """One predict event: the packet was queried and fired.
+
+        ``stage_providers`` holds, per staged vector, its per-slot
+        provider names (None when no component provided it).
+        """
         self.packets += 1
         self.occupancy_samples += 1
         self.occupancy_total += occupancy
@@ -188,14 +192,11 @@ class TelemetryCollector:
             if entry.br_mask[index]:
                 counters.provided_branches += 1
 
-        previous = None
-        for vector in staged:
-            if vector is None or vector is previous:
-                previous = vector if vector is not None else previous
+        previous = prev_providers = None
+        for vector, this_providers in zip(staged, stage_providers):
+            if vector is None:
                 continue
-            if previous is not None:
-                prev_providers = attribution.get(id(previous))
-                this_providers = attribution.get(id(vector))
+            if previous is not None and vector is not previous:
                 for index in range(len(vector.slots)):
                     if not _decision_changed(
                         previous.slots[index], vector.slots[index]
@@ -205,7 +206,7 @@ class TelemetryCollector:
                     loser = prev_providers[index] if prev_providers else None
                     self._counters(winner).overrides_won += 1
                     self._counters(loser).overrides_lost += 1
-            previous = vector
+            previous, prev_providers = vector, this_providers
 
         if self.trace is not None:
             self.trace.emit(

@@ -153,11 +153,29 @@ class TestContractRules:
 
     def test_input_mutation_raises_at_first_lookup(self):
         # Prediction vectors are immutable: writing into predict_in fails
-        # at once, so no contract check is needed to catch it.
-        with pytest.raises(AttributeError):
-            check_component(
-                lambda name, lat: bad_components.InputMutator(name, lat), "MUT"
-            )
+        # at once, so no contract check is needed to catch it.  The raising
+        # hook is reported as one error naming it, not a traceback.
+        diags = check_component(
+            lambda name, lat: bad_components.InputMutator(name, lat), "MUT"
+        )
+        assert codes(diags) == ["CON007"]
+        assert diags[0].severity == "error"
+        assert "lookup raised" in diags[0].message
+        assert "AttributeError" in diags[0].message
+
+    @pytest.mark.parametrize("hook", ["fire", "on_update", "on_mispredict"])
+    def test_raising_event_hook_is_reported_by_name(self, hook):
+        def explode(self, bundle):
+            raise RuntimeError("boom")
+
+        cls = type("Exploding", (bad_components._Base,), {hook: explode})
+        diags = check_library(
+            standard_library().with_params("BOOM", lambda name, lat: cls(name, lat))
+        )
+        boom = [d for d in diags if d.subject.startswith("BOOM")]
+        assert codes(boom) == ["CON007"]
+        assert f"{hook} raised" in boom[0].message
+        assert "RuntimeError: boom" in boom[0].message
 
     def test_violations_are_specific(self):
         # A fixture must not spray unrelated diagnostics: each one trips

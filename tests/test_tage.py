@@ -1,7 +1,13 @@
 """Tests for the TAGE sub-component."""
 
+import random
+
+import numpy as np
 import pytest
 
+from repro._util import fold_history, hash_pc, mask
+from repro.analysis.contracts import state_fingerprint
+from repro.components.library import standard_library
 from repro.components.tage import (
     TAGE,
     TageTableConfig,
@@ -10,6 +16,8 @@ from repro.components.tage import (
 )
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
+from repro.kernels.components import TAGEKernel
+from repro.spec import LEGAL_SIZINGS
 
 
 def lookup(tage, pc=0, ghist=0, width=4, base_taken=False):
@@ -153,3 +161,75 @@ class TestMeta:
 
     def test_uses_global_history_declared(self):
         assert small_tage().uses_global_history
+
+
+# ----------------------------------------------------------------------
+# The single-pass (index, tag) hash
+# ----------------------------------------------------------------------
+#: Every legal library sizing, one case each.
+LEGAL_CASES = [
+    (name, value) for name, values in sorted(LEGAL_SIZINGS.items()) for value in values
+]
+#: Deterministic requests: small and wide PCs, short and full histories.
+REQUESTS = [
+    (random.Random(seed).getrandbits(bits), random.Random(-seed).getrandbits(64))
+    for seed, bits in enumerate([3, 8, 12, 20, 30] * 8)
+]
+
+
+def reference_index_tag(tage, pc, ghist, table):
+    """One table's hash written out from ``hash_pc`` and ``fold_history``."""
+    cfg = tage.tables[table]
+    packet = pc // tage.fetch_width
+    bits = tage._index_bits[table]
+    index = hash_pc(packet, bits) ^ fold_history(ghist, cfg.history_bits, bits)
+    tag = (
+        hash_pc(packet >> 1, cfg.tag_bits)
+        ^ fold_history(ghist, cfg.history_bits, cfg.tag_bits)
+        ^ (fold_history(ghist, cfg.history_bits, cfg.tag_bits - 1) << 1)
+    ) & mask(cfg.tag_bits)
+    return index, tag
+
+
+def assert_single_pass_matches(tage):
+    """The pass equals the per-table reference, IndexFn.compute and the kernel."""
+    fetch_pcs = np.array([pc for pc, _ in REQUESTS], dtype=np.int64)
+    ghists = np.array([ghist for _, ghist in REQUESTS], dtype=np.uint64)
+    index, tag = TAGEKernel(tage).index_tag(fetch_pcs, ghists)
+    for i, (pc, ghist) in enumerate(REQUESTS):
+        rows = tage._index_tags(pc, ghist)
+        assert len(rows) == len(tage.spec.tables)
+        for t, table in enumerate(tage.spec.tables):
+            assert rows[t] == reference_index_tag(tage, pc, ghist, t), (t, pc)
+            assert rows[t][0] == table.index.compute(pc, ghist), (t, pc, ghist)
+            assert (int(index[t][i]), int(tag[t][i])) == rows[t], (t, pc, ghist)
+
+
+class TestSinglePassHash:
+    @pytest.mark.parametrize("name,value", LEGAL_CASES)
+    def test_rows_match_spec_and_kernel_at_every_legal_sizing(self, name, value):
+        library = standard_library(**{name: value})
+        assert_single_pass_matches(library.factory("TAGE")("tage", 3))
+
+    def test_rows_match_when_tables_differ_in_index_and_tag_widths(self):
+        tables = [
+            TageTableConfig(n_sets=64, history_bits=5, tag_bits=7),
+            TageTableConfig(n_sets=256, history_bits=13, tag_bits=9),
+            TageTableConfig(n_sets=1, history_bits=30, tag_bits=1),
+            TageTableConfig(n_sets=1024, history_bits=64, tag_bits=12),
+        ]
+        for width in (1, 4):
+            assert_single_pass_matches(
+                TAGE("tage", fetch_width=width, tables=tables)
+            )
+
+    def test_lookup_leaves_state_fingerprint_unchanged(self):
+        # The hash memos live outside the component: a lookup that only
+        # reads the tables must not look like a state change (CON008).
+        tage = small_tage()
+        _, meta = lookup(tage, pc=8, ghist=0b1011)
+        commit(tage, 8, 0, True, meta, ghist=0b1011, mispredicted=True)
+        before = state_fingerprint(tage)
+        for pc, ghist in REQUESTS + [(8, 0b1011)]:
+            lookup(tage, pc=pc - pc % 4, ghist=ghist)
+        assert state_fingerprint(tage) == before

@@ -183,6 +183,35 @@ class TestMergeByHit:
         assert merged.slots[0].taken is True
         assert merged.slots[1].target == 5
 
+    def test_merging_a_vector_with_itself_returns_it(self):
+        v = PredictionVector(0, (SlotPrediction(hit=True, taken=True), EMPTY_SLOT))
+        assert merge_by_hit(v, v) is v
+
+    def test_all_hit_winner_is_returned_as_is(self):
+        w = PredictionVector(
+            0, (SlotPrediction(hit=True, taken=True), SlotPrediction(hit=True))
+        )
+        f = PredictionVector(0, (SlotPrediction(hit=True, target=3),) * 2)
+        assert merge_by_hit(w, f) is w
+
+    def test_winner_equal_to_fallback_where_it_missed_is_returned(self):
+        # The non-hit slot holds the same value as the fallback's (another
+        # object), so the mux would rebuild the winner.
+        w = PredictionVector(0, (SlotPrediction(hit=True), SlotPrediction()))
+        f = PredictionVector(0, (EMPTY_SLOT, EMPTY_SLOT))
+        assert merge_by_hit(w, f) is w
+
+    def test_non_hit_winner_slots_still_mux_the_fallback_in(self):
+        hit = SlotPrediction(hit=True, is_branch=True, taken=True)
+        miss = SlotPrediction(is_branch=True, taken=True)  # not hit: muxed away
+        fallback_slot = SlotPrediction(hit=True, is_jump=True, taken=True, target=9)
+        w = PredictionVector(4, (hit, miss, EMPTY_SLOT))
+        f = PredictionVector(4, (EMPTY_SLOT, fallback_slot, EMPTY_SLOT))
+        merged = merge_by_hit(w, f)
+        assert merged is not w and merged is not f
+        assert merged == PredictionVector(4, (hit, fallback_slot, EMPTY_SLOT))
+        assert merged.slots[0] is hit and merged.slots[1] is fallback_slot
+
 
 class TestValidation:
     def test_duplicate_names_rejected(self):

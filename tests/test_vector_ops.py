@@ -207,5 +207,5 @@ class TestTageColumns:
         ghists = np.array([g for _, g in reqs], dtype=np.uint64)
         index, tag = TAGEKernel(tage).index_tag(fetch_pcs, ghists)
         for t in range(len(tables)):
-            expected = [tage._index_tag(pc, g, t) for pc, g in reqs]
+            expected = [tage._index_tags(pc, g)[t] for pc, g in reqs]
             assert list(zip(index[t].tolist(), tag[t].tolist())) == expected
