@@ -35,7 +35,7 @@ RULES: Dict[str, tuple] = {
     "CON003": (ERROR, "latency-1 component consumes a history"),
     "CON005": (ERROR, "fire followed by on_repair does not round-trip state"),
     "CON006": (ERROR, "storage() breakdown does not sum to declared totals"),
-    "CON007": (ERROR, "component is not deterministic under a fixed seed"),
+    "CON007": (ERROR, "component is not deterministic under a fixed seed, or raised"),
     "CON008": (ERROR, "branchless packet changes state despite branchless_inert"),
     "CON009": (ERROR, "columnar kernel lookup diverges from the scalar lookup"),
     # Source lints (repro.analysis.lints).  Retired, never reused: RPR004.
