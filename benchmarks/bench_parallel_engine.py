@@ -52,7 +52,9 @@ def _matrices_equal(a, b) -> bool:
     )
 
 
-def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
+def run_benchmark(quick: bool = False, jobs: int = 4):
+    """The results table and the acceptance floors it misses (a list of
+    messages, empty when every floor holds or a quick run asserts none)."""
     if quick:
         systems, workload_names = QUICK_SYSTEMS, QUICK_WORKLOADS
         scale, max_instructions = 0.2, 4000
@@ -87,6 +89,7 @@ def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
     )
     lines.append(f"suite: {suite_desc}")
 
+    failures = []
     baseline_seconds = None
     if not quick and BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())
@@ -119,13 +122,17 @@ def run_benchmark(quick: bool = False, jobs: int = 4) -> str:
             f"acceptance: serial {serial_speedup:.2f}x (target >= 1.3x), "
             f"warm-cache {warm_speedup:.2f}x (target >= 3x)"
         )
-        assert serial_speedup >= 1.3, f"serial speedup {serial_speedup:.2f}x < 1.3x"
-        assert warm_speedup >= 3.0, f"warm-cache speedup {warm_speedup:.2f}x < 3x"
-    return "\n".join(lines)
+        if serial_speedup < 1.3:
+            failures.append(f"serial speedup {serial_speedup:.2f}x < 1.3x")
+        if warm_speedup < 3.0:
+            failures.append(f"warm-cache speedup {warm_speedup:.2f}x < 3x")
+    return "\n".join(lines), failures
 
 
 def test_parallel_engine(report):
-    report("parallel_engine", run_benchmark(quick=False))
+    text, failures = run_benchmark(quick=False)
+    report("parallel_engine", text)
+    assert not failures, "; ".join(failures)
 
 
 def main() -> int:
@@ -140,11 +147,13 @@ def main() -> int:
         "--no-write", action="store_true", help="print only, skip results/"
     )
     args = parser.parse_args()
-    text = run_benchmark(quick=args.quick, jobs=args.jobs)
+    text, failures = run_benchmark(quick=args.quick, jobs=args.jobs)
     print(text)
     if not args.quick and not args.no_write:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / "parallel_engine.txt").write_text(text + "\n")
+    # Asserted after the write, so the results record a missed floor too.
+    assert not failures, "; ".join(failures)
     return 0
 
 
