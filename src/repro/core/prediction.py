@@ -230,8 +230,13 @@ class PredictionVector(NamedTuple):
 
     def cfi_index(self) -> Optional[int]:
         """Index of the first slot predicted to redirect, or None."""
-        for index, slot in enumerate(self.slots):
-            if slot.redirects:
+        # ``SlotPrediction.redirects`` spelled out: the cycle core asks this
+        # of every fetch stage's vector, and a property call per slot costs
+        # more than the test.
+        for index, (_hit, is_branch, is_jump, taken, _target) in enumerate(
+            self.slots
+        ):
+            if is_jump or (is_branch and taken):
                 return index
         return None
 
@@ -244,10 +249,12 @@ class PredictionVector(NamedTuple):
         backend corrects it later.
         """
         cfi = self.cfi_index()
-        if cfi is not None and self.slots[cfi].target is not None:
-            return self.slots[cfi].target
-        base = self.fetch_pc - (self.fetch_pc % fetch_width)
-        return base + fetch_width
+        if cfi is not None:
+            target = self.slots[cfi].target
+            if target is not None:
+                return target
+        fetch_pc = self.fetch_pc
+        return fetch_pc - fetch_pc % fetch_width + fetch_width
 
     def taken_mask(self) -> Tuple[bool, ...]:
         """Per-slot predicted directions for conditional-branch slots."""

@@ -37,6 +37,8 @@ class _SetAssocCache:
         index = line_addr % self.n_sets
         tag = line_addr // self.n_sets
         ways = self._sets[index]
+        if ways and ways[-1] == tag:
+            return True  # already the most recent way
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
