@@ -11,7 +11,7 @@ which point commit-time ``update`` events are generated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.interface import StorageReport
@@ -63,9 +63,6 @@ class HistoryFileEntry:
     #: the final prediction (None per slot for the fall-through default;
     #: None overall when telemetry is off, costing nothing).
     slot_providers: Optional[Tuple[Optional[str], ...]] = None
-    #: Number of instructions from this packet the core must commit before
-    #: the entry can be dequeued (set by the frontend at dispatch time).
-    commit_countdown: int = field(default=0)
 
 
 class HistoryFile:

@@ -22,8 +22,17 @@ Design rules:
   checks.
 - **Degrade, never fail.**  Unpicklable jobs (closure factories) fall back
   to in-process execution.  A worker crash (``BrokenProcessPool``) reruns
-  the unfinished jobs serially.  A job that raises in a worker is retried
+  that batch's unfinished jobs serially and drops the broken pool, so the
+  next batch starts a fresh one.  A job that raises in a worker is retried
   once in the parent so real errors surface with a clean traceback.
+  Results come back in submission order.
+- **One pool per open runner.**  The pool starts lazily, on the first
+  batch with more than one picklable cache miss.  A runner used as a
+  context manager keeps that pool, and its warm workers, for every later
+  :meth:`ParallelRunner.run` until :meth:`ParallelRunner.close`; a
+  ``run()`` on a runner that is not open shuts its pool down before it
+  returns.  Either way no worker outlives the runner.  A whole
+  ``repro explore`` search runs through one open runner.
 
 This module must not import :mod:`repro.eval.runner` (the runner builds on
 the engine, not the other way around).
@@ -144,7 +153,7 @@ def _is_picklable(job: EvalJob) -> bool:
 
 
 class ParallelRunner:
-    """Executes a batch of :class:`EvalJob` with caching and fan-out.
+    """Executes batches of :class:`EvalJob` with caching and fan-out.
 
     Parameters
     ----------
@@ -158,6 +167,11 @@ class ParallelRunner:
     progress:
         Optional ``progress(system, workload)`` callback fired once per
         job as it is dispatched (including cache hits).
+
+    Used as a context manager the runner is *open*: the worker pool the
+    first parallel batch starts serves every later :meth:`run`, and
+    :meth:`close` (or leaving the ``with`` block) shuts it down.  A runner
+    that is not open shuts its pool down at the end of each :meth:`run`.
     """
 
     def __init__(
@@ -171,6 +185,20 @@ class ParallelRunner:
         self.jobs = jobs
         self.cache = result_cache.resolve_cache(cache)
         self.progress = progress
+        self._open = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "ParallelRunner":
+        self._open = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and join its workers."""
+        self._open = False
+        self._close_pool()
 
     # ------------------------------------------------------------------
     def run(self, batch: Sequence[EvalJob]) -> List[RunResult]:
@@ -190,14 +218,22 @@ class ParallelRunner:
                     continue
             pending.append(index)
 
+        parallel: List[int] = []
         if self.jobs > 1 and len(pending) > 1:
-            parallelizable = [i for i in pending if _is_picklable(batch[i])]
-            serial_only = [i for i in pending if i not in set(parallelizable)]
-            for index in parallelizable:
+            parallel = [i for i in pending if _is_picklable(batch[i])]
+        if len(parallel) < 2:
+            # A pool for one job only costs its start-up.
+            parallel = []
+        fanned = set(parallel)
+        serial_only = [i for i in pending if i not in fanned]
+        if parallel:
+            for index in parallel:
                 self._report(batch[index])
-            self._run_parallel(batch, parallelizable, results)
-        else:
-            serial_only = pending
+            try:
+                self._run_parallel(batch, parallel, results)
+            finally:
+                if not self._open:
+                    self._close_pool()
         for index in serial_only:
             self._report(batch[index])
             results[index] = _execute_job(batch[index])
@@ -217,43 +253,51 @@ class ParallelRunner:
     def _key_for(self, job: EvalJob) -> str:
         return job_cache_key(job)
 
+    def _close_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     def _run_parallel(
         self,
         batch: Sequence[EvalJob],
         indices: List[int],
         results: List[Optional[RunResult]],
     ) -> None:
-        """Fan ``indices`` over a process pool, filling ``results``.
+        """Fan ``indices`` over the worker pool, filling ``results``.
 
-        Any pool-level failure (a worker killed by the OS, a broken pipe)
-        falls back to executing the unfinished jobs serially.  A job that
-        raised in a worker reruns once in the parent, so a deterministic
-        failure propagates from there with its real traceback.
+        Starts the pool if the runner has none.  Any pool-level failure (a
+        worker killed by the OS, a broken pipe) drops the pool and runs
+        the unfinished jobs serially.  A job that raised in a worker
+        reruns once in the parent, so a deterministic failure propagates
+        from there with its real traceback.
         """
         unfinished = list(indices)
         failed: List[int] = []
         try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {pool.submit(_execute_job, batch[i]): i for i in indices}
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        index = futures[future]
-                        error = future.exception()
-                        if error is None:
-                            results[index] = future.result()
-                            unfinished.remove(index)
-                        elif isinstance(error, BrokenProcessPool):
-                            raise error
-                        else:
-                            failed.append(index)
-                            unfinished.remove(index)
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            pool = self._pool
+            futures = {pool.submit(_execute_job, batch[i]): i for i in indices}
+            outstanding = set(futures)
+            while outstanding:
+                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures[future]
+                    error = future.exception()
+                    if error is None:
+                        results[index] = future.result()
+                        unfinished.remove(index)
+                    elif isinstance(error, BrokenProcessPool):
+                        raise error
+                    else:
+                        failed.append(index)
+                        unfinished.remove(index)
         except BrokenProcessPool:
             # The pool died (e.g. a worker was OOM-killed); everything not
-            # yet finished reruns in-process.
+            # yet finished reruns in-process, and the next batch starts a
+            # fresh pool.
+            self._close_pool()
             for index in list(unfinished):
                 results[index] = _execute_job(batch[index])
                 unfinished.remove(index)

@@ -106,6 +106,7 @@ def run_suite(
     cache: Union[None, str, Path, ResultCache] = None,
     telemetry: bool = False,
     backend: str = "cycle",
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """Run every (system, workload) pair; returns results[system][workload].
 
@@ -130,7 +131,16 @@ def run_suite(
     ``programs`` value may be a stored-trace ``.npz`` path (replay jobs
     carry the trace file, not a live program).  The backend (and the trace
     file's content hash) is part of the cache fingerprint.
+
+    ``runner`` runs the matrix on a caller's (usually open)
+    :class:`~repro.eval.parallel.ParallelRunner`, whose ``jobs``, ``cache``
+    and ``progress`` then apply; passing any of those three as well is an
+    error.
     """
+    if runner is None:
+        runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
+    elif jobs != 1 or cache is not None or progress is not None:
+        raise ValueError("pass jobs, cache and progress to the runner, not here")
     batch = []
     order: Dict[str, None] = {}
     for spec in systems:
@@ -153,7 +163,6 @@ def run_suite(
                     trace_path=None if is_program else str(workload),
                 )
             )
-    runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
     results: Dict[str, Dict[str, RunResult]] = {name: {} for name in order}
     for job, result in zip(batch, runner.run(batch)):
         results[job.system][job.workload] = result

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 from repro.core.composer import ComposedPredictor
 from repro.eval.cache import ResultCache
 from repro.eval.metrics import arithmetic_mean, harmonic_mean
+from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import run_suite
 from repro.frontend.config import CoreConfig
 from repro.isa.program import Program
@@ -61,6 +62,7 @@ def evaluate_designs(
     telemetry: bool = False,
     backend: str = "cycle",
     max_instructions: Optional[int] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> List[DesignPoint]:
     """Run every design over every workload; return one point per design.
 
@@ -68,7 +70,9 @@ def evaluate_designs(
     :func:`~repro.eval.runner.run_suite`, so ``jobs``, ``cache`` and
     ``telemetry`` behave exactly as they do there: the cells fan over
     worker processes and replay from the deterministic result cache
-    without changing any number.
+    without changing any number.  ``runner`` (see ``run_suite``) takes the
+    place of ``jobs`` and ``cache``, so a caller can keep one worker pool
+    across calls.
 
     ``backend`` selects the execution methodology for every cell (see
     :mod:`repro.backends`).  Trace-driven backends report zero IPC, so
@@ -86,6 +90,7 @@ def evaluate_designs(
         cache=cache,
         telemetry=telemetry,
         backend=backend,
+        runner=runner,
     )
     points: List[DesignPoint] = []
     for name, factory in designs.items():

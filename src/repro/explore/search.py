@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.eval import cache as result_cache
+from repro.eval.parallel import ParallelRunner
 from repro.eval.sweep import DesignPoint, evaluate_designs
 from repro.explore import halving
 from repro.explore.operators import (
@@ -134,6 +135,8 @@ def explore(
     full_cells_planned = 0
     generation = 0
 
+    runner = ParallelRunner(jobs=config.jobs, cache=cache)
+
     def evaluate(
         candidates: List[Candidate], workload_names: Tuple[str, ...]
     ) -> Dict[str, DesignPoint]:
@@ -146,55 +149,62 @@ def explore(
         points = evaluate_designs(
             designs,
             subset,
-            jobs=config.jobs,
-            cache=cache,
             backend=config.backend,
             max_instructions=config.max_instructions,
+            runner=runner,
         )
         return {point.name: point for point in points}
 
-    # Baselines: the paper's three designs on the full suite, whatever the
-    # budget admits into the population.  The front is asked to beat these.
-    seeds = seed_candidates()
-    seed_point_map = evaluate(seeds, tuple(programs))
-    seed_points = [
-        FrontPoint.from_design_point(
-            seed_point_map[cand.name],
-            params=cand.params,
-            origin=cand.origin,
-            storage_kib=candidate_storage_kib(cand),
-        )
-        for cand in seeds
-    ]
-
-    population = seed_population(rng, config.population_size, config.budget_kib)
-    say(
-        f"seeded {len(population)} candidates "
-        f"(budget {config.budget_kib:g} KiB, suite {list(programs)})"
-    )
-
-    for generation in range(1, config.generations + 1):
-        cold_cells_planned += halving.cold_cost(len(population), schedule, config.eta)
-        full_cells_planned += halving.full_cost(len(population), schedule)
-        ranked = halving.run_halving(population, schedule, evaluate, eta=config.eta)
-        admitted = 0
-        for cand, point in ranked:
-            front_point = FrontPoint.from_design_point(
-                point,
+    # One runner, so one worker pool, serves the baselines and every
+    # halving rung; leaving the block joins its workers.
+    with runner:
+        # Baselines: the paper's three designs on the full suite, whatever
+        # the budget admits into the population.  The front is asked to
+        # beat these.
+        seeds = seed_candidates()
+        seed_point_map = evaluate(seeds, tuple(programs))
+        seed_points = [
+            FrontPoint.from_design_point(
+                seed_point_map[cand.name],
                 params=cand.params,
-                origin=cand.origin or "search",
+                origin=cand.origin,
                 storage_kib=candidate_storage_kib(cand),
-                generation=generation,
             )
-            if archive.offer(front_point):
-                admitted += 1
+            for cand in seeds
+        ]
+
+        population = seed_population(rng, config.population_size, config.budget_kib)
         say(
-            f"generation {generation}: {len(ranked)} survivors, "
-            f"{admitted} joined the front (archive size {len(archive)})"
+            f"seeded {len(population)} candidates "
+            f"(budget {config.budget_kib:g} KiB, suite {list(programs)})"
         )
-        if generation == config.generations:
-            break
-        population = _breed(rng, config, ranked, archive)
+
+        for generation in range(1, config.generations + 1):
+            cold_cells_planned += halving.cold_cost(
+                len(population), schedule, config.eta
+            )
+            full_cells_planned += halving.full_cost(len(population), schedule)
+            ranked = halving.run_halving(
+                population, schedule, evaluate, eta=config.eta
+            )
+            admitted = 0
+            for cand, point in ranked:
+                front_point = FrontPoint.from_design_point(
+                    point,
+                    params=cand.params,
+                    origin=cand.origin or "search",
+                    storage_kib=candidate_storage_kib(cand),
+                    generation=generation,
+                )
+                if archive.offer(front_point):
+                    admitted += 1
+            say(
+                f"generation {generation}: {len(ranked)} survivors, "
+                f"{admitted} joined the front (archive size {len(archive)})"
+            )
+            if generation == config.generations:
+                break
+            population = _breed(rng, config, ranked, archive)
 
     cache_hits = (cache.hits - hits0) if cache is not None else 0
     cache_misses = (cache.misses - misses0) if cache is not None else 0

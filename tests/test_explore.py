@@ -109,6 +109,49 @@ def test_halving_saves_evaluations(cold_run):
     assert prov["halving_cold_cells"] < prov["halving_full_cells"]
 
 
+def _tiny_config(jobs, **overrides):
+    """A search small enough that the two-worker path costs seconds."""
+    import dataclasses
+
+    config = dataclasses.replace(
+        GOLDEN_EXPLORE_CONFIG,
+        generations=2,
+        population_size=4,
+        rungs=2,
+        workloads=("biased", "dispatch"),
+        scale=0.15,
+        max_instructions=400,
+        jobs=jobs,
+    )
+    return dataclasses.replace(config, **overrides)
+
+
+def test_two_worker_search_matches_serial(tmp_path, pool_starts, new_children):
+    """jobs=2 fans the seeds batch and every halving rung over one pool and
+    must return the serial search's result, leaving no worker behind."""
+    serial = explore(_tiny_config(jobs=1))
+    assert pool_starts == []
+    fanned = explore(_tiny_config(jobs=2, cache=tmp_path / "cache"))
+    assert pool_starts == [2]
+    assert not new_children()
+    assert fanned.provenance["cold_evaluations"] > 0
+    assert result_payload(fanned, golden=True) == result_payload(serial, golden=True)
+
+
+def test_search_that_raises_leaves_no_worker(monkeypatch, pool_starts, new_children):
+    """A search failing after its pool started still joins the workers."""
+    import repro.explore.search as search_mod
+
+    def broken_breed(*args):
+        raise RuntimeError("breeding failed")
+
+    monkeypatch.setattr(search_mod, "_breed", broken_breed)
+    with pytest.raises(RuntimeError, match="breeding failed"):
+        explore(_tiny_config(jobs=2))
+    assert pool_starts == [2]
+    assert not new_children()
+
+
 # ----------------------------------------------------------------------
 # Operator properties: check-clean and budget-respecting by construction
 # ----------------------------------------------------------------------

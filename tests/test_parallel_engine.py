@@ -213,3 +213,63 @@ class TestRunnerInternals:
         assert ParallelRunner(jobs=2).run(batch(b2_or_raise)) == serial
         with pytest.raises(RuntimeError, match="never builds"):
             ParallelRunner(jobs=2).run(batch(never_builds))
+
+
+def _jobs(programs, spec="b2"):
+    return [
+        EvalJob(
+            system=spec if isinstance(spec, str) else "b2",
+            spec=spec,
+            workload=workload,
+            program=program,
+            max_instructions=MAX_INSTRUCTIONS,
+        )
+        for workload, program in programs.items()
+    ]
+
+
+class TestPoolLifetime:
+    def test_open_runner_serves_every_batch_with_one_pool(
+        self, programs, pool_starts, new_children
+    ):
+        batches = [_jobs(programs, spec) for spec in ("b2", "tourney", "b2")]
+        serial = [ParallelRunner(jobs=1).run(batch) for batch in batches]
+        with ParallelRunner(jobs=2) as runner:
+            fanned = [runner.run(batch) for batch in batches]
+            assert pool_starts == [2]
+        assert fanned == serial
+        assert not new_children()
+
+    def test_bare_run_leaves_no_live_child(self, programs, pool_starts, new_children):
+        runner = ParallelRunner(jobs=2)
+        runner.run(_jobs(programs))
+        runner.run(_jobs(programs))
+        # Not open: each run starts its own pool and joins it.
+        assert pool_starts == [2, 2]
+        assert not new_children()
+
+    def test_broken_pool_is_dropped_and_the_next_batch_gets_a_fresh_one(
+        self, programs, pool_starts, new_children
+    ):
+        from tests.fixtures.dying_factory import b2_or_die
+
+        dying, healthy = _jobs(programs, b2_or_die), _jobs(programs, "tourney")
+        serial = [ParallelRunner(jobs=1).run(b) for b in (dying, healthy)]
+        with ParallelRunner(jobs=2) as runner:
+            assert runner.run(dying) == serial[0]
+            assert runner.run(healthy) == serial[1]
+        assert pool_starts == [2, 2]
+        assert not new_children()
+
+    def test_warm_rerun_starts_no_pool(self, tmp_path, programs, pool_starts):
+        batch = _jobs(programs) + _jobs(programs, "tourney")
+        with ParallelRunner(jobs=2, cache=tmp_path / "cache") as runner:
+            cold = runner.run(batch)
+        assert pool_starts == [2]
+        with ParallelRunner(jobs=2, cache=tmp_path / "cache") as runner:
+            assert runner.run(batch) == cold
+        assert pool_starts == [2]
+
+    def test_runner_and_its_options_are_exclusive(self, programs):
+        with pytest.raises(ValueError, match="runner"):
+            run_suite(["b2"], programs, jobs=2, runner=ParallelRunner())
