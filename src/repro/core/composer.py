@@ -480,7 +480,6 @@ class ComposedPredictor:
         entry.taken_mask = new_taken
         entry.mispredicted = True
         entry.mispredict_idx = slot
-        entry.resolved_cfi_target = actual_target
         if entry.cfi_is_br or is_direction_mispredict:
             if actual_taken:
                 entry.cfi_idx = slot

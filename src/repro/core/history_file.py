@@ -58,7 +58,6 @@ class HistoryFileEntry:
     mispredicted: bool = False
     #: Slot that mispredicted (set at resolve time).
     mispredict_idx: Optional[int] = None
-    resolved_cfi_target: Optional[int] = None
     #: Telemetry attribution: per-slot name of the component that supplied
     #: the final prediction (None per slot for the fall-through default;
     #: None overall when telemetry is off, costing nothing).
@@ -130,7 +129,6 @@ class HistoryFile:
             cfi_is_jalr,
             False,
             None,
-            None,
             slot_providers,
         )
         self._next_id += 1
@@ -192,7 +190,7 @@ class HistoryFile:
             + ghist_bits  # ghist snapshot
             + lhist_bits  # lhist snapshot
             + 16  # masks, cfi bookkeeping, state bits
-            + TARGET_BITS  # resolved target
+            + TARGET_BITS  # resolved target (modelled by correcting cfi_target)
         )
         bits = self.capacity * per_entry
         return StorageReport(

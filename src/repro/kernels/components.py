@@ -23,12 +23,14 @@ drives:
     reuse the counters carried in the meta field instead of re-reading the
     table), so a write by itself never invalidates the snapshot — its
     value is already known at predict time and ``commit`` scatters it.
-    What does invalidate a packet is a **read-after-dirty-write hazard**:
-    its lookup read a table row that an earlier packet's write changed
-    (:func:`~repro.kernels.vector_ops.earlier_dirty_same_key`), or an
+    What does invalidate a packet is a **read-after-dirty-write hazard**
+    that is not forwarded: its lookup read a table row that an earlier
+    packet's write changed (the BTB's sets,
+    :func:`~repro.kernels.vector_ops.earlier_dirty_same_key`), or an
     event whose effect is not closed-form — an allocation that changes
-    which entries later lookups can match, the TAGE use-alt/decay
-    counters, a loop exit that retrains confidence.  May over-mark (a
+    which entries later lookups can match, the TAGE usefulness decay
+    that halves every entry.  Saturating counters are forwarded instead
+    (below), so their movement never marks a packet.  May over-mark (a
     spurious True only shortens the accepted segment); must never
     under-mark.  Values computed for packets at or beyond the first True
     are garbage by construction and are never used.
@@ -39,12 +41,9 @@ drives:
     chains (:class:`~repro.kernels.vector_ops.CounterChains`) already
     hold every counter's value after any prefix: commit writes
     ``final(n)``, each touched key's value after its last event among
-    the first ``n``, instead of scanning again.  Other writes are safe
-    to scatter because the hazard cut guarantees every write's value was
-    computed from a row no earlier accepted packet had changed; duplicate
-    writes to one row are applied in packet order (NumPy fancy assignment
-    is last-wins), which only arises when the earlier writes did not
-    change the row.
+    the first ``n``, instead of scanning again.  The BTB's writes are
+    safe to scatter because its hazard cut guarantees every write's value
+    was computed from a set no earlier accepted packet had changed.
 
 Update-time reads match the scalar components because the framework hands
 updates the *predict-time* history (§III-E, ``bundle.ghist == req_ghist``),
@@ -64,8 +63,6 @@ from repro.kernels.vector_ops import (
     fold_shifts,
     forward_saturating,
     hash_pc_vec,
-    saturating_changes_vec,
-    saturating_update_vec,
 )
 
 
@@ -232,6 +229,15 @@ class TAGEKernel:
     ``(rows, 1)`` constant columns built here, so one window computes
     all index and tag hashes as ``(T, P)`` grids and reads every table
     with one gather from the component's all-table arrays.
+
+    Everything an update writes is forwarded through the window, in
+    causal order: the provider and alternate rows' counter lanes (one
+    chain; alternate reads only read), then the provider rows'
+    usefulness, then the use-alt-on-new-alloc counter, each computed
+    from the forwarded values before it.  So each packet reads what the
+    scalar walk's earlier updates left, and only the usefulness decay,
+    which halves every entry, cuts a segment.  Tags and valid bits stay
+    frozen-exact: allocations happen only on mispredicted packets.
     """
 
     def __init__(self, component):
@@ -296,48 +302,76 @@ class TAGEKernel:
 
     def lookup(self, ctx, state):
         c = self.c
-        P = ctx.P
+        P, W = ctx.P, ctx.W
+        bits = c.counter_bits
         index, tag = self.index_tag(ctx.fetch_pc, ctx.req_ghist)
         rows = index + self._row_base  # (T, P) rows of the all-table arrays
         hit = c._all_valid[rows] & (c._all_tags[rows] == tag)
         # The provider is the longest-history hit, the alternate the next
-        # one down, as the scalar ``hits[-1]`` and ``hits[-2]``.
+        # one down, as the scalar ``hits[-1]`` and ``hits[-2]``.  Tags and
+        # valid bits stay frozen-exact: allocations happen only on
+        # mispredicted packets, which end the segment.
         seen = np.cumsum(hit, axis=0)
         n_hits = seen[-1]
         prov_valid = n_hits > 0
         alt_valid = n_hits > 1
         col = np.arange(P)
-        is_prov = hit & (seen == n_hits)
-        prov_table = np.argmax(is_prov, axis=0)
-        alt_table = np.argmax(hit & (seen == n_hits - 1), axis=0)
-        prov_row = rows[prov_table, col]
-        # Rows without a provider (or alternate) read table 0's row: the
-        # values are never used, every use is gated on the valid column.
-        prov_ctr = c._all_ctrs[prov_row].astype(np.int64)
-        prov_u = c._all_useful[prov_row].astype(np.int64)
-        alt_ctr = c._all_ctrs[rows[alt_table, col]]
-        base_taken = state.hit & state.taken
+        prov_row = rows[np.argmax(hit & (seen == n_hits), axis=0), col]
+        alt_row = rows[np.argmax(hit & (seen == n_hits - 1), axis=0), col]
+        # Forward the counter lanes of both rows each packet reads, as
+        # (packet, provider/alternate, lane) events: row-major order is
+        # chronological.  Provider lanes train on the committed branches;
+        # alternate reads only read.  Lanes outside the packet are never
+        # used and are left out (they read 0).
+        keys = np.stack((prov_row, alt_row), axis=1)[:, :, None] * W + np.arange(W)
+        live = (
+            np.stack((prov_valid, alt_valid), axis=1)[:, :, None]
+            & ctx.lane_valid[:, None, :]
+        ).ravel()
+        ev = np.flatnonzero(live)
+        train = np.zeros((P, 2, W), dtype=bool)
+        train[:, 0] = ctx.upd_cond
+        ev_keys = keys.ravel()[ev]
+        ctrs = forward_saturating(
+            ev_keys,
+            train.ravel()[ev],
+            np.broadcast_to(ctx.rtaken_grid[:, None, :], (P, 2, W)).ravel()[ev],
+            c._all_ctrs.reshape(-1)[ev_keys].astype(np.int64),
+            bits,
+        )
+        ctr = np.zeros(P * 2 * W, dtype=np.int64)
+        ctr[ev] = ctrs.pre
+        ctr = ctr.reshape(P, 2, W)
+        prov_taken = counter_taken_vec(ctr[:, 0], bits)
         alt_taken = np.where(
             alt_valid[:, None],
-            counter_taken_vec(alt_ctr, c.counter_bits),
-            base_taken,
+            counter_taken_vec(ctr[:, 1], bits),
+            state.hit & state.taken,
         )
-        newly = (prov_u == 0)[:, None] & counter_is_weak_vec(
-            prov_ctr, c.counter_bits
+        # Usefulness trains once per disagreeing committed lane, each
+        # write from the same predict-time value, so the last such lane's
+        # write survives: one event per provider packet.
+        disagree = (prov_taken != alt_taken) & ctx.upd_cond
+        last = W - 1 - np.argmax(disagree[:, ::-1], axis=1)
+        u_ev = np.flatnonzero(prov_valid)
+        u_rows = prov_row[u_ev]
+        useful = forward_saturating(
+            u_rows,
+            disagree.any(axis=1)[u_ev],
+            (prov_taken == ctx.rtaken_grid)[col, last][u_ev],
+            c._all_useful[u_rows].astype(np.int64),
+            c.u_bits,
         )
-        taken = counter_taken_vec(prov_ctr, c.counter_bits)
+        prov_u = np.zeros(P, dtype=np.int64)
+        prov_u[u_ev] = useful.pre
+        newly = (prov_u == 0)[:, None] & counter_is_weak_vec(ctr[:, 0], bits)
         # The use-alt-on-new-alloc counter is a single saturating counter
-        # trained once per newly-allocated disagreeing branch lane, so its
-        # in-window trajectory forwards exactly: each packet's lookup reads
-        # the value left by every earlier packet's trainings.
-        ua_ev = (
-            prov_valid[:, None]
-            & ctx.upd_cond
-            & newly
-            & (taken != alt_taken)
-        )
-        ev_p, ev_l = np.nonzero(ua_ev)  # row-major = chronological
+        # trained once per newly-allocated disagreeing branch lane: each
+        # packet's lookup reads the value left by every earlier packet's
+        # trainings.
+        ev_p, ev_l = np.nonzero(prov_valid[:, None] & newly & disagree)
         ua0 = int(c._use_alt_on_na)
+        taken = prov_taken
         if len(ev_p):
             ua = forward_saturating(
                 np.zeros(len(ev_p), dtype=np.int64),
@@ -350,25 +384,12 @@ class TAGEKernel:
             ua_read = np.where(
                 first_ev == 0, ua0, ua.post[np.maximum(first_ev - 1, 0)]
             )
-            taken = np.where(
-                newly & (ua_read >= 8)[:, None], alt_taken, taken
-            )
+            taken = np.where(newly & (ua_read >= 8)[:, None], alt_taken, taken)
         else:
             ua = None
             if ua0 >= 8:
                 taken = np.where(newly, alt_taken, taken)
-        ctx.scratch[c.name] = (
-            prov_valid,
-            prov_row,
-            prov_ctr,
-            prov_u,
-            alt_taken,
-            rows,
-            hit,
-            is_prov,
-            ev_p,
-            ua,
-        )
+        ctx.scratch[c.name] = (ev // (2 * W), ctrs, u_ev, useful, ev_p, ua)
         out = state.copy()
         sel = prov_valid[:, None] & ctx.lane_valid & ~out.is_jump
         out.hit = out.hit | sel
@@ -376,97 +397,33 @@ class TAGEKernel:
         return out
 
     def mutates(self, ctx):
+        # Usefulness decay fires every u_decay_period counted updates and
+        # halves every entry; the boundary packet goes scalar and performs
+        # the actual decay.  Counter, usefulness and use-alt movement is
+        # forwarded and never cuts.
         c = self.c
-        (
-            prov_valid,
-            _prov_row,
-            prov_ctr,
-            prov_u,
-            alt_taken,
-            rows,
-            hit,
-            is_prov,
-            _ev_p,
-            _ua,
-        ) = ctx.scratch[c.name]
-        prov_taken = counter_taken_vec(prov_ctr, c.counter_bits)
-        upd = ctx.upd_cond
-        has_br = upd.any(axis=1)
-        ctr_moves = (
-            saturating_changes_vec(prov_ctr, ctx.rtaken_grid, c.counter_bits)
-            & upd
-        ).any(axis=1)
-        disagree = (prov_taken != alt_taken) & upd
-        u_agree = prov_taken == ctx.rtaken_grid
-        u_moves = (
-            disagree
-            & np.where(
-                u_agree,
-                prov_u[:, None] < mask(c.u_bits),
-                prov_u[:, None] > 0,
-            )
-        ).any(axis=1)
-        dirty = has_br & prov_valid & (ctr_moves | u_moves)
-        # Usefulness decay fires every u_decay_period counted updates; the
-        # boundary packet goes scalar and performs the actual decay.
+        has_br = ctx.upd_cond.any(axis=1)
         update_seq = c._update_count + np.cumsum(has_br)
-        decay = has_br & (update_seq % c.u_decay_period == 0)
-        # Counter/usefulness writes land at the provider's row; only
-        # packets that hit that row read it.  Rows of different tables
-        # differ, and the (T, P) grid flattens table-major, so each row's
-        # positions stay in packet order.
-        hazard = earlier_dirty_same_key(
-            rows.ravel(), (is_prov & dirty).ravel()
-        ).reshape(rows.shape)
-        return decay | (hazard & hit).any(axis=0)
+        return has_br & (update_seq % c.u_decay_period == 0)
 
     def commit(self, ctx, accepted):
         c = self.c
-        (
-            prov_valid,
-            prov_row,
-            prov_ctr,
-            prov_u,
-            alt_taken,
-            _rows,
-            _hit,
-            _is_prov,
-            ev_p,
-            ua,
-        ) = ctx.scratch[c.name]
-        upd = ctx.upd_cond[:accepted]
-        has_br = upd.any(axis=1)
+        ctr_p, ctrs, u_ev, useful, ev_p, ua = ctx.scratch[c.name]
         # The scalar update increments the decay clock once per committed
         # packet that carries at least one resolved branch.
-        c._update_count += int(has_br.sum())
+        c._update_count += int(ctx.upd_cond[:accepted].any(axis=1).sum())
+        n = int(np.searchsorted(ctr_p, accepted))
+        if n:
+            keys, values = ctrs.final(n)
+            c._all_ctrs.reshape(-1)[keys] = values
+        n = int(np.searchsorted(u_ev, accepted))
+        if n:
+            keys, values = useful.final(n)
+            c._all_useful[keys] = values
         if ua is not None:
-            n_ev = int(np.searchsorted(ev_p, accepted))
-            if n_ev:
-                c._use_alt_on_na = int(ua.final(n_ev)[1][0])
-        act = np.flatnonzero(has_br & prov_valid[:accepted])
-        if not len(act):
-            return
-        # Duplicate writes to one row apply in packet order (NumPy fancy
-        # assignment is last-wins); the hazard cut leaves only earlier
-        # writes that did not change the row.
-        pr = prov_row[act]
-        ctr = prov_ctr[act]
-        rt = ctx.rtaken_grid[act]
-        p_i, l_i = np.nonzero(upd[act])
-        c._all_ctrs[pr[p_i], l_i] = saturating_update_vec(
-            ctr[p_i, l_i], rt[p_i, l_i], c.counter_bits
-        )
-        # Usefulness trains once per disagreeing lane from the same
-        # metadata value; the last lane's write is the survivor.
-        prov_taken = counter_taken_vec(ctr, c.counter_bits)
-        d = (prov_taken != alt_taken[act]) & upd[act]
-        rr = np.flatnonzero(d.any(axis=1))
-        if len(rr):
-            last = ctx.W - 1 - np.argmax(d[rr, ::-1], axis=1)
-            agree = prov_taken[rr, last] == rt[rr, last]
-            c._all_useful[pr[rr]] = saturating_update_vec(
-                prov_u[act][rr], agree, c.u_bits
-            )
+            n = int(np.searchsorted(ev_p, accepted))
+            if n:
+                c._use_alt_on_na = int(ua.final(n)[1][0])
 
 
 class LoopKernel:

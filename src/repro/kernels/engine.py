@@ -7,18 +7,20 @@ takes a *window* of upcoming branch records, reconstructs every fetch
 packet the walker would form, runs the composer's evaluation plan over all
 of them in one vectorized pass against the **frozen** component tables, and
 accepts the maximal prefix of *pure* packets — packets that are neither
-mispredicted nor would write any component state.  Pure packets need no
-table writes at all: committing them only advances counts, the global
-history register, and a handful of managed counters (loop iteration
-counts, the TAGE update counter), all reproducible with closed-form
-arithmetic.  The first impure packet — a mispredict, an allocation, any
-counter movement — cuts the segment and is re-run through the scalar
-predict/resolve/commit path, so update ordering, repair semantics, and
-no-replay stale-history windows stay exactly the scalar code's.
+mispredicted nor write state the kernels cannot carry through the window.
+Kernels forward saturating counters through the window (each packet reads
+the value every earlier packet's update left) and commit their values
+after the accepted prefix; the rest a pure packet changes — counts, the
+global history register, managed counters such as the TAGE update count —
+is closed-form arithmetic.  The first impure packet — a mispredict, an
+allocation, a write a later read sees that no kernel forwards — cuts the
+segment and is re-run through the scalar predict/resolve/commit path, so
+update ordering, repair semantics, and no-replay stale-history windows
+stay exactly the scalar code's.
 
 Correctness hinges on one induction: packet ``q``'s vectorized values are
-exact as long as every packet before it is pure (no state changed, so the
-frozen tables are still current), and the first non-pure packet is
+exact as long as every packet before it is pure (every earlier write is
+forwarded, so what ``q`` reads is current), and the first non-pure packet is
 therefore detected exactly; garbage computed for packets *after* it can
 never move the cut earlier.  Over-marking a packet as state-changing is
 always safe — it only shortens the accepted prefix — so the per-kernel
@@ -175,31 +177,38 @@ class SegmentContext:
     )
 
 
-#: Returned when the engine accepts nothing (the caller falls back to the
-#: scalar walker for at least one packet).  ``impure_next`` reports *why*
-#: the segment ended: True means the packet at the stop position is known
-#: to mispredict or write state, so the caller should walk exactly that
-#: packet through the scalar path rather than re-attempt the engine on it.
 class EngineResult:
-    __slots__ = (
-        "packets", "records", "instructions", "branches", "next_pc",
-        "impure_next",
-    )
+    """What one :meth:`SegmentEngine.run` accepted, and why it stopped.
 
-    def __init__(
-        self, packets, records, instructions, branches, next_pc,
-        impure_next=False,
-    ):
+    ``cause`` names what ended the segment: the name of the first
+    component in plan order whose ``mutates`` column marks the packet at
+    the stop position, else ``"mispredict"`` (a marked packet may have
+    been predicted from state an earlier write changed, so its own
+    mispredict flag is not trusted), or None when the stop is a window or
+    budget artifact.  A non-None cause means the caller should walk
+    exactly that packet through the scalar path rather than re-attempt
+    the engine on it (``impure_next``).  An attempt that accepts nothing
+    has ``packets == 0``.
+    """
+
+    __slots__ = ("packets", "records", "instructions", "branches", "next_pc", "cause")
+
+    def __init__(self, packets, records, instructions, branches, next_pc, cause=None):
         self.packets = packets
         self.records = records
         self.instructions = instructions
         self.branches = branches
         self.next_pc = next_pc
-        self.impure_next = impure_next
+        self.cause = cause
+
+    @property
+    def impure_next(self) -> bool:
+        """Whether the packet the scalar walker resumes at is known to
+        mispredict or write state."""
+        return self.cause is not None
 
 
 _NO_PROGRESS = EngineResult(0, 0, 0, 0, 0)
-_NO_PROGRESS_IMPURE = EngineResult(0, 0, 0, 0, 0, impure_next=True)
 
 
 def engine_for(predictor) -> Optional["SegmentEngine"]:
@@ -405,9 +414,12 @@ class SegmentEngine:
             ctx.cfi_is_jalr, final.target[rows, lane], ctx.cfi_static_target
         )
 
+        columns = [
+            (name, kernel.mutates(ctx)) for name, kernel in self.kernels.items()
+        ]
         mutating = wrong
-        for kernel in self.kernels.values():
-            mutating = mutating | kernel.mutates(ctx)
+        for _name, column in columns:
+            mutating = mutating | column
 
         impure = np.flatnonzero(mutating)
         accepted = int(impure[0]) if len(impure) else P
@@ -416,11 +428,15 @@ class SegmentEngine:
         accepted = min(
             accepted, int(np.searchsorted(ctx.instr_incl, budget, side="right"))
         )
-        # Whether the packet the scalar walker resumes at is known-impure
-        # (rather than the stop being a window/budget artifact).
-        impure_next = accepted == impure_at and impure_at < P
+        # Why the segment ended, when the packet the scalar walker resumes
+        # at is known-impure (rather than the stop being a window/budget
+        # artifact).
+        cause = None
+        if accepted == impure_at < P:
+            marked = (name for name, column in columns if column[impure_at])
+            cause = next(marked, "mispredict")
         if accepted <= 0:
-            return _NO_PROGRESS_IMPURE if impure_next else _NO_PROGRESS
+            return EngineResult(0, 0, 0, 0, 0, cause) if cause else _NO_PROGRESS
 
         last = accepted - 1
         predictor._global.restore(int(ctx.rolled[int(ctx.pos_incl[last])]))
@@ -440,7 +456,7 @@ class SegmentEngine:
             instructions=int(ctx.instr_incl[last]),
             branches=int(ctx.branches_incl[last]),
             next_pc=int(ctx.next_fp[last]),
-            impure_next=impure_next,
+            cause=cause,
         )
 
 

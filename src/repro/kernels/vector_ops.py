@@ -76,22 +76,6 @@ def counter_is_weak_vec(counter: np.ndarray, bits: int) -> np.ndarray:
     return (c == mid_hi) | (c == mid_hi - 1)
 
 
-def saturating_changes_vec(
-    counter: np.ndarray, taken: np.ndarray, bits: int
-) -> np.ndarray:
-    """Whether :func:`repro._util.saturating_update` would move the counter."""
-    c = counter.astype(np.int64)
-    return np.where(taken, c < mask(bits), c > 0)
-
-
-def saturating_update_vec(
-    counter: np.ndarray, taken: np.ndarray, bits: int
-) -> np.ndarray:
-    """Vectorized :func:`repro._util.saturating_update`."""
-    c = counter.astype(np.int64)
-    return np.where(taken, np.minimum(c + 1, mask(bits)), np.maximum(c - 1, 0))
-
-
 def earlier_dirty_same_key(keys: np.ndarray, dirty: np.ndarray) -> np.ndarray:
     """Read-after-dirty-write hazards along a column of table indices.
 
@@ -126,11 +110,13 @@ def _step_tables(bits: int) -> np.ndarray:
 
     Row ``2 * upd + taken`` maps every counter value to the value after
     one event: rows 0 and 1 (no update) are the identity, row 2
-    decrements and row 3 increments, each clipped to ``[0, top]``.
+    decrements and row 3 increments, each clipped to ``[0, top]``.  The
+    values use the narrowest unsigned dtype that holds ``top``, so a
+    window's ``(events, 2 ** bits)`` maps stay small.
     """
     top = mask(bits)
-    v = np.arange(top + 1, dtype=np.intp)
-    tables = np.stack([v, v, np.maximum(v - 1, 0), np.minimum(v + 1, top)])
+    v = np.arange(top + 1, dtype=np.min_scalar_type(top))
+    tables = np.stack([v, v, np.maximum(v, 1) - 1, np.minimum(v, top - 1) + 1])
     tables.setflags(write=False)  # cached: shared by every caller
     return tables
 

@@ -649,6 +649,70 @@ class TestEngineCommits:
         assert set(expected) <= scalar.keys()
 
 
+class TestEngineCuts:
+    """TAGE forwards its counters, usefulness and use-alt counter through
+    a window, so only a usefulness-decay boundary makes it cut."""
+
+    #: Records the engine committed on ``counted_loops`` with ``tage_l``
+    #: while TAGE still cut at every read-after-write hazard on a provider
+    #: row.
+    HAZARD_CUT_RECORDS = 1722
+
+    @staticmethod
+    def counted_loops():
+        return capture_trace(
+            build_micro("counted_loops", scale=0.2), max_instructions=BUDGET
+        )
+
+    def test_tage_marks_only_the_decay_boundary(self):
+        trace = self.counted_loops()
+        predictor = presets.build("tage_l")
+        packets = trace_packets(trace, predictor.config.fetch_width)
+        # Train the tables on the whole trace, so the window below hits
+        # provider rows whose counters and usefulness move.
+        drive_columns(predictor, trace, packets, BUDGET)
+        engine = engine_for(predictor)
+        kernel = engine.kernels["tage"]
+        mutates = kernel.mutates
+        contexts = []
+
+        def recording(ctx):
+            contexts.append(ctx)
+            return mutates(ctx)
+
+        kernel.mutates = recording
+        cols = TraceColumns.from_trace(trace)
+        engine.run(cols, trace.entry_pc, 0, min(512, cols.n_records), BUDGET)
+        (ctx,) = contexts
+        has_br = ctx.upd_cond.any(axis=1)
+        assert has_br.sum() > 1
+        assert not mutates(ctx).any()
+        kernel.c._update_count = kernel.c.u_decay_period - 1
+        boundary = has_br & (np.cumsum(has_br) == 1)
+        assert mutates(ctx).tolist() == boundary.tolist()
+
+    def test_counted_loops_is_never_cut_by_tage(self):
+        trace = self.counted_loops()
+        predictor = presets.build("tage_l")
+        engine = engine_for(predictor)
+        segments = []
+        run = engine.run
+
+        def recording_run(*args):
+            seg = run(*args)
+            segments.append(seg)
+            return seg
+
+        engine.run = recording_run
+        packets = trace_packets(trace, predictor.config.fetch_width)
+        drive_columns(predictor, trace, packets, BUDGET, engine=engine)
+        causes = {seg.cause for seg in segments}
+        assert "mispredict" in causes
+        assert "tage" not in causes
+        assert causes <= {None, "mispredict", *engine.kernels}
+        assert sum(seg.records for seg in segments) >= self.HAZARD_CUT_RECORDS
+
+
 class TestEngageRule:
     """``drive_columns`` must hand sparse traces to the engine and back
     off on dense ones.  Bit-identity holds either way, so only these

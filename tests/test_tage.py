@@ -233,3 +233,87 @@ class TestSinglePassHash:
         for pc, ghist in REQUESTS + [(8, 0b1011)]:
             lookup(tage, pc=pc - pc % 4, ghist=ghist)
         assert state_fingerprint(tage) == before
+
+
+def scrambled_tage(seed, use_alt_on_na):
+    """A small TAGE whose tables hold seeded random state: 2-bit tags and
+    8 sets per table make tag hits and repeated rows the common case."""
+    tables = [
+        TageTableConfig(n_sets=8, history_bits=h, tag_bits=2)
+        for h in geometric_history_lengths(4, 4, 16)
+    ]
+    tage = TAGE("tage", tables=tables)
+    rng = np.random.default_rng(seed)
+    n = len(tage._all_tags)
+    tage._all_valid[:] = rng.random(n) < 0.9
+    tage._all_tags[:] = rng.integers(0, 4, n)
+    tage._all_ctrs[:] = rng.integers(0, 8, tage._all_ctrs.shape)
+    tage._all_useful[:] = rng.choice([0, 0, 1, 2, 3], n)
+    tage._use_alt_on_na = use_alt_on_na
+    return tage
+
+
+class TestKernelForwarding:
+    """The kernel forwards every update through a window: each packet's
+    lookup must read what the scalar updates of all earlier packets left.
+    Updates here never mispredict, so nothing allocates, and the window
+    stays short of the usefulness decay."""
+
+    @pytest.mark.parametrize("use_alt_on_na", [6, 7, 8, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_matches_the_sequential_scalar_walk(self, seed, use_alt_on_na):
+        from repro.kernels.engine import (
+            state_from_vectors,
+            state_matches_vector,
+            stimulus_context,
+        )
+
+        width, packets = 4, 96
+        rng = random.Random(seed)
+        fetch_pcs = [rng.randrange(64) for _ in range(packets)]
+        ghists = [rng.choice([0, 0x5A5A, 0xFFFF, 0x1234]) for _ in range(packets)]
+        bases, br_masks, taken_masks = [], [], []
+        for pc in fetch_pcs:
+            n_slots = width - pc % width
+            slots = tuple(
+                SlotPrediction(
+                    hit=rng.random() < 0.5,
+                    is_branch=True,
+                    taken=rng.random() < 0.5,
+                )
+                for _ in range(n_slots)
+            )
+            bases.append(PredictionVector(pc, slots))
+            br_masks.append(tuple(rng.random() < 0.6 for _ in range(n_slots)))
+            taken_masks.append(tuple(rng.random() < 0.5 for _ in range(n_slots)))
+
+        scalar = scrambled_tage(seed, use_alt_on_na)
+        kernel = TAGEKernel(scrambled_tage(seed, use_alt_on_na))
+        ctx = stimulus_context(fetch_pcs, ghists, width)
+        for p, pc in enumerate(fetch_pcs):
+            lanes = slice(pc % width, width)
+            ctx.upd_cond[p, lanes] = br_masks[p]
+            ctx.rtaken_grid[p, lanes] = taken_masks[p]
+        out = kernel.lookup(ctx, state_from_vectors(bases, ctx))
+        assert not kernel.mutates(ctx).any()
+        kernel.commit(ctx, packets)
+
+        for p, pc in enumerate(fetch_pcs):
+            request = PredictRequest(pc, width, ghists[p])
+            vector, meta = scalar.lookup(request, [bases[p]])
+            ok, why = state_matches_vector(out, p, pc % width, vector)
+            assert ok, f"packet {p}: {why}"
+            scalar.on_update(
+                UpdateBundle(
+                    fetch_pc=pc,
+                    width=width,
+                    ghist=ghists[p],
+                    meta=meta,
+                    br_mask=br_masks[p],
+                    taken_mask=taken_masks[p],
+                )
+            )
+        assert np.array_equal(kernel.c._all_ctrs, scalar._all_ctrs)
+        assert np.array_equal(kernel.c._all_useful, scalar._all_useful)
+        assert kernel.c._use_alt_on_na == scalar._use_alt_on_na
+        assert kernel.c._update_count == scalar._update_count
