@@ -41,6 +41,15 @@ fingerprints*: a canonical hash over the component's full object graph
 objects by attribute).  Two instances built the same way and fed the same
 stimulus fingerprint identically.
 
+The stimulus tells a component when it was wrong.  About three lookups in
+four revisit a seeded pool of contexts (a few fetch PCs, each under a few
+history tuples), so trained rows are read back.  Each branch lane resolves
+against a seeded per-PC bias, independent of the prediction; the first
+lane whose outcome differs from the predicted direction mispredicts
+(``on_mispredict`` at once, ``mispredicted``/``mispredict_idx`` on its
+commit bundle), and commit-time ``on_update`` lands behind up to two
+younger lookups, as it does in the pipeline.
+
 Stimulus dimensions are derived from each component's declarative
 :class:`repro.spec.ComponentSpec` when it provides one (see
 :func:`dims_for`): fetch PCs span every table's index plus tag width, and
@@ -101,7 +110,9 @@ def dims_for(component: PredictorComponent) -> StimulusDims:
     Fetch PCs must be wide enough that every spec table sees distinct
     indices *and* distinct tags (otherwise a narrow stimulus masks
     aliasing bugs), and each history must be at least as wide as the
-    spec's declared demand.  Components without a spec get the defaults.
+    spec's declared demand.  Packets are as wide as the component's own
+    ``fetch_width`` where it has one.  Components without a spec get the
+    defaults.
     """
     spec = component.spec
     if spec is None:
@@ -117,7 +128,9 @@ def dims_for(component: PredictorComponent) -> StimulusDims:
         )
         pc_bits = max(pc_bits, table.index.index_bits + tag_bits)
     return StimulusDims(
-        fetch_width=fetch_width,
+        # A component sized to its own fetch width gets packets of that
+        # width; wider packets would run past its per-lane rows.
+        fetch_width=getattr(component, "fetch_width", fetch_width),
         pc_bits=min(pc_bits, _MAX_PC_BITS),
         ghist_bits=max(DEFAULT_DIMS.ghist_bits, spec.ghist_bits),
         lhist_bits=max(DEFAULT_DIMS.lhist_bits, spec.lhist_bits),
@@ -191,6 +204,44 @@ def state_fingerprint(obj) -> str:
 # ----------------------------------------------------------------------
 # Stimulus
 # ----------------------------------------------------------------------
+#: Lookups revisit a seeded pool of contexts so trained rows are read
+#: back: ``_POOL_PCS`` fetch PCs, each under ``_POOL_HISTORIES``
+#: (ghist, lhist, phist) tuples.  ``_POOL_SHARE`` of the lookups come
+#: from the pool; the rest are fresh random contexts.
+_POOL_PCS = 8
+_POOL_HISTORIES = 4
+_POOL_SHARE = 0.75
+#: A commit-time ``on_update`` lands behind up to this many younger
+#: lookups, as it does behind the in-flight packets of the pipeline.
+_COMMIT_LAG = 2
+#: Share of correctly predicted packets that are squashed (``on_repair``)
+#: instead of committed, for components that speculate in ``fire``.
+_SQUASH_SHARE = 0.15
+
+#: One pooled context: a fetch PC and the history tuples it is seen under.
+Context = Tuple[int, Tuple[Tuple[int, int, int], ...]]
+
+
+def _histories(rng: random.Random, dims: StimulusDims) -> Tuple[int, int, int]:
+    return (
+        rng.getrandbits(dims.ghist_bits),
+        rng.getrandbits(dims.lhist_bits),
+        rng.getrandbits(dims.phist_bits),
+    )
+
+
+def _pool(seed: int, dims: StimulusDims) -> List[Context]:
+    """The seeded context pool of a drive (the same for every rule)."""
+    rng = random.Random(f"contract-pool:{seed}")
+    return [
+        (
+            rng.getrandbits(dims.pc_bits),
+            tuple(_histories(rng, dims) for _ in range(_POOL_HISTORIES)),
+        )
+        for _ in range(_POOL_PCS)
+    ]
+
+
 def _random_vector(
     rng: random.Random, fetch_pc: int, width: int
 ) -> PredictionVector:
@@ -223,37 +274,54 @@ def _random_vector(
 
 
 def _stimulus(
-    rng: random.Random, n_inputs: int, dims: StimulusDims = DEFAULT_DIMS
+    rng: random.Random,
+    n_inputs: int,
+    dims: StimulusDims = DEFAULT_DIMS,
+    pool: Sequence[Context] = (),
 ) -> Tuple[PredictRequest, List[PredictionVector]]:
-    fetch_pc = rng.getrandbits(dims.pc_bits)
+    if pool and rng.random() < _POOL_SHARE:
+        fetch_pc, contexts = rng.choice(pool)
+        ghist, lhist, phist = rng.choice(contexts)
+    else:
+        fetch_pc = rng.getrandbits(dims.pc_bits)
+        ghist, lhist, phist = _histories(rng, dims)
     width = packet_span(fetch_pc, dims.fetch_width)
-    req = PredictRequest(
-        fetch_pc,
-        width,
-        ghist=rng.getrandbits(dims.ghist_bits),
-        lhist=rng.getrandbits(dims.lhist_bits),
-        phist=rng.getrandbits(dims.phist_bits),
-    )
+    req = PredictRequest(fetch_pc, width, ghist=ghist, lhist=lhist, phist=phist)
     inputs = [_random_vector(rng, fetch_pc, width) for _ in range(n_inputs)]
     return req, inputs
 
 
+class _Outcomes:
+    """Seeded per-PC behaviour: each branch PC's taken bias and target.
+
+    A branch PC draws its bias and target the first time it is seen, so
+    the pooled PCs resolve the same way again and again, independent of
+    what the component predicted.
+    """
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        self._branches = {}
+
+    def resolve(self, branch_pc: int) -> Tuple[bool, int]:
+        rng = self._rng
+        branch = self._branches.get(branch_pc)
+        if branch is None:
+            branch = (rng.random(), rng.getrandbits(_TARGET_BITS))
+            self._branches[branch_pc] = branch
+        bias, target = branch
+        return rng.random() < bias, target
+
+
 def _bundle(
-    rng: random.Random,
     req: PredictRequest,
-    out: PredictionVector,
-    inputs: Sequence[PredictionVector],
     meta: int,
-    mispredicted: bool = False,
+    br_mask: Sequence[bool],
+    taken_mask: Sequence[bool],
+    cfi_idx: Optional[int],
+    cfi_target: Optional[int],
+    mispredict_idx: Optional[int] = None,
 ) -> UpdateBundle:
-    br_mask = tuple(
-        any(v.slots[i].is_branch for v in inputs) for i in range(req.width)
-    )
-    taken_mask = tuple(
-        br_mask[i] and bool(out.slots[i].taken) for i in range(req.width)
-    )
-    branch_lanes = [i for i in range(req.width) if br_mask[i]]
-    cfi_idx = branch_lanes[0] if branch_lanes and rng.random() < 0.7 else None
     return UpdateBundle(
         fetch_pc=req.fetch_pc,
         width=req.width,
@@ -261,15 +329,64 @@ def _bundle(
         lhist=req.lhist,
         phist=req.phist,
         meta=meta,
-        br_mask=br_mask,
-        taken_mask=taken_mask,
+        br_mask=tuple(br_mask),
+        taken_mask=tuple(taken_mask),
         cfi_idx=cfi_idx,
-        cfi_taken=bool(cfi_idx is not None and taken_mask[cfi_idx]),
-        cfi_target=rng.getrandbits(_TARGET_BITS) if cfi_idx is not None else None,
+        cfi_taken=cfi_idx is not None,
+        cfi_target=cfi_target,
         cfi_is_br=cfi_idx is not None,
-        mispredicted=mispredicted,
-        mispredict_idx=cfi_idx if mispredicted else None,
+        mispredicted=mispredict_idx is not None,
+        mispredict_idx=mispredict_idx,
     )
+
+
+def _resolve(
+    outcomes: _Outcomes,
+    req: PredictRequest,
+    out: PredictionVector,
+    inputs: Sequence[PredictionVector],
+    meta: int,
+) -> Tuple[UpdateBundle, UpdateBundle]:
+    """The packet's speculative bundle and its resolved bundle.
+
+    Mirrors the composer: the speculative packet (``fire``/``repair``)
+    carries the predicted directions and ends at the first branch
+    predicted taken.  Resolution gives every branch lane of that packet
+    its actual outcome; the first lane whose outcome differs from the
+    prediction mispredicts, and the resolved packet ends there
+    (``mispredict``/``update``).
+    """
+    width = req.width
+    br_mask = [False] * width
+    predicted = [False] * width
+    cfi_idx = cfi_target = None
+    for i in range(width):
+        if any(v.slots[i].is_branch for v in inputs):
+            br_mask[i] = True
+            predicted[i] = bool(out.slots[i].taken)
+            if predicted[i]:
+                cfi_idx = i
+                cfi_target = out.slots[i].target
+                break
+    speculative = _bundle(req, meta, br_mask, predicted, cfi_idx, cfi_target)
+
+    actual = list(predicted)
+    for i in range(width):
+        if not br_mask[i]:
+            continue
+        taken, target = outcomes.resolve(req.fetch_pc + i)
+        if taken == predicted[i]:
+            if taken:
+                cfi_target = target
+            continue
+        actual[i] = taken
+        for j in range(i + 1, width):
+            br_mask[j] = actual[j] = False
+        cfi_idx, cfi_target = (i, target) if taken else (None, None)
+        return speculative, _bundle(
+            req, meta, br_mask, actual, cfi_idx, cfi_target, mispredict_idx=i
+        )
+    return speculative, _bundle(req, meta, br_mask, actual, cfi_idx, cfi_target)
 
 
 def _branchless_bundle(req: PredictRequest, meta: int) -> UpdateBundle:
@@ -373,25 +490,35 @@ def _drive(
     check_fire_repair: bool = False,
     dims: Optional[StimulusDims] = None,
 ) -> List[tuple]:
-    """Run the stimulus; optionally check contracts; return an output log."""
+    """Run the stimulus; optionally check contracts; return an output log.
+
+    Each lookup's packet resolves against seeded per-PC outcomes
+    (:class:`_Outcomes`): a mispredicted packet gets ``on_mispredict`` at
+    once, some correctly predicted ones are squashed (``on_repair``), and
+    the rest commit (``on_update``) behind up to :data:`_COMMIT_LAG`
+    younger lookups.  Updates still pending at the end are committed.
+    """
     if dims is None:
         dims = dims_for(component)
     rng = random.Random(seed)
+    pool = _pool(seed, dims)
+    outcomes = _Outcomes(rng)
+    pending: deque = deque()
     log: List[tuple] = []
     overrides_fire = type(component).fire is not PredictorComponent.fire
     for step in range(steps):
-        req, inputs = _stimulus(rng, component.n_inputs, dims)
+        req, inputs = _stimulus(rng, component.n_inputs, dims, pool)
         out, meta = component.lookup(req, inputs)
         if report is not None:
             _check_lookup_contract(component, req, inputs, out, meta, report, step)
         log.append((req.fetch_pc, meta, out.slots))
 
-        bundle = _bundle(rng, req, out, inputs, meta)
+        speculative, resolved = _resolve(outcomes, req, out, inputs, meta)
         if overrides_fire:
             if check_fire_repair and report is not None:
                 before = state_fingerprint(component)
-                component.fire(bundle)
-                component.on_repair(bundle)
+                component.fire(speculative)
+                component.on_repair(speculative)
                 if state_fingerprint(component) != before:
                     report.report(
                         "CON005",
@@ -399,18 +526,19 @@ def _drive(
                         f"from the state before fire; repair must undo the "
                         f"speculative update exactly",
                     )
-                component.fire(bundle)  # keep speculative state advancing
-            else:
-                component.fire(bundle)
-        event = rng.random()
-        if event < 0.25:
-            component.on_mispredict(
-                _bundle(rng, req, out, inputs, meta, mispredicted=True)
-            )
-        elif event < 0.4 and overrides_fire:
-            component.on_repair(bundle)
+            component.fire(speculative)
+        if resolved.mispredicted:
+            component.on_mispredict(resolved)
+            pending.append(resolved)
+        elif overrides_fire and rng.random() < _SQUASH_SHARE:
+            component.on_repair(speculative)
         else:
-            component.on_update(bundle)
+            pending.append(resolved)
+        lag = rng.randint(0, _COMMIT_LAG)
+        while len(pending) > lag:
+            component.on_update(pending.popleft())
+    while pending:
+        component.on_update(pending.popleft())
     return log
 
 
@@ -528,6 +656,7 @@ def _apply_rules(
     # from the component's declarative spec (index + tag reach, history
     # demand) rather than hand-coded constants.
     dims = dims_for(component)
+    pool = _pool(seed, dims)  # CON009 reads back the rows the drive trains
     log_a = _drive(component, seed, steps, report, check_fire_repair=True, dims=dims)
 
     # CON007: same seed, same behavior.  The twin replays the identical
@@ -547,7 +676,9 @@ def _apply_rules(
     # packet's full lookup + fire + on_update cycle must leave its state
     # bit-identical — the trace-driven walker skips such packets.  The
     # check runs on the stimulus-warmed ``replay`` instance so populated
-    # tables are covered, not just power-on zeros.
+    # tables are covered, not just power-on zeros.  Its packets are fresh
+    # contexts, not pooled ones: a pooled PC held branches in the drive,
+    # and a committed stream never finds that code branchless later.
     if component.branchless_inert:
         rng = random.Random(seed ^ 0xB8)
         overrides_fire = type(replay).fire is not PredictorComponent.fire
@@ -587,7 +718,7 @@ def _apply_rules(
         reqs = []
         vectors = []
         for _ in range(16):
-            req, inputs = _stimulus(rng, 1, dims)
+            req, inputs = _stimulus(rng, 1, dims, pool)
             reqs.append(req)
             vectors.append(inputs[0])
         ctx = stimulus_context(

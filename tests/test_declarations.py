@@ -11,9 +11,12 @@ TOP006 budgets against.  None of them may move silently.  For every
 - ``required_*_bits`` and ``uses_*_history``.
 
 into one SHA-256 digest.  A second digest pins what each of those instances
-predicts: the output log of the seeded contract-harness drive
-(``contracts._drive``), one ``(pc, meta, slots)`` row per lookup, each
-output slot serialized as a plain JSON array of its five fields.  ``goldens/declarations.txt`` holds the same
+predicts: the output log of a :data:`LOOKUP_STEPS`-step seeded
+contract-harness drive (``contracts._drive``), one ``(pc, meta, slots)``
+row per lookup, each output slot serialized as a plain JSON array of its
+five fields.  The drive resolves every branch against seeded per-PC
+outcomes and revisits a pool of contexts, so the log depends on how each
+table trains, not only on how it indexes.  ``goldens/declarations.txt`` holds the same
 values at the default sizing as a readable table, so a failing digest
 can be diagnosed by regenerating the table and diffing it::
 
@@ -24,7 +27,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.analysis.contracts import DEFAULT_SEED, DEFAULT_STEPS, _drive
+from repro.analysis.contracts import DEFAULT_SEED, _drive
 from repro.components.base import SpecComponent
 from repro.components.library import standard_library
 from repro.spec import LEGAL_SIZINGS
@@ -35,7 +38,10 @@ TABLE = Path(__file__).resolve().parent.parent / "goldens" / "declarations.txt"
 DIGEST = "bf50e587ac9f61e998b68acf7038bfae209ac90dc56c6d0f1a8b587771f0d113"
 
 #: Digest of every instance's seeded lookup log (see the module docstring).
-LOOKUP_DIGEST = "3ca4ec888af5ec527e36092a1ed0904c716f7d500ad4902def6efd6f09af0d72"
+LOOKUP_DIGEST = "7f43473bf3ef68bb9cbd383afe7c5a1e6f798dd8571ea58fca35baaf31d3ec7b"
+
+#: Lookups per drive in :func:`lookup_digest`.
+LOOKUP_STEPS = 96
 
 LATENCY = 2
 
@@ -92,7 +98,7 @@ def lookup_digest() -> str:
         library = standard_library(**kwargs)
         for base in library.known():
             component = library.factory(base)(base.lower(), LATENCY)
-            log = _drive(component, DEFAULT_SEED, DEFAULT_STEPS)
+            log = _drive(component, DEFAULT_SEED, LOOKUP_STEPS)
             sha.update(json.dumps([label, base, log]).encode())
     return sha.hexdigest()
 
