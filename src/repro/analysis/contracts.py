@@ -31,9 +31,10 @@ then disables the skip).
 CON009 guards the batch-kernel fast path the same way: a component that
 advertises a ``columnar_kernel`` promises the kernel's batched ``lookup``
 reproduces the scalar ``lookup`` slot for slot against the same frozen
-tables.  The check sweeps a seeded batch of random packets (random fetch
-PCs, global histories, and input vectors) through both paths on the
-stimulus-warmed instance and compares every produced slot.
+tables.  The check sweeps a seeded batch of packets (mostly the drive's
+pooled contexts, whose rows it trained, with random input vectors)
+through both paths on the stimulus-warmed instance and compares every
+produced slot.
 
 Determinism, repair and branchless inertness are checked with *state
 fingerprints*: a canonical hash over the component's full object graph
@@ -219,7 +220,7 @@ _COMMIT_LAG = 2
 _SQUASH_SHARE = 0.15
 
 #: One pooled context: a fetch PC and the history tuples it is seen under.
-Context = Tuple[int, Tuple[Tuple[int, int, int], ...]]
+_Context = Tuple[int, Tuple[Tuple[int, int, int], ...]]
 
 
 def _histories(rng: random.Random, dims: StimulusDims) -> Tuple[int, int, int]:
@@ -230,7 +231,7 @@ def _histories(rng: random.Random, dims: StimulusDims) -> Tuple[int, int, int]:
     )
 
 
-def _pool(seed: int, dims: StimulusDims) -> List[Context]:
+def _pool(seed: int, dims: StimulusDims) -> List[_Context]:
     """The seeded context pool of a drive (the same for every rule)."""
     rng = random.Random(f"contract-pool:{seed}")
     return [
@@ -277,7 +278,7 @@ def _stimulus(
     rng: random.Random,
     n_inputs: int,
     dims: StimulusDims = DEFAULT_DIMS,
-    pool: Sequence[Context] = (),
+    pool: Sequence[_Context] = (),
 ) -> Tuple[PredictRequest, List[PredictionVector]]:
     if pool and rng.random() < _POOL_SHARE:
         fetch_pc, contexts = rng.choice(pool)
@@ -656,7 +657,6 @@ def _apply_rules(
     # from the component's declarative spec (index + tag reach, history
     # demand) rather than hand-coded constants.
     dims = dims_for(component)
-    pool = _pool(seed, dims)  # CON009 reads back the rows the drive trains
     log_a = _drive(component, seed, steps, report, check_fire_repair=True, dims=dims)
 
     # CON007: same seed, same behavior.  The twin replays the identical
@@ -715,6 +715,7 @@ def _apply_rules(
         )
 
         rng = random.Random(seed ^ 0xC9)
+        pool = _pool(seed, dims)  # the contexts the drive trained
         reqs = []
         vectors = []
         for _ in range(16):

@@ -44,10 +44,9 @@ RULES: Dict[str, tuple] = {
     "RPR003": (ERROR, "fire overridden without on_repair"),
     "RPR005": (WARN, "noqa comment references an unknown rule code"),
     # Spec conformance (repro.analysis.spec_check).  Retired, never
-    # reused: SPEC001, SPEC002, SPEC004, SPEC005, SPEC007, SPEC008.
+    # reused: SPEC001, SPEC002, SPEC004, SPEC005, SPEC007, SPEC008, SPEC009.
     "SPEC003": (ERROR, "spec IndexFn does not reproduce the observed index"),
     "SPEC006": (ERROR, "closed-form engine-drivable component has no kernel"),
-    "SPEC009": (ERROR, "derived scalar path diverges from its reference"),
 }
 
 

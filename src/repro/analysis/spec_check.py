@@ -1,4 +1,4 @@
-"""Spec-conformance analyzer: rules SPEC003, SPEC006 and SPEC009.
+"""Spec-conformance analyzer: rules SPEC003 and SPEC006.
 
 Checks a component's declarative :class:`repro.spec.ComponentSpec` (its
 ``spec`` attribute) against the behaviour the spec does not itself
@@ -11,10 +11,6 @@ SPEC003   index-hash conformance: each table's declared ``IndexFn``
 SPEC006   kernel completeness: a component whose update rules are all
           closed-form and whose tables the engine could drive must
           advertise a ``columnar_kernel()`` or carry a waiver
-SPEC009   derivation equivalence: a component whose scalar path executes
-          through :mod:`repro.derive` produces bit-identical predictions
-          and metadata to its frozen pre-refactor reference
-          (:mod:`repro.derive.reference`) on seeded contract stimulus
 ========  ==============================================================
 
 The spec is the object the component was built from, so what is read
@@ -128,46 +124,6 @@ def _check_kernel(
     return []
 
 
-#: Seeded stimulus length for the SPEC009 differential drive.
-DERIVED_STEPS = 96
-
-
-def _check_derived(
-    component: PredictorComponent, subject: str, seed: int
-) -> List[Diagnostic]:
-    """SPEC009: derived scalar path vs the frozen pre-refactor reference."""
-    # Lazy imports: contracts pulls in the stimulus machinery and derive
-    # pulls in the component families; neither belongs at analyzer import.
-    from repro.analysis.contracts import _drive
-    from repro.derive.reference import twin_dims, twin_pair
-
-    pair = twin_pair(component)
-    if pair is None:
-        return []
-    derived, reference = pair
-    dims = twin_dims(derived)
-    derived_log = _drive(derived, seed, DERIVED_STEPS, dims=dims)
-    reference_log = _drive(reference, seed, DERIVED_STEPS, dims=dims)
-    for step, (got, want) in enumerate(zip(derived_log, reference_log)):
-        if got != want:
-            pc, meta, slots = got
-            _, ref_meta, ref_slots = want
-            detail = (
-                f"meta {meta} != {ref_meta}"
-                if meta != ref_meta
-                else f"slots {slots} != {ref_slots}"
-            )
-            return [
-                diagnostic(
-                    "SPEC009",
-                    f"derived scalar path diverges from the pre-refactor "
-                    f"reference at step {step} (pc={pc:#x}): {detail}",
-                    subject,
-                )
-            ]
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Entry points.
 # ---------------------------------------------------------------------------
@@ -178,7 +134,7 @@ def check_component_spec(
     subject: Optional[str] = None,
     seed: int = DEFAULT_SEED,
 ) -> List[Diagnostic]:
-    """Run SPEC003, SPEC006 and SPEC009 against one instantiated component."""
+    """Run SPEC003 and SPEC006 against one instantiated component."""
     subject = subject or component.name
     spec = component.spec
     if spec is None:
@@ -186,7 +142,6 @@ def check_component_spec(
     diags: List[Diagnostic] = []
     diags.extend(_check_indexing(component, spec, subject, seed))
     diags.extend(_check_kernel(component, spec, subject))
-    diags.extend(_check_derived(component, subject, seed))
     return diags
 
 

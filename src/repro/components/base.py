@@ -9,16 +9,17 @@ per-prediction state into the interface's fixed-width metadata integer
 construction and kept as the ``spec`` attribute, supplies the codec, the
 storage report and the history demand.
 
-:class:`IndexScheme` implements the parameterized indexing option of the
+:class:`IndexScheme` names the parameterized indexing option of the
 counter tables (§III-G1): "indexed by a global history, local history, PC,
-or any hashed combination of the above".
+or any hashed combination of the above"; its :meth:`~IndexScheme.index_fn`
+is the closed form (:class:`repro.spec.IndexFn`) the tables evaluate.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro._util import fold_history, hash_pc, mask
+from repro._util import mask
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
 from repro.spec import ComponentSpec
 
@@ -171,9 +172,10 @@ class SpecComponent(PredictorComponent):
 
 
 class IndexScheme:
-    """Computes set indices for counter tables from PC and histories.
+    """How a counter table indexes from the PC and histories.
 
-    Supported schemes:
+    :meth:`index_fn` gives the scheme's closed form as a
+    :class:`repro.spec.IndexFn`, which tables evaluate.  Supported schemes:
 
     - ``"pc"``      — hashed fetch PC only.
     - ``"ghist"``   — folded global history only (Alpha-21264 global table).
@@ -221,34 +223,4 @@ class IndexScheme:
             self.history_bits,
             key=key,
             fetch_width=fetch_width,
-        )
-
-    def index(self, packet_pc: int, ghist: int, lhist: int, phist: int = 0) -> int:
-        bits = self.index_bits
-        if self.scheme == "pc":
-            return hash_pc(packet_pc, bits)
-        if self.scheme == "ghist":
-            return fold_history(ghist, self.history_bits, bits)
-        if self.scheme == "gshare":
-            return hash_pc(packet_pc, bits) ^ fold_history(
-                ghist, self.history_bits, bits
-            )
-        if self.scheme == "gselect":
-            # GSelect [McFarling 1993]: concatenate PC bits with history
-            # bits instead of XORing them.
-            hist_part = bits // 2
-            pc_part = bits - hist_part
-            return (hash_pc(packet_pc, pc_part) << hist_part) | (
-                ghist & ((1 << hist_part) - 1)
-            )
-        if self.scheme == "phist":
-            return fold_history(phist, self.history_bits, bits)
-        if self.scheme == "pshare":
-            return hash_pc(packet_pc, bits) ^ fold_history(
-                phist, self.history_bits, bits
-            )
-        # "lhist": fold the local history and mix in a little PC so distinct
-        # branches with identical histories do not always collide.
-        return fold_history(lhist, self.history_bits, bits) ^ hash_pc(
-            packet_pc, max(bits - 2, 1)
         )

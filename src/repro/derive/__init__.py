@@ -16,16 +16,16 @@ in sync:
   spec (replacing the hand-written HBIM/two-level/GTag kernel classes).
 - :mod:`repro.derive.rtl` — per-table Verilog modules (memory array,
   index hash, update port) consumed by :mod:`repro.rtl.verilog`.
-- :mod:`repro.derive.reference` — frozen pre-refactor scalar
-  implementations: the oracle side of analyzer rule SPEC009 and the
-  fuzzer's ``derive`` leg, keeping the migration differentially gated.
 - :mod:`repro.derive.coverage` — the CI gate asserting the migrated
   families actually route through this package.
 
 Components in the migrated families hold their state in
 ``component.derived_tables`` (a dict of table name →
 :class:`DerivedTable`); custom-hash components (TAGE, ITTAGE, loop, BTB)
-keep hand-written walks but consume the same spec-first API.
+keep hand-written walks but consume the same spec-first API.  What the
+migrated families predict is pinned by the lookup digest in
+``tests/test_declarations.py``: the outcome-driven contract-harness drive
+of every base at every legal sizing.
 """
 
 from repro.derive.coverage import (
@@ -35,7 +35,6 @@ from repro.derive.coverage import (
     kernel_is_derived,
 )
 from repro.derive.kernels import derived_kernel
-from repro.derive.reference import twin_dims, twin_pair
 from repro.derive.tables import DerivedTable, derived_storage
 
 __all__ = [
@@ -46,6 +45,4 @@ __all__ = [
     "derived_kernel",
     "derived_storage",
     "kernel_is_derived",
-    "twin_dims",
-    "twin_pair",
 ]

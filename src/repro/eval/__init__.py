@@ -14,7 +14,6 @@ from repro.eval.metrics import RunResult, harmonic_mean
 from repro.eval.parallel import EvalJob, ParallelRunner, job_cache_key
 from repro.eval.runner import run_workload, run_suite
 from repro.eval.comparison import EvaluatedSystem, evaluated_systems
-from repro.eval.artifacts import Regression, compare_results, load_results, save_results
 from repro.eval.golden import check_goldens, update_goldens
 from repro.eval.profiler import (
     AttributedSite,
@@ -43,10 +42,6 @@ __all__ = [
     "run_suite",
     "EvaluatedSystem",
     "evaluated_systems",
-    "Regression",
-    "compare_results",
-    "load_results",
-    "save_results",
     "AttributedSite",
     "SiteReport",
     "check_goldens",

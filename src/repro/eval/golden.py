@@ -5,11 +5,9 @@ fixed seeds, simulation state is all-integer, and telemetry observes
 without perturbing.  That makes *exact* stats stable across machines and
 Python versions, so the repo commits a golden snapshot of a small
 preset × micro-workload matrix and CI re-runs the matrix on every push,
-failing on any drift.  Unlike the tolerance-based
-:func:`~repro.eval.artifacts.compare_results` (meant for cross-design
-comparisons where noise is semantic), this gate is bit-exact: any change
-to predictor or core semantics must regenerate the goldens (``repro
-golden --update``) and justify the diff in review.
+failing on any drift.  The gate is bit-exact: any change to predictor
+or core semantics must regenerate the goldens (``repro golden
+--update``) and justify the diff in review.
 
 Snapshot contents per cell (schema 2): under ``"cycle"``, the cycle-level
 run — cycle count, committed instructions, control mispredicts, flushes,

@@ -34,10 +34,7 @@ reports every disagreement as a :class:`Mismatch`.  The catalog:
     with the case's seed: every instantiated component — including ones
     built from fuzz-drawn library sizings — must conform to its
     declarative :class:`repro.spec.ComponentSpec` (zero error-severity
-    SPEC diagnostics).  SPEC009 makes this the fuzz-scale twin drive too:
-    a component in a spec-derived family (HBIM, the two-level variants,
-    GTag) must be bit-identical, step for step, to its frozen
-    pre-refactor reference (:mod:`repro.derive.reference`).
+    SPEC diagnostics).
 ``explore``
     The `repro explore` search operators applied to the case's topology
     (at its fuzz-drawn library sizings) must produce children that
@@ -397,7 +394,7 @@ def oracle_spec(case: FuzzCase, scratch: Path) -> List[Mismatch]:
     Runs ``repro check --spec`` semantics over the case's instantiated
     components rather than the shipped library, so fuzz-drawn sizings
     (:func:`repro.fuzz.generate.random_library_params`) are covered too,
-    and seeds the probes and the SPEC009 twin drive with the case's seed.
+    and seeds the SPEC003 probes with the case's seed.
     """
     from repro.analysis.diagnostics import ERROR
     from repro.analysis.spec_check import check_component_spec

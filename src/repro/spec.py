@@ -12,9 +12,8 @@ component's ``spec`` attribute.  Their ``MetaCodec``, ``meta_bits``,
 object, so they cannot disagree with it.  The SPEC analyzer
 (:mod:`repro.analysis.spec_check`) checks what the spec does not
 generate: index hashes against observed indexing on seeded probes
-(SPEC003), that a component whose tables are closed-form and
-engine-drivable advertises a ``columnar_kernel()`` (SPEC006), and that
-derived scalar paths match their frozen references (SPEC009).
+(SPEC003), and that a component whose tables are closed-form and
+engine-drivable advertises a ``columnar_kernel()`` (SPEC006).
 
 The spec describes state, not runtime capabilities: whether a component
 batch-replays is what its ``columnar_kernel()`` returns, and whether it

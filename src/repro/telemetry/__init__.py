@@ -19,8 +19,7 @@ Collection is strictly opt-in (``CoreConfig(telemetry=True)`` or the
 ``--telemetry`` CLI flag) and never perturbs simulation results: the
 collector observes completed composer decisions, it does not participate in
 them.  The summary payload is JSON-canonical (string keys, ints, lists), so
-it round-trips byte-identically through the result cache and
-:mod:`repro.eval.artifacts`.
+it round-trips byte-identically through the result cache.
 """
 
 from repro.telemetry.collector import (

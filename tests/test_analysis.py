@@ -259,13 +259,14 @@ class TestDiagnosticsModel:
             # CON004 (reset completeness) is retired and its code not
             # reused; so are SPEC001/002/004/005/008, which compared a
             # component's spec with itself, SPEC007 (learn triggers vs
-            # branchless_inert), and RPR004 (predict_in mutation, which
-            # immutable prediction vectors now refuse at run time).
+            # branchless_inert), SPEC009 (derived paths vs frozen
+            # reference twins, now pinned by the lookup digest), and
+            # RPR004 (predict_in mutation, which immutable prediction
+            # vectors now refuse at run time).
             *(f"CON{n:03d}" for n in range(1, 10) if n != 4),
             *(f"RPR{n:03d}" for n in range(1, 6) if n != 4),
             "SPEC003",
             "SPEC006",
-            "SPEC009",
         }
 
     def test_exit_codes(self):

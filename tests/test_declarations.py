@@ -16,7 +16,9 @@ contract-harness drive (``contracts._drive``), one ``(pc, meta, slots)``
 row per lookup, each output slot serialized as a plain JSON array of its
 five fields.  The drive resolves every branch against seeded per-PC
 outcomes and revisits a pool of contexts, so the log depends on how each
-table trains, not only on how it indexes.  ``goldens/declarations.txt`` holds the same
+table trains, not only on how it indexes; the mutant tests below patch
+one fault into the spec-derived runtime at a time and require the
+migrated bases' log to move.  ``goldens/declarations.txt`` holds the same
 values at the default sizing as a readable table, so a failing digest
 can be diagnosed by regenerating the table and diffing it::
 
@@ -27,10 +29,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from repro._util import hash_pc, saturating_update
 from repro.analysis.contracts import DEFAULT_SEED, _drive
 from repro.components.base import SpecComponent
 from repro.components.library import standard_library
-from repro.spec import LEGAL_SIZINGS
+from repro.derive import DERIVED_BASES, DerivedTable
+from repro.spec import LEGAL_SIZINGS, IndexFn
 
 TABLE = Path(__file__).resolve().parent.parent / "goldens" / "declarations.txt"
 
@@ -162,6 +168,81 @@ def test_spec_is_the_construction_time_declaration():
         assert spec is not None and spec.validate() == [], base
         layout = [(f.name, f.bits, f.count) for f in spec.meta_fields]
         assert component._codec._fields == layout, base
+
+
+# ----------------------------------------------------------------------
+# Runtime mutants the lookup log must expose
+# ----------------------------------------------------------------------
+def _step_by_two(monkeypatch):
+    def twice(counter, taken, bits):
+        return saturating_update(saturating_update(counter, taken, bits), taken, bits)
+
+    monkeypatch.setattr("repro.derive.tables.saturating_update", twice)
+
+
+def _inverted_train(monkeypatch):
+    monkeypatch.setattr(
+        "repro.derive.tables.saturating_update",
+        lambda counter, taken, bits: saturating_update(counter, not taken, bits),
+    )
+
+
+def _train_from_current_cell(monkeypatch):
+    train = DerivedTable.train
+
+    def from_cell(self, row, taken, *, counter=None, **where):
+        return train(self, row, taken, **where)
+
+    monkeypatch.setattr(DerivedTable, "train", from_cell)
+
+
+def _way_of_zero(monkeypatch):
+    monkeypatch.setattr(DerivedTable, "way_of", lambda self, branch_pc: 0)
+
+
+def _gshare_without_fold(monkeypatch):
+    closed_form = IndexFn.closed_form
+
+    def pc_only(self):
+        if self.scheme != "gshare":
+            return closed_form(self)
+        width = 1 if self.key == "branch_pc" else self.fetch_width
+        bits = self.index_bits
+        return lambda fetch_pc, ghist=0, lhist=0, phist=0: hash_pc(
+            fetch_pc // width, bits
+        )
+
+    monkeypatch.setattr(IndexFn, "closed_form", pc_only)
+
+
+MUTANTS = {
+    "step_by_two": _step_by_two,
+    "inverted_train": _inverted_train,
+    "train_from_current_cell": _train_from_current_cell,
+    "way_of_zero": _way_of_zero,
+    "gshare_without_fold": _gshare_without_fold,
+}
+
+
+def migrated_logs():
+    """Lookup log of each migrated base at the default sizing."""
+    library = standard_library()
+    return {
+        base: _drive(
+            library.factory(base)(base.lower(), LATENCY),
+            DEFAULT_SEED,
+            LOOKUP_STEPS,
+        )
+        for base in DERIVED_BASES
+    }
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_runtime_mutant_changes_lookup_log(mutant, monkeypatch):
+    clean = migrated_logs()
+    MUTANTS[mutant](monkeypatch)
+    mutated = migrated_logs()
+    assert mutated != clean, f"{mutant} leaves every migrated base's log unchanged"
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Covers the derived-execution layer end to end: the
 :class:`~repro.derive.tables.DerivedTable` runtime (allocation, row
 selection, closed-form updates, packing), generated-kernel selection,
-the frozen-reference twin equivalence gate (SPEC009, which the fuzz
-``spec`` oracle also runs), the golden Verilog snapshots,
-the LEGAL_SIZINGS drift guard, and the derivation-coverage gate.
+the golden Verilog snapshots, the LEGAL_SIZINGS drift guard, and the
+derivation-coverage gate.  What the migrated families predict is pinned
+by the lookup digest in ``tests/test_declarations.py``.
 """
 
 import inspect
@@ -16,9 +16,6 @@ import pytest
 
 from repro import presets
 from repro._util import hash_pc, mask
-from repro.analysis.contracts import _drive
-from repro.analysis.spec_check import check_component_spec
-from repro.components.bimodal import HBIM
 from repro.components.library import standard_library
 from repro.derive import (
     DERIVED_BASES,
@@ -28,11 +25,8 @@ from repro.derive import (
     derived_kernel,
     derived_storage,
     kernel_is_derived,
-    twin_dims,
-    twin_pair,
 )
 from repro.derive.kernels import CandidateCounterKernel, LaneCounterKernel
-from repro.derive.reference import ReferenceHBIM
 from repro.rtl import generate_verilog_skeleton
 from repro.spec import (
     LEGAL_SIZINGS,
@@ -41,6 +35,8 @@ from repro.spec import (
     IndexFn,
     TableSpec,
 )
+
+from tests.fixtures.hand_kept import HandKeptBimodal
 
 GOLDEN_RTL_DIR = Path("goldens") / "rtl"
 
@@ -199,44 +195,6 @@ class TestDerivedKernelSelection:
 
 
 # ----------------------------------------------------------------------
-# Frozen-reference twins (the SPEC009 / fuzz-oracle machinery)
-# ----------------------------------------------------------------------
-class TestTwinEquivalence:
-    @pytest.mark.parametrize("base", ["GSHARE", "GAP", "GTAG"])
-    def test_derived_matches_reference_log(self, base):
-        component = build(base)
-        derived, reference = twin_pair(component)
-        dims = twin_dims(derived)
-        assert _drive(derived, 7, 64, dims=dims) == _drive(
-            reference, 7, 64, dims=dims
-        )
-
-    def test_twin_dims_clamps_to_narrow_fetch_width(self):
-        component = build("BIM", fetch_width=1, bim_sets=1024)
-        assert component.fetch_width == 1
-        assert twin_dims(component).fetch_width == 1
-
-    def test_twin_pair_skips_subclasses(self):
-        class Tweaked(HBIM):
-            pass
-
-        assert twin_pair(Tweaked("tweaked", 2)) is None
-
-    def test_spec009_fires_on_behavioral_divergence(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.derive.reference.ReferenceHBIM.on_update",
-            lambda self, bundle: None,
-        )
-        # Seed chosen so a trained counter crosses its taken threshold
-        # inside the 96-step differential drive.
-        diags = check_component_spec(build("GSHARE"), seed=2025)
-        assert "SPEC009" in [d.code for d in diags]
-
-    def test_spec009_clean_on_unmodified_component(self):
-        assert check_component_spec(build("GSHARE")) == []
-
-
-# ----------------------------------------------------------------------
 # IndexFn closed-form edge cases
 # ----------------------------------------------------------------------
 class TestIndexFnEdgeCases:
@@ -337,9 +295,9 @@ class TestDerivationCoverage:
         assert_derived_coverage()
 
     def test_gate_flags_regressed_base(self):
-        # The frozen reference HBIM is the family before the migration:
-        # hand-kept numpy state and no spec.
-        library = standard_library().with_params("BIM", ReferenceHBIM)
+        # A hand-kept bimodal is the family before the migration: plain
+        # numpy state and no spec.
+        library = standard_library().with_params("BIM", HandKeptBimodal)
         problems = derivation_problems(library)
         assert "BIM" in problems
 

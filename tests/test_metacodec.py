@@ -255,23 +255,25 @@ class TestMetaCodecMatchesReference:
 
 class TestIndexScheme:
     def test_pc_scheme_ignores_history(self):
-        scheme = IndexScheme("pc", 8)
-        assert scheme.index(5, 0, 0) == scheme.index(5, 123, 456)
+        fn = IndexScheme("pc", 8).index_fn()
+        assert fn.compute(5, 0, 0) == fn.compute(5, 123, 456)
 
     def test_ghist_scheme_uses_history(self):
         scheme = IndexScheme("ghist", 8, history_bits=16)
-        assert scheme.index(5, 0b1111, 0) != scheme.index(5, 0b1010, 0)
+        fn = scheme.index_fn()
+        assert fn.compute(5, 0b1111, 0) != fn.compute(5, 0b1010, 0)
         assert scheme.uses_global_history and not scheme.uses_local_history
 
     def test_lhist_scheme(self):
         scheme = IndexScheme("lhist", 8, history_bits=16)
         assert scheme.uses_local_history
-        assert scheme.index(5, 0, 3) != scheme.index(5, 0, 12)
+        fn = scheme.index_fn()
+        assert fn.compute(5, 0, 3) != fn.compute(5, 0, 12)
 
     def test_gshare_mixes_both(self):
-        scheme = IndexScheme("gshare", 8, history_bits=16)
-        assert scheme.index(5, 7, 0) != scheme.index(9, 7, 0)
-        assert scheme.index(5, 7, 0) != scheme.index(5, 8, 0)
+        fn = IndexScheme("gshare", 8, history_bits=16).index_fn()
+        assert fn.compute(5, 7, 0) != fn.compute(9, 7, 0)
+        assert fn.compute(5, 7, 0) != fn.compute(5, 8, 0)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -282,18 +284,18 @@ class TestIndexScheme:
             IndexScheme("ghist", 8, history_bits=0)
 
     def test_index_in_range(self):
-        scheme = IndexScheme("gshare", 6, history_bits=32)
+        fn = IndexScheme("gshare", 6, history_bits=32).index_fn()
         for pc in range(100):
-            assert 0 <= scheme.index(pc, pc * 7, 0) < 64
+            assert 0 <= fn.compute(pc, pc * 7, 0) < 64
 
 
 class TestGSelect:
     def test_concatenates_pc_and_history(self):
-        scheme = IndexScheme("gselect", 8, history_bits=16)
+        fn = IndexScheme("gselect", 8, history_bits=16).index_fn()
         # Low half = history bits, high half = PC hash.
-        a = scheme.index(0, 0b1010, 0)
+        a = fn.compute(0, 0b1010, 0)
         assert a & 0b1111 == 0b1010
-        assert scheme.index(0, 0b1010, 0) != scheme.index(1, 0b1010, 0)
+        assert fn.compute(0, 0b1010, 0) != fn.compute(1, 0b1010, 0)
 
     def test_composes_in_topology(self):
         from repro.core import compose

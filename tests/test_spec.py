@@ -32,7 +32,6 @@ from repro.components.base import SpecComponent
 from repro.components.library import standard_library
 from repro.components.tournament import Tourney
 from repro.core.interface import InterfaceError
-from repro.derive.reference import ReferenceHBIM
 from repro.kernels.engine import engine_for
 from repro.spec import (
     LEGAL_SIZINGS,
@@ -46,6 +45,7 @@ from repro.spec import (
 )
 
 from tests.fixtures import bad_specs
+from tests.fixtures.hand_kept import HandKeptBimodal
 
 #: Three library sizings the round-trip tests sweep: the shipped Table I
 #: defaults, a widened configuration, and a minimal one.
@@ -349,7 +349,7 @@ class TestSpecViolations:
 # ----------------------------------------------------------------------
 class TestSpecConsumers:
     def test_dims_default_without_spec(self):
-        component = ReferenceHBIM("x", 2)
+        component = HandKeptBimodal("x", 2)
         assert component.spec is None
         assert dims_for(component) == StimulusDims()
 
@@ -361,6 +361,14 @@ class TestSpecConsumers:
         tag_bits = sum(f.bits for f in tags.fields if f.name == "tag")
         assert dims.pc_bits == max(20, tags.index.index_bits + tag_bits)
         assert dims.fetch_width == btb.fetch_width
+
+    def test_dims_clamp_to_narrow_fetch_width(self):
+        # A component narrower than the default 4-wide packet gets packets
+        # of its own width, so no lane runs past its counter rows.
+        library = standard_library(fetch_width=1, bim_sets=1024)
+        component = library.factory("BIM")("bim", 2)
+        assert component.fetch_width == 1
+        assert dims_for(component).fetch_width == 1
 
     def test_dims_cover_declared_history_demand(self):
         for base in BASES:
@@ -491,12 +499,11 @@ class TestFuzzIntegration:
 class TestSchemaAndCli:
     def test_report_version_bumped_for_spec_family(self):
         assert REPORT_VERSION == 2
-        # SPEC001/002/004/005/007/008 are retired and their codes not
-        # reused.
+        # SPEC001/002/004/005/007/008/009 are retired and their codes
+        # not reused.
         assert {code for code in RULES if code.startswith("SPEC")} == {
             "SPEC003",
             "SPEC006",
-            "SPEC009",
         }
 
     def test_every_registered_rule_code_round_trips_the_schema(self):
@@ -525,7 +532,16 @@ class TestSchemaAndCli:
 
     @pytest.mark.parametrize(
         "code",
-        ["SPEC001", "SPEC002", "SPEC004", "SPEC005", "SPEC007", "SPEC008", "RPR004"],
+        [
+            "SPEC001",
+            "SPEC002",
+            "SPEC004",
+            "SPEC005",
+            "SPEC007",
+            "SPEC008",
+            "SPEC009",
+            "RPR004",
+        ],
     )
     def test_retired_spec_code_is_unknown_to_ignore(self, code, capsys):
         rc = cli.main(["check", "--spec", "--ignore", code])

@@ -1,18 +1,10 @@
-"""Tests for the tooling layer: site profiler, artifacts, RTL skeletons,
-and the instruction-cache model."""
+"""Tests for the tooling layer: site profiler, RTL skeletons, and the
+instruction-cache model."""
 
 import pytest
 
 from repro import presets
-from repro.eval import (
-    compare_results,
-    coverage,
-    format_profile,
-    load_results,
-    run_suite,
-    save_results,
-    top_offenders,
-)
+from repro.eval import coverage, format_profile, top_offenders
 from repro.frontend import Core, CoreConfig
 from repro.frontend.caches import InstructionCacheModel
 from repro.frontend.config import ICacheConfig
@@ -77,49 +69,6 @@ class TestProfiler:
         from repro.frontend.core import CoreStats
 
         assert format_profile(CoreStats()) == "(no mispredicts recorded)"
-
-
-class TestArtifacts:
-    @pytest.fixture(scope="class")
-    def matrix(self):
-        program = build_specint("xz", scale=0.1)
-        return run_suite(["b2"], {"xz": program})
-
-    def test_save_load_roundtrip(self, matrix, tmp_path):
-        path = tmp_path / "results.json"
-        save_results(matrix, path)
-        loaded = load_results(path)
-        original = matrix["b2"]["xz"]
-        restored = loaded["b2"]["xz"]
-        assert restored.ipc == pytest.approx(original.ipc)
-        assert restored.branch_mispredicts == original.branch_mispredicts
-        assert restored.stats is None
-
-    def test_compare_detects_ipc_regression(self, matrix, tmp_path):
-        path = tmp_path / "r.json"
-        save_results(matrix, path)
-        before = load_results(path)
-        after = load_results(path)
-        after["b2"]["xz"].ipc *= 0.8  # simulate a 20% IPC loss
-        regressions = compare_results(before, after)
-        assert any(r.metric == "ipc" for r in regressions)
-        assert regressions[0].relative_change < 0
-
-    def test_compare_clean_runs_empty(self, matrix, tmp_path):
-        path = tmp_path / "r.json"
-        save_results(matrix, path)
-        before = load_results(path)
-        after = load_results(path)
-        assert compare_results(before, after) == []
-
-    def test_compare_detects_mpki_regression(self, matrix, tmp_path):
-        path = tmp_path / "r.json"
-        save_results(matrix, path)
-        before = load_results(path)
-        after = load_results(path)
-        after["b2"]["xz"].mpki = before["b2"]["xz"].mpki * 2 + 1
-        regressions = compare_results(before, after)
-        assert any(r.metric == "mpki" for r in regressions)
 
 
 class TestVerilogSkeleton:
