@@ -12,6 +12,8 @@ Two sums are printed.  The *narrow* one is the layers the target names:
 ``components`` + ``core`` (the composer) + ``backends`` (the walker).  The
 *wide* one adds the helper packages those layers call into (``_util``,
 ``derive``, ``spec``), which moved work between layers as they changed.
+A table of the ``repro`` functions that execute the most opcodes per
+packet follows, by qualified name (function name only before Python 3.11).
 
 Usage (from the repository root)::
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 from bench_opcodes import OpcodeCounter
@@ -32,6 +35,38 @@ PRESETS = ("tage_l", "b2", "tourney")
 SCALE = 0.1
 NARROW = ("components", "core", "backends")
 WIDE = NARROW + ("_util", "derive", "spec")
+TOP_FUNCTIONS = 15
+
+
+class FunctionCounter(OpcodeCounter):
+    """:class:`OpcodeCounter` that also counts opcodes per ``repro`` function."""
+
+    def __init__(self):
+        super().__init__()
+        self.functions = defaultdict(int)
+        self._code_tracers = {}  # code object -> its frame-local tracer
+
+    def _global_tracer(self, frame, event, arg):
+        layer = self._layer(frame)
+        self.calls[layer] += 1
+        frame.f_trace_opcodes = True
+        code = frame.f_code
+        tracer = self._code_tracers.get(code)
+        if tracer is None:
+            opcodes, functions = self.opcodes, self.functions
+            name = getattr(code, "co_qualname", code.co_name)
+            if layer == "other":
+                name = None
+
+            def tracer(frame, event, arg):
+                if event == "opcode":
+                    opcodes[layer] += 1
+                    if name is not None:
+                        functions[name] += 1
+                return tracer
+
+            self._code_tracers[code] = tracer
+        return tracer
 
 
 def count() -> tuple:
@@ -40,7 +75,7 @@ def count() -> tuple:
     from repro.workloads import specint
     from repro.workloads.traces import capture_trace
 
-    counter = OpcodeCounter()
+    counter = FunctionCounter()
     packets = 0
     for name in PROGRAMS:
         trace = capture_trace(specint.build(name, SCALE))
@@ -49,7 +84,7 @@ def count() -> tuple:
             cache = trace_packets(trace, predictor.config.fetch_width)
             counter.run(drive_columns, predictor, trace, cache, None, None)
             packets += predictor.stats.predictions
-    return counter.opcodes, packets
+    return counter.opcodes, counter.functions, packets
 
 
 def main(argv=None) -> int:
@@ -59,7 +94,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src or Path(__file__).resolve().parent.parent / "src"
     sys.path.insert(0, str(src.resolve()))
-    opcodes, packets = count()
+    opcodes, functions, packets = count()
     print(f"python {sys.version_info.major}.{sys.version_info.minor}, "
           f"src {src}, {packets} packets")
     for layer in sorted(opcodes):
@@ -67,6 +102,10 @@ def main(argv=None) -> int:
     for label, layers in (("narrow", NARROW), ("wide", WIDE)):
         total = sum(opcodes.get(layer, 0) for layer in layers)
         print(f"{label} ({' + '.join(layers)}): {total / packets:.1f} per packet")
+    print(f"top {TOP_FUNCTIONS} functions, opcodes per packet:")
+    ranked = sorted(functions.items(), key=lambda item: (-item[1], item[0]))
+    for name, ops in ranked[:TOP_FUNCTIONS]:
+        print(f"  {name:56s} {ops / packets:8.1f}")
     return 0
 
 

@@ -38,9 +38,11 @@ class AgreeFilter(PredictorComponent):
     On a tag hit, the stored counter *replaces* the incoming direction; the
     table only allocates when the incoming prediction mispredicts, so it
     holds exactly the "exceptions" the backing predictor gets wrong.  The
-    metadata field stores the hit flag, the predict-time counter, and the
-    incoming direction (to train allocation), exactly in the spirit of
-    §III-D.
+    metadata stores the hit flag, the predict-time counter, the lane and
+    the incoming direction (to train allocation), exactly in the spirit of
+    §III-D.  It is a plain ``(hit, ctr, lane, inc)`` tuple: the framework
+    hands it back untouched in every event, and the codec renders its bits
+    only for ``meta_image`` (what ``repro check`` holds to ``meta_bits``).
     """
 
     def __init__(self, name: str, latency: int = 3, n_sets: int = 256,
@@ -66,7 +68,7 @@ class AgreeFilter(PredictorComponent):
 
     def lookup(
         self, req: PredictRequest, predict_in: Sequence[PredictionVector]
-    ) -> Tuple[PredictionVector, int]:
+    ) -> Tuple[PredictionVector, tuple]:
         out = predict_in[0]
         for lane, slot in enumerate(out.slots):
             if not (slot.hit and slot.is_branch):
@@ -76,23 +78,21 @@ class AgreeFilter(PredictorComponent):
                 ctr = int(self._ctrs[index])
                 taken = counter_taken(ctr, 2)
                 out = out.with_slot(lane, slot.with_direction(taken))
-                meta = self._codec.pack(hit=1, ctr=ctr, lane=lane,
-                                        inc=int(slot.taken))
-            else:
-                meta = self._codec.pack(hit=0, ctr=0, lane=lane,
-                                        inc=int(slot.taken))
-            return out, meta
-        return out, self._codec.pack(hit=0, ctr=0, lane=0, inc=0)
+                return out, (1, ctr, lane, slot.taken)
+            return out, (0, 0, lane, slot.taken)
+        return out, (0, 0, 0, 0)
+
+    def meta_image(self, meta) -> int:
+        return self._codec.image(meta)
 
     def on_update(self, bundle: UpdateBundle) -> None:
-        fields = self._codec.unpack(bundle.meta)
-        lane = int(fields["lane"])
+        hit, ctr, lane, _ = bundle.meta
         if lane >= len(bundle.br_mask) or not bundle.br_mask[lane]:
             return
         taken = bundle.taken_mask[lane]
         index, tag = self._index_tag(bundle.fetch_pc + lane, bundle.ghist)
-        if fields["hit"] and self._valid[index] and int(self._tags[index]) == tag:
-            self._ctrs[index] = saturating_update(int(fields["ctr"]), taken, 2)
+        if hit and self._valid[index] and int(self._tags[index]) == tag:
+            self._ctrs[index] = saturating_update(ctr, taken, 2)
         elif bundle.mispredicted and bundle.mispredict_idx == lane:
             # Allocate an exception entry for a branch the rest of the
             # pipeline just got wrong.

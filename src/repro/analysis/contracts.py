@@ -316,7 +316,7 @@ class _Outcomes:
 
 def _bundle(
     req: PredictRequest,
-    meta: int,
+    meta: object,
     br_mask: Sequence[bool],
     taken_mask: Sequence[bool],
     cfi_idx: Optional[int],
@@ -346,7 +346,7 @@ def _resolve(
     req: PredictRequest,
     out: PredictionVector,
     inputs: Sequence[PredictionVector],
-    meta: int,
+    meta: object,
 ) -> Tuple[UpdateBundle, UpdateBundle]:
     """The packet's speculative bundle and its resolved bundle.
 
@@ -390,7 +390,7 @@ def _resolve(
     return speculative, _bundle(req, meta, br_mask, actual, cfi_idx, cfi_target)
 
 
-def _branchless_bundle(req: PredictRequest, meta: int) -> UpdateBundle:
+def _branchless_bundle(req: PredictRequest, meta: object) -> UpdateBundle:
     """The commit bundle of a packet containing no control flow at all.
 
     This is exactly the update the composed pipeline issues for a packet
@@ -438,16 +438,10 @@ def _check_lookup_contract(
     req: PredictRequest,
     inputs: List[PredictionVector],
     out: PredictionVector,
-    meta: int,
     report: _Reporter,
     step: int,
 ) -> None:
-    """CON001 (meta width) and CON002 (pass-through, selector directions)."""
-    try:
-        component.check_meta(meta)
-    except InterfaceError as exc:
-        report.report("CON001", f"step {step}: {exc}")
-
+    """CON002: pass-through of unpredicted fields, selector directions."""
     if component.n_inputs == 1 and not component.provides_targets:
         # Direction predictors must not disturb incoming jump predictions:
         # the slot's kind, direction, and target pass through (§III-F).
@@ -510,9 +504,18 @@ def _drive(
     for step in range(steps):
         req, inputs = _stimulus(rng, component.n_inputs, dims, pool)
         out, meta = component.lookup(req, inputs)
+        # CON001: the metadata's bit image fits the declared width.  The
+        # log records the image (the raw metadata when it does not fit),
+        # so a lookup log is plain ints whatever form metadata takes.
+        try:
+            image = component.check_meta(meta)
+        except InterfaceError as exc:
+            if report is not None:
+                report.report("CON001", f"step {step}: {exc}")
+            image = meta
         if report is not None:
-            _check_lookup_contract(component, req, inputs, out, meta, report, step)
-        log.append((req.fetch_pc, meta, out.slots))
+            _check_lookup_contract(component, req, inputs, out, report, step)
+        log.append((req.fetch_pc, image, out.slots))
 
         speculative, resolved = _resolve(outcomes, req, out, inputs, meta)
         if overrides_fire:

@@ -157,7 +157,7 @@ def check_topology(
                     )
                 )
 
-    # TOP003: components that build their metadata with a MetaCodec must
+    # TOP003: components whose metadata image a MetaCodec renders must
     # declare exactly the codec's width — a mismatch means the history
     # file reserves the wrong number of bits per entry.
     for component in components:

@@ -1,8 +1,8 @@
 """Shared building blocks for predictor sub-components.
 
-:class:`MetaCodec` gives components a declarative way to pack structured
-per-prediction state into the interface's fixed-width metadata integer
-(§III-D), mirroring how RTL implementations concatenate bitfields.
+:class:`MetaCodec` renders a component's positional metadata tuple as the
+fixed-width bit image the history file stores (§III-D), mirroring how RTL
+implementations concatenate bitfields.
 
 :class:`SpecComponent` is the base of every library component: its
 :class:`~repro.spec.ComponentSpec`, built and validated once at
@@ -17,9 +17,8 @@ is the closed form (:class:`repro.spec.IndexFn`) the tables evaluate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro._util import mask
 from repro.core.interface import InterfaceError, PredictorComponent, StorageReport
 from repro.spec import ComponentSpec
 
@@ -27,24 +26,28 @@ FieldSpec = Tuple[str, int, int]  # (name, bits, count)
 
 
 class MetaCodec:
-    """Packs named bitfields (scalars or fixed-length vectors) into an int.
+    """The bit image of a component's metadata layout (§III-D).
 
-    Fields are packed LSB-first in declaration order.  A field declared with
-    ``count > 1`` packs a vector of that many ``bits``-wide lanes — the
-    common case for superscalar components that store one counter per fetch
-    slot.  A field missing from :meth:`pack` packs as 0.
+    A layout is a list of named bitfields, scalars or fixed-length vectors
+    (``count > 1`` lanes of ``bits`` each — the common case for superscalar
+    components that store one counter per fetch slot).  Components hand
+    the history file their metadata as a positional tuple in layout order:
+    an int per scalar field, a sequence of ``count`` ints per vector
+    field.  The framework stores and returns that tuple untouched; only
+    where the bits themselves are observed — the contract harness
+    (CON001) — is it rendered by :meth:`image`, packed LSB-first in
+    declaration order.  ``width`` is what ``meta_bits`` declares and
+    TOP003 checks.
 
     Example::
 
         codec = MetaCodec([("hit", 1, 1), ("ctr", 2, 4)])
-        meta = codec.pack(hit=1, ctr=[3, 0, 1, 2])
-        fields = codec.unpack(meta)   # {"hit": 1, "ctr": [3, 0, 1, 2]}
+        codec.image((1, [3, 0, 1, 2]))  # 0b10_01_00_11_1
     """
 
     def __init__(self, fields: Sequence[Union[Tuple[str, int], FieldSpec]]):
         self._fields: List[FieldSpec] = []
-        offset = 0
-        self._offsets: Dict[str, Tuple[int, int, int]] = {}
+        names = set()
         for spec in fields:
             if len(spec) == 2:
                 name, bits = spec  # type: ignore[misc]
@@ -53,72 +56,35 @@ class MetaCodec:
                 name, bits, count = spec  # type: ignore[misc]
             if bits <= 0 or count <= 0:
                 raise ValueError(f"field {name!r}: bits and count must be positive")
-            if name in self._offsets:
+            if name in names:
                 raise ValueError(f"duplicate metadata field {name!r}")
+            names.add(name)
             self._fields.append((name, bits, count))
-            self._offsets[name] = (offset, bits, count)
-            offset += bits * count
-        self.width = offset
-        # pack/unpack run once per component per prediction — the layout
-        # is flattened ahead of time so the hot loops do no dict lookups
-        # or mask arithmetic.
-        self._layout = [
-            (name, bits, count, self._offsets[name][0])
-            for name, bits, count in self._fields
-        ]
-        #: Unpack order: ``(name, offset, lane_mask, lane_shifts)``, with
-        #: ``lane_shifts`` None for scalars.
-        self._unpack_layout = tuple(
-            (
-                name,
-                offset,
-                mask(bits),
-                None if count == 1 else tuple(offset + i * bits for i in range(count)),
-            )
-            for name, bits, count, offset in self._layout
-        )
+        self.width = sum(bits * count for _, bits, count in self._fields)
 
-    def pack(self, **values) -> int:
-        meta = 0
-        for name, bits, count, offset in self._layout:
-            value = values.pop(name, 0)
+    def image(self, values: Sequence) -> int:
+        """Pack positional ``values``, checking every field fits its bits."""
+        if len(values) != len(self._fields):
+            raise ValueError(
+                f"expected {len(self._fields)} metadata fields, got {len(values)}"
+            )
+        meta = offset = 0
+        for (name, bits, count), value in zip(self._fields, values):
             if count == 1:
-                if value.__class__ is not int:
-                    value = int(value)
-                if value >> bits:  # negative, or wider than the field
-                    raise ValueError(
-                        f"field {name!r}: value {value} exceeds {bits} bits"
-                    )
-                meta |= value << offset
-                continue
-            if len(value) != count:
+                value = (value,)
+            elif len(value) != count:
                 raise ValueError(
                     f"field {name!r} expects {count} lanes, got {len(value)}"
                 )
             for lane in value:
-                if lane.__class__ is not int:
-                    lane = int(lane)
-                if lane >> bits:
+                lane = int(lane)
+                if lane >> bits:  # negative, or wider than the field
                     raise ValueError(
                         f"field {name!r}: value {lane} exceeds {bits} bits"
                     )
                 meta |= lane << offset
                 offset += bits
-        if values:
-            raise ValueError(f"unknown metadata fields: {sorted(values)}")
         return meta
-
-    def unpack(self, meta: int) -> Dict[str, Union[int, List[int]]]:
-        out: Dict[str, Union[int, List[int]]] = {}
-        for name, offset, lane_mask, lane_shifts in self._unpack_layout:
-            if lane_shifts is None:
-                out[name] = (meta >> offset) & lane_mask
-            else:
-                lanes = []
-                for shift in lane_shifts:
-                    lanes.append((meta >> shift) & lane_mask)
-                out[name] = lanes
-        return out
 
 
 class SpecComponent(PredictorComponent):
@@ -132,7 +98,9 @@ class SpecComponent(PredictorComponent):
     declaration is read off that one object:
 
     - the :class:`MetaCodec` (``self._codec``) from ``spec.meta_fields``,
-      and ``meta_bits`` from the codec;
+      and ``meta_bits`` from the codec.  ``lookup`` returns its metadata
+      as a tuple in ``spec.meta_fields`` order, and :meth:`meta_image`
+      renders that tuple's bits;
     - ``uses_*_history`` and ``required_*_bits`` from the spec's history
       bits, and ``n_inputs`` from the spec;
     - :meth:`storage` is :func:`~repro.derive.tables.derived_storage` of
@@ -163,6 +131,10 @@ class SpecComponent(PredictorComponent):
         self.required_ghist_bits = spec.ghist_bits
         self.required_lhist_bits = spec.lhist_bits
         self.required_phist_bits = spec.phist_bits
+
+    def meta_image(self, meta: tuple) -> int:
+        """``meta``'s bit image, checked field by field (``ValueError``)."""
+        return self._codec.image(meta)
 
     def storage(self) -> StorageReport:
         # Imported here: repro.derive imports this module.

@@ -95,17 +95,16 @@ class HBIM(SpecComponent):
             ]
         )
         out = _new_tuple(PredictionVector, (predicted.fetch_pc, slots))
-        # A MetaCodec field with one lane packs as a scalar, so a scalar
+        # A one-lane metadata field is a scalar, so a scalar
         # (fetch_width=1) pipeline hands over the bare counter.
-        meta = self._codec.pack(ctr=row if self.fetch_width > 1 else row[0])
-        return out, meta
+        return out, (row if self.fetch_width > 1 else row[0],)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
         """Commit-time update of every resolved conditional branch slot."""
         if not any(bundle.br_mask):
             return
-        counters = self._codec.unpack(bundle.meta)["ctr"]
+        (counters,) = bundle.meta
         if self.fetch_width == 1:
             counters = [counters]
         table = self._counters

@@ -92,7 +92,7 @@ class BTB(SpecComponent):
         if way is None:
             # Tag miss: pass the incoming prediction through unmodified
             # (§III-F), recording the miss in metadata.
-            return predicted, self._codec.pack(hit=0, way=0)
+            return predicted, (0, 0)
         offset = req.fetch_pc % self.fetch_width
         slots = list(predicted.slots)
         for slot_idx, slot in enumerate(predicted.slots):
@@ -109,7 +109,7 @@ class BTB(SpecComponent):
                 fields = (True, True, slot.is_jump, slot.taken, target)
             slots[slot_idx] = _new_tuple(SlotPrediction, fields)
         out = _new_tuple(PredictionVector, (predicted.fetch_pc, tuple(slots)))
-        return out, self._codec.pack(hit=1, way=way)
+        return out, (1, way)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
@@ -119,14 +119,10 @@ class BTB(SpecComponent):
         if bundle.cfi_target is None:
             return
         index, tag = self._index_tag(bundle.fetch_pc)
-        fields = self._codec.unpack(bundle.meta)
-        if fields["hit"]:
-            way = int(fields["way"])
-            # The tag may have been evicted since predict time; only reuse
-            # the metadata way when it still matches.
-            if not (self._valid[index, way] and self._tags[index, way] == tag):
-                way = self._find_way(index, tag)
-        else:
+        hit, way = bundle.meta
+        # The tag may have been evicted since predict time; only reuse the
+        # metadata way when it still matches.
+        if not (hit and self._valid[index, way] and self._tags[index, way] == tag):
             way = self._find_way(index, tag)
         if way is None:
             way = int(self._replace_ptr[index])
@@ -249,7 +245,7 @@ class MicroBTB(SpecComponent):
         entry = self._find(tag)
         out = predict_in[0]
         if entry is None:
-            return out, self._codec.pack(hit=0, entry=0, ctr=0)
+            return out, (0, 0, 0)
         offset = req.fetch_pc % self.fetch_width
         slot_idx = int(self._cfi_idx[entry]) - offset
         counter = int(self._ctrs[entry])
@@ -262,31 +258,30 @@ class MicroBTB(SpecComponent):
                 taken = counter_taken(counter, self.counter_bits)
                 fields = (True, True, slot.is_jump, taken, target)
             out = out.with_slot(slot_idx, _new_tuple(SlotPrediction, fields))
-        return out, self._codec.pack(hit=1, entry=entry, ctr=counter)
+        return out, (1, entry, counter)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
-        fields = self._codec.unpack(bundle.meta)
+        hit, entry, counter = bundle.meta
         tag = self._tag(bundle.fetch_pc)
         lane = None
         if bundle.cfi_idx is not None:
             lane = (bundle.fetch_pc % self.fetch_width) + bundle.cfi_idx
 
-        if fields["hit"]:
-            entry = int(fields["entry"])
+        if hit:
             if self._valid[entry] and self._tags[entry] == tag:
                 stored_lane = int(self._cfi_idx[entry])
                 if lane == stored_lane and not self._is_jump[entry]:
                     taken = bundle.cfi_taken
                     self._ctrs[entry] = saturating_update(
-                        int(fields["ctr"]), taken, self.counter_bits
+                        counter, taken, self.counter_bits
                     )
                 elif lane is None and not self._is_jump[entry]:
                     # The tracked branch fell through this time.
                     span_start = bundle.fetch_pc % self.fetch_width
                     if span_start <= stored_lane < span_start + bundle.width:
                         self._ctrs[entry] = saturating_update(
-                            int(fields["ctr"]), False, self.counter_bits
+                            counter, False, self.counter_bits
                         )
                 return
 

@@ -103,19 +103,16 @@ class GTag(SpecComponent):
                     )
                 slots.append(slot)
             out = _new_tuple(PredictionVector, (out.fetch_pc, tuple(slots)))
-        meta = self._codec.pack(hit=int(hit), ctr=row.tolist())
-        return out, meta
+        return out, (hit, row.tolist())
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
         if not any(bundle.br_mask):
             return
-        fields = self._codec.unpack(bundle.meta)
+        was_hit, counters = bundle.meta
         index, tag = self._index_tag(bundle.fetch_pc, bundle.ghist)
         offset = bundle.fetch_pc % self.fetch_width
-        was_hit = bool(fields["hit"])
         if was_hit:
-            counters = fields["ctr"]
             for slot_idx, is_branch in enumerate(bundle.br_mask):
                 if is_branch:
                     lane = offset + slot_idx
@@ -125,7 +122,7 @@ class GTag(SpecComponent):
                         index,
                         bundle.taken_mask[slot_idx],
                         lane=lane if self.fetch_width > 1 else None,
-                        counter=int(counters[lane]),
+                        counter=counters[lane],
                     )
         elif bundle.mispredicted:
             # Allocate on a misprediction the backing predictor got wrong:

@@ -86,7 +86,7 @@ class ITTAGE(SpecComponent):
         out = predict_in[0]
         hits = self._matches(req.fetch_pc, req.ghist)
         if not hits:
-            return out, self._codec.pack(provider_valid=0, provider=0, lane=0, conf=0)
+            return out, (0, 0, 0, 0)
         provider, index = hits[-1]
         lane = int(self._lanes[provider][index])
         conf = int(self._conf[provider][index])
@@ -96,10 +96,7 @@ class ITTAGE(SpecComponent):
             target = int(self._targets[provider][index])
             slot = SlotPrediction(hit=True, is_jump=True, taken=True, target=target)
             out = out.with_slot(slot_idx, slot)
-        return out, self._codec.pack(
-            provider_valid=1, provider=provider, lane=slot_idx if slot_idx >= 0 else 0,
-            conf=conf,
-        )
+        return out, (1, provider, slot_idx if slot_idx >= 0 else 0, conf)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
@@ -108,21 +105,20 @@ class ITTAGE(SpecComponent):
         actual_target = bundle.cfi_target
         if actual_target is None:
             return
-        fields = self._codec.unpack(bundle.meta)
+        provider_valid, provider, _, conf = bundle.meta
         lane = (bundle.fetch_pc % self.fetch_width) + bundle.cfi_idx
 
         # The predict-time hash pass, memoised: nothing is re-hashed here.
         rows = self._index_tags(bundle.fetch_pc, bundle.ghist)
-        if fields["provider_valid"]:
-            provider = int(fields["provider"])
+        if provider_valid:
             index, tag = rows[provider]
             if self._valid[provider][index] and int(self._tags[provider][index]) == tag:
                 if int(self._targets[provider][index]) == actual_target:
                     self._conf[provider][index] = saturating_update(
-                        int(fields["conf"]), True, self.conf_bits
+                        conf, True, self.conf_bits
                     )
                 else:
-                    conf = saturating_update(int(fields["conf"]), False, self.conf_bits)
+                    conf = saturating_update(conf, False, self.conf_bits)
                     self._conf[provider][index] = conf
                     if conf == 0:
                         self._targets[provider][index] = actual_target
@@ -130,7 +126,7 @@ class ITTAGE(SpecComponent):
 
         # Allocate a longer-history entry on a target mispredict.
         if bundle.mispredicted:
-            start = int(fields["provider"]) + 1 if fields["provider_valid"] else 0
+            start = provider + 1 if provider_valid else 0
             for table in range(start, len(self.history_lengths)):
                 index, tag = rows[table]
                 if not self._valid[table][index] or int(self._conf[table][index]) == 0:

@@ -88,7 +88,7 @@ class LoopPredictor(SpecComponent):
             if entry is None:
                 continue
             spec_iter = int(self._spec_iter[entry])
-            meta = self._codec.pack(cand_valid=1, lane=lane, spec_iter=spec_iter)
+            meta = (1, lane, spec_iter)
             if int(self._conf[entry]) >= self.CONF_THRESHOLD and self._trip[entry] > 0:
                 body = bool(self._direction[entry])
                 # Predict the exit only when the speculative count matches
@@ -98,17 +98,15 @@ class LoopPredictor(SpecComponent):
                 predicted = not body if spec_iter == int(self._trip[entry]) else body
                 out = out.with_slot(lane, slot.with_direction(predicted))
             return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, spec_iter=0)
+        return out, (0, 0, 0)
 
     # ------------------------------------------------------------------
     def _meta_entry(self, bundle: UpdateBundle):
         """Resolve (entry, lane, pre-fire spec_iter) from metadata."""
-        fields = self._codec.unpack(bundle.meta)
-        if not fields["cand_valid"]:
+        cand_valid, lane, spec_iter = bundle.meta
+        if not cand_valid:
             return None, None, None
-        lane = int(fields["lane"])
-        entry = self._entry_for(bundle.fetch_pc + lane)
-        return entry, lane, int(fields["spec_iter"])
+        return self._entry_for(bundle.fetch_pc + lane), lane, spec_iter
 
     def fire(self, bundle: UpdateBundle) -> None:
         """Speculatively advance the iteration counter at predict time."""

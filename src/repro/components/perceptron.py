@@ -75,26 +75,17 @@ class Perceptron(SpecComponent):
             _, total = self._dot(req.fetch_pc + lane, req.ghist)
             taken = total >= 0
             out = out.with_slot(lane, slot.with_direction(taken))
-            meta = self._codec.pack(
-                cand_valid=1,
-                lane=lane,
-                taken=int(taken),
-                magnitude=min(abs(total), mask(12)),
-            )
-            return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, taken=0, magnitude=0)
+            return out, (1, lane, taken, min(abs(total), mask(12)))
+        return out, (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
-        fields = self._codec.unpack(bundle.meta)
-        if not fields["cand_valid"]:
+        cand_valid, lane, predicted, magnitude = bundle.meta
+        if not cand_valid:
             return
-        lane = int(fields["lane"])
         if lane >= len(bundle.br_mask) or not bundle.br_mask[lane]:
             return
         taken = bundle.taken_mask[lane]
-        predicted = bool(fields["taken"])
-        magnitude = int(fields["magnitude"])
         if predicted == taken and magnitude > self.threshold:
             return  # confident and correct: no training needed
         index = hash_pc(bundle.fetch_pc + lane, self._index_bits)

@@ -97,31 +97,21 @@ class StatisticalCorrector(SpecComponent):
             flipped = corrected != incoming and abs(total) >= self.flip_threshold
             if flipped:
                 out = out.with_slot(lane, slot.with_direction(corrected))
-            meta = self._codec.pack(
-                cand_valid=1,
-                lane=lane,
-                incoming=int(incoming),
-                ctr=[c & ((1 << self.counter_bits) - 1) for c in counters],
-                flipped=int(flipped),
-            )
-            return out, meta
-        return out, self._codec.pack(
-            cand_valid=0, lane=0, incoming=0, ctr=[0] * len(self._tables), flipped=0
-        )
+            ctr = [c & ((1 << self.counter_bits) - 1) for c in counters]
+            return out, (1, lane, incoming, ctr, flipped)
+        return out, (0, 0, False, [0] * len(self._tables), False)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
-        fields = self._codec.unpack(bundle.meta)
-        if not fields["cand_valid"]:
+        cand_valid, lane, incoming, ctr, _ = bundle.meta
+        if not cand_valid:
             return
-        lane = int(fields["lane"])
         if lane >= len(bundle.br_mask) or not bundle.br_mask[lane]:
             return
         taken = bundle.taken_mask[lane]
-        incoming = bool(fields["incoming"])
         indices = self._indices(bundle.fetch_pc + lane, bundle.ghist, incoming)
-        for table, index, raw in zip(self._tables, indices, fields["ctr"]):
-            counter = sign_extend(int(raw), self.counter_bits)
+        for table, index, raw in zip(self._tables, indices, ctr):
+            counter = sign_extend(raw, self.counter_bits)
             if taken:
                 table[index] = min(counter + 1, self._ctr_max)
             else:

@@ -314,26 +314,25 @@ class TAGE(SpecComponent):
                 slots.append(slot.with_direction(taken))
             out = _new_tuple(PredictionVector, (out.fetch_pc, tuple(slots)))
 
-        meta = self._codec.pack(
-            provider_valid=int(provider is not None),
-            provider=provider or 0,
-            alt_valid=int(alt is not None),
-            alt=alt or 0,
-            provider_ctr=provider_ctr,
-            alt_taken=alt_taken,
-            used_alt=used_alt,
-            provider_u=provider_u,
+        return out, (
+            provider is not None,
+            provider or 0,
+            alt is not None,
+            alt or 0,
+            provider_ctr,
+            alt_taken,
+            used_alt,
+            provider_u,
         )
-        return out, meta
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
         if not any(bundle.br_mask):
             return
-        fields = self._codec.unpack(bundle.meta)
+        provider_valid, provider, _, _, provider_ctr, alt_taken, _, provider_u = (
+            bundle.meta
+        )
         offset = bundle.fetch_pc % self.fetch_width
-        provider_valid = bool(fields["provider_valid"])
-        provider = int(fields["provider"])
         # The predict-time hash pass, memoised: nothing is re-hashed here.
         rows = self._index_tags(bundle.fetch_pc, bundle.ghist)
 
@@ -348,22 +347,22 @@ class TAGE(SpecComponent):
                     continue
                 lane = offset + slot_idx
                 taken = bundle.taken_mask[slot_idx]
-                old_ctr = int(fields["provider_ctr"][lane])
+                old_ctr = provider_ctr[lane]
                 if entry_live:
                     self._ctrs[provider][p_index, lane] = saturating_update(
                         old_ctr, taken, self.counter_bits
                     )
                 provider_taken = counter_taken(old_ctr, self.counter_bits)
-                alt_says = bool(fields["alt_taken"][lane])
+                alt_says = bool(alt_taken[lane])
                 if provider_taken != alt_says and entry_live:
                     self._useful[provider][p_index] = saturating_update(
-                        int(fields["provider_u"]),
+                        provider_u,
                         provider_taken == taken,
                         self.u_bits,
                     )
                 # Train the use-alt-on-new-alloc counter when the entry was
                 # newly allocated and provider/alt disagreed.
-                newly_allocated = int(fields["provider_u"]) == 0 and counter_is_weak(
+                newly_allocated = provider_u == 0 and counter_is_weak(
                     old_ctr, self.counter_bits
                 )
                 if newly_allocated and provider_taken != alt_says:

@@ -96,15 +96,14 @@ class Tourney(SpecComponent):
                 slot = _new_tuple(SlotPrediction, fields)
             slots.append(slot)
         out = _new_tuple(PredictionVector, (first.fetch_pc, tuple(slots)))
-        meta = self._codec.pack(choice=row, a_taken=a_taken, b_taken=b_taken)
-        return out, meta
+        return out, (row, a_taken, b_taken)
 
     # ------------------------------------------------------------------
     def on_update(self, bundle: UpdateBundle) -> None:
         """Train the chooser toward whichever sub-predictor was right."""
         if not any(bundle.br_mask):
             return
-        fields = self._codec.unpack(bundle.meta)
+        choice, a_taken, b_taken = bundle.meta
         index = self._index(bundle.fetch_pc, bundle.ghist)
         offset = bundle.fetch_pc % self.fetch_width
         row = self._table[index]
@@ -113,12 +112,12 @@ class Tourney(SpecComponent):
                 continue
             lane = offset + slot_idx
             taken = bundle.taken_mask[slot_idx]
-            a_right = bool(fields["a_taken"][lane]) == taken
-            b_right = bool(fields["b_taken"][lane]) == taken
+            a_right = bool(a_taken[lane]) == taken
+            b_right = bool(b_taken[lane]) == taken
             if a_right == b_right:
                 continue  # chooser learns only when the predictors disagree
             row[lane] = saturating_update(
-                int(fields["choice"][lane]), b_right, self.counter_bits
+                choice[lane], b_right, self.counter_bits
             )
 
     # ------------------------------------------------------------------

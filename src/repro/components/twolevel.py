@@ -137,21 +137,15 @@ class TwoLevel(SpecComponent):
             counter = int(self._l2[table, index])
             taken = counter_taken(counter, self.counter_bits)
             out = out.with_slot(lane, slot.with_direction(taken))
-            meta = self._codec.pack(
-                cand_valid=1, lane=lane, hist=history, ctr=counter
-            )
-            return out, meta
-        return out, self._codec.pack(cand_valid=0, lane=0, hist=0, ctr=0)
+            return out, (1, lane, history, counter)
+        return out, (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     def _meta(self, bundle: UpdateBundle):
-        fields = self._codec.unpack(bundle.meta)
-        if not fields["cand_valid"]:
+        cand_valid, lane, history, counter = bundle.meta
+        if not cand_valid or lane >= len(bundle.br_mask) or not bundle.br_mask[lane]:
             return None
-        lane = int(fields["lane"])
-        if lane >= len(bundle.br_mask) or not bundle.br_mask[lane]:
-            return None
-        return lane, int(fields["hist"]), int(fields["ctr"])
+        return lane, history, counter
 
     def fire(self, bundle: UpdateBundle) -> None:
         """Speculatively advance the per-branch history (P variants)."""

@@ -298,7 +298,7 @@ class ComposedPredictor:
 
         # tuple.__new__ skips the named tuple's Python-level constructor.
         req = _new_tuple(PredictRequest, (fetch_pc, width, req_ghist, lhist, phist))
-        metas: Dict[str, int] = {}
+        metas: Dict[str, object] = {}
         telemetry = self._telemetry
         plan = self._plan
         attribution = [None] * plan.n_values if telemetry is not None else None

@@ -59,8 +59,10 @@ class UpdateBundle:
     fetch_pc, width, ghist, lhist:
         Exactly as provided at predict time.
     meta:
-        The metadata integer this component produced at predict time
-        (each component sees only its own metadata).
+        The metadata value this component's ``lookup`` returned at
+        predict time, exactly as returned (each component sees only its
+        own): a positional tuple for library components, whatever a
+        hand-written component chose otherwise.
     br_mask:
         Per-slot flags: slot holds a conditional branch.  At ``fire`` time
         this reflects the *predicted* packet contents; at resolve time it
@@ -88,7 +90,7 @@ class UpdateBundle:
     ghist: int = 0
     lhist: int = 0
     phist: int = 0
-    meta: int = 0
+    meta: object = 0
     br_mask: Tuple[bool, ...] = ()
     taken_mask: Tuple[bool, ...] = ()
     cfi_idx: Optional[int] = None
@@ -108,7 +110,7 @@ def dispatch_event(
     hook: str,
     components: Iterable[object],
     fields: Tuple[object, ...],
-    metas: Dict[str, int],
+    metas: Dict[str, object],
 ) -> None:
     """Call ``component.<hook>`` with a fresh bundle for each component.
 

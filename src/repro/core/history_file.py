@@ -41,7 +41,7 @@ class HistoryFileEntry:
     lhist_index: int
     lhist_snapshot: int
     #: Per-component metadata produced at predict time.
-    metas: Dict[str, int]
+    metas: Dict[str, object]
     #: True conditional-branch locations (from pre-decode), up to the cut.
     br_mask: Tuple[bool, ...]
     #: Directions as predicted (later corrected on mispredict resolution).
@@ -91,7 +91,7 @@ class HistoryFile:
         chain_ghist: int,
         lhist_index: int,
         lhist_snapshot: int,
-        metas: Dict[str, int],
+        metas: Dict[str, object],
         br_mask: Tuple[bool, ...],
         taken_mask: Tuple[bool, ...],
         cfi_idx: Optional[int],

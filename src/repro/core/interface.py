@@ -8,9 +8,9 @@ A sub-component is a pipelined predictor that:
   histories arrive at the end of the first cycle (§III-B);
 - produces a superscalar :class:`~repro.core.prediction.PredictionVector`
   (§III-C);
-- declares a metadata bit-length and produces an opaque metadata integer at
-  predict time, which the framework returns verbatim at mispredict, repair,
-  and update time (§III-D);
+- declares a metadata bit-length and produces an opaque metadata value at
+  predict time, which the framework returns verbatim at fire, mispredict,
+  repair, and update time (§III-D);
 - observes any subset of the five events (§III-E);
 - receives predictions from other sub-components via ``predict_in`` and
   either passes them through, overrides fields of them, or arbitrates among
@@ -99,7 +99,8 @@ class PredictorComponent(abc.ABC):
     latency:
         Response cycle ``p >= 1`` after the query.
     meta_bits:
-        Bit-length of the metadata this component stores per prediction.
+        Bit-length of the metadata's image (:meth:`meta_image`), which is
+        what the history file stores per prediction.
     uses_global_history, uses_local_history:
         Whether ``lookup`` consumes the ``ghist`` / ``lhist`` request
         fields.  Components with ``latency == 1`` must not use histories.
@@ -179,8 +180,11 @@ class PredictorComponent(abc.ABC):
         immutable, so a lookup that predicts nothing may return
         ``predict_in[0]`` itself.
 
-        Returns the outgoing prediction vector and the metadata integer
-        (masked by the framework to ``meta_bits``).
+        Returns the outgoing prediction vector and the metadata: an
+        opaque value the framework stores and hands back, unread, in every
+        event's ``bundle.meta``.  Its bit image (:meth:`meta_image`) must
+        fit ``meta_bits``; ``repro check`` enforces that (CON001), the
+        run path does not.
         """
 
     # ------------------------------------------------------------------
@@ -222,20 +226,40 @@ class PredictorComponent(abc.ABC):
         """
         return None
 
-    def check_meta(self, meta: int) -> int:
-        """Validate that metadata fits the declared width, then mask it.
+    def meta_image(self, meta) -> int:
+        """The bits the history file would store for ``meta``.
 
-        Mirrors the hardware reality that the history file stores exactly
+        The default takes ``meta`` to be a hand-packed integer and returns
+        it; :class:`~repro.components.base.SpecComponent` packs its
+        positional tuple.
+        """
+        return meta
+
+    def check_meta(self, meta) -> int:
+        """Validate that ``meta``'s bit image fits the declared width.
+
+        Returns the image; raises :class:`InterfaceError` when it is
+        negative, wider than ``meta_bits``, or cannot be formed (a field
+        out of its range, a wrong field or lane count).  Mirrors the
+        hardware reality that the history file stores exactly
         ``meta_bits`` bits per prediction: a component producing wider
         metadata than it declared is a contract violation, not a silent
-        truncation.
+        truncation.  The contract harness calls it (CON001); the run path
+        stores metadata unchecked.
         """
-        if meta < 0 or meta >> self.meta_bits:
+        try:
+            image = self.meta_image(meta)
+            fits = image >= 0 and not image >> self.meta_bits
+        except (TypeError, ValueError) as exc:
             raise InterfaceError(
-                f"{self.name}: metadata {meta:#x} does not fit the declared "
+                f"{self.name}: metadata {meta!r} does not fit its layout: {exc}"
+            ) from None
+        if not fits:
+            raise InterfaceError(
+                f"{self.name}: metadata {image:#x} does not fit the declared "
                 f"{self.meta_bits} bits"
             )
-        return meta
+        return image
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, latency={self.latency})"

@@ -148,8 +148,7 @@ class EvaluationPlan:
     so running the plan performs each lookup and merge of the staged
     semantics exactly once, in a fixed order.
 
-    Steps are ``(component, sources, out, name, meta_bits, kind,
-    predict_in)``; ``sources`` is one slot for leaf and override lookups
+    Steps are ``(component, sources, out, name, kind, predict_in)``; ``sources`` is one slot for leaf and override lookups
     and a tuple for arbitration lookups and merges (winner, fallback).
     ``predict_in`` is the step's own input list, refilled on every run
     instead of built per packet (None for merges).
@@ -184,7 +183,6 @@ class EvaluationPlan:
                 sources,
                 out,
                 component.name,
-                component.meta_bits,
                 kind,
                 predict_in,
             )
@@ -193,7 +191,7 @@ class EvaluationPlan:
 
     def merge(self, winner: int, fallback: int) -> int:
         out = self._new_value()
-        self.steps.append((None, (winner, fallback), out, None, 0, _MERGE, None))
+        self.steps.append((None, (winner, fallback), out, None, _MERGE, None))
         return out
 
     @staticmethod
@@ -213,14 +211,16 @@ class EvaluationPlan:
     def run(
         self,
         req: PredictRequest,
-        metas: Dict[str, int],
+        metas: Dict[str, object],
         attribution: Optional[Attribution] = None,
     ) -> List[Optional[PredictionVector]]:
         """Run every step for ``req``; return the value slots.
 
-        Records each component's metadata in ``metas`` after checking it
-        against the declared width (``InterfaceError`` otherwise).  Index
-        the result with :attr:`stages` or :attr:`filled_stages`.
+        Records each component's metadata in ``metas``, keyed by
+        component name.  Metadata is opaque here: it is stored as the
+        lookup returned it, and its width is the contract harness's check
+        (CON001), not the run path's.  Index the result with
+        :attr:`stages` or :attr:`filled_stages`.
 
         ``attribution``, when supplied (telemetry mode), is a list as long
         as the value slots, all None; each step fills its output slot's
@@ -235,7 +235,7 @@ class EvaluationPlan:
         """
         values = self._blank.copy()
         values[_FALLTHROUGH] = _shared_fallthrough(req.fetch_pc, req.width)
-        for component, sources, out, name, meta_bits, kind, predict_in in self.steps:
+        for component, sources, out, name, kind, predict_in in self.steps:
             if kind == _MERGE:
                 winner, fallback = sources
                 vector = merge_by_hit(values[winner], values[fallback])
@@ -245,10 +245,7 @@ class EvaluationPlan:
                         predict_in[position] = values[source]
                 else:
                     predict_in[0] = values[sources]
-                vector, meta = component.lookup(req, predict_in)
-                if meta >> meta_bits:  # also every negative meta
-                    meta = component.check_meta(meta)
-                metas[name] = meta
+                vector, metas[name] = component.lookup(req, predict_in)
             values[out] = vector
             if attribution is not None:
                 _attribute(attribution, values, sources, out, name, kind)

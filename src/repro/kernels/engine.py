@@ -236,7 +236,7 @@ def engine_for(predictor) -> Optional["SegmentEngine"]:
         if width is not None and width != config.fetch_width:
             return None
     kernels = {}
-    for component, _sources, _out, name, _bits, kind, _inputs in predictor._plan.steps:
+    for component, _sources, _out, name, kind, _inputs in predictor._plan.steps:
         if kind == _ARBITRATE:
             return None  # learned selection is not vectorized yet
         if kind != _MERGE:
@@ -391,7 +391,7 @@ class SegmentEngine:
         plan = self.plan
         values = plan._blank.copy()
         values[_FALLTHROUGH] = ColState.fallthrough(P, ctx.W)
-        for _component, sources, out, name, _bits, kind, _inputs in plan.steps:
+        for _component, sources, out, name, kind, _inputs in plan.steps:
             if kind == _MERGE:
                 winner, fallback = sources
                 values[out] = merge_by_hit_vec(values[winner], values[fallback])

@@ -26,7 +26,10 @@ class _Base(PredictorComponent):
 
 
 class WideMeta(_Base):
-    """CON001: metadata wider than the declared meta_bits."""
+    """CON001: metadata wider than the declared meta_bits.
+
+    Its metadata is a hand-packed int, so the int is its image.
+    """
 
     def __init__(self, name, latency):
         super().__init__(name, latency, meta_bits=4)
@@ -176,7 +179,7 @@ class KernelLiar(_Base):
 
 
 class MiscountedMeta(_Base):
-    """TOP003: declares fewer meta_bits than its codec actually packs."""
+    """TOP003: declares fewer meta_bits than its codec's image is wide."""
 
     def __init__(self, name, latency):
         self._codec = MetaCodec([("ctr", 2, 5)])  # 10 bits

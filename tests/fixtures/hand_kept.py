@@ -18,7 +18,11 @@ INDEX_BITS = 10
 
 
 class HandKeptBimodal(PredictorComponent):
-    """One 2-bit counter per hashed fetch PC, shared by every slot."""
+    """One 2-bit counter per hashed fetch PC, shared by every slot.
+
+    Its metadata is the predict-time counter as a bare int, which is its
+    own bit image (the default ``meta_image``).
+    """
 
     def __init__(self, name, latency):
         super().__init__(name, latency, meta_bits=2)

@@ -31,7 +31,8 @@ class PhantomPhase(PredictorComponent):
     The lie: ``branchless_inert`` stays at its default True, but every
     ``lookup`` — branchy packet or not — advances ``_lookups``, which
     decides the predicted direction.  Skipping branchless packets
-    therefore changes this component's observable behavior.
+    therefore changes this component's observable behavior.  It declares
+    no metadata and returns 0, an empty image.
     """
 
     def __init__(self, name: str, latency: int = 2):

@@ -41,6 +41,19 @@ def codes(diags):
     return [d.code for d in diags]
 
 
+def _overflow_cases():
+    """``(base, field position, field name)`` for every library metadata field."""
+    library = standard_library()
+    for base in library.known():
+        component = library.factory(base)(base.lower(), 2)
+        for position, field in enumerate(component.spec.meta_fields):
+            yield base, position, field.name
+
+
+OVERFLOW = list(_overflow_cases())
+OVERFLOW_CASES = [(base, position) for base, position, _ in OVERFLOW]
+
+
 # ----------------------------------------------------------------------
 # The shipped tree is clean
 # ----------------------------------------------------------------------
@@ -186,6 +199,33 @@ class TestContractRules:
                 f"{cls.__name__}: expected exactly [{code}], "
                 f"got {codes(diags)}"
             )
+
+    @pytest.mark.parametrize(
+        "base,position", OVERFLOW_CASES, ids=[f"{b}-{f}" for b, _, f in OVERFLOW]
+    )
+    def test_field_written_one_bit_wide_is_con001(self, base, position, monkeypatch):
+        # The run path stores metadata unchecked, so CON001 is the gate
+        # that a value fits its declared field: patch one library lookup to
+        # set the bit just past one field's width and require the report.
+        factory = standard_library().factory(base)
+        cls = type(factory(base.lower(), 2))
+        honest = cls.lookup
+
+        def mutant(self, req, predict_in):
+            out, meta = honest(self, req, predict_in)
+            field = self.spec.meta_fields[position]
+            over = 1 << field.bits
+            meta = list(meta)
+            value = meta[position]
+            if field.count == 1:
+                meta[position] = int(value) | over
+            else:
+                meta[position] = [int(value[0]) | over, *value[1:]]
+            return out, tuple(meta)
+
+        monkeypatch.setattr(cls, "lookup", mutant)
+        diags = check_component(factory, base)
+        assert "CON001" in codes(diags), codes(diags)
 
     def test_state_fingerprint_distinguishes_state(self):
         a = bad_components.BranchlessLearner("x", 2)

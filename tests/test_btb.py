@@ -3,6 +3,7 @@
 from repro.components.btb import BTB, MicroBTB
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
+from tests.fixtures.meta import meta_fields
 
 
 def lookup(btb, pc=0, width=4):
@@ -34,7 +35,7 @@ class TestBTB:
         btb = BTB("btb", n_sets=16, n_ways=2)
         out, meta = lookup(btb)
         assert not any(s.hit for s in out.slots)
-        assert btb._codec.unpack(meta)["hit"] == 0
+        assert meta_fields(btb, meta)["hit"] == 0
 
     def test_learns_taken_branch_target(self):
         btb = BTB("btb", n_sets=16, n_ways=2)
@@ -43,7 +44,7 @@ class TestBTB:
         out, meta2 = lookup(btb, 0)
         assert out.slots[1].is_branch
         assert out.slots[1].target == 77
-        assert btb._codec.unpack(meta2)["hit"] == 1
+        assert meta_fields(btb, meta2)["hit"] == 1
 
     def test_btb_branch_direction_defaults_not_taken(self):
         """A bare BTB hit provides target, not direction (Fig. 3)."""

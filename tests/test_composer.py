@@ -4,6 +4,7 @@ pre-decode fixups, history management, repair modes, storage reports."""
 import pytest
 
 from repro import presets
+from repro.analysis.contracts import check_component
 from repro.components.library import standard_library
 from repro.core import (
     Arbitrate,
@@ -76,8 +77,10 @@ class MetaStub(PredictorComponent):
 
 
 class TestMetaWidthGate:
-    """``predict`` rejects metadata wider than a component declared, at
-    every position a component can take in a topology."""
+    """Metadata width is the contract harness's gate, not the run path's:
+    ``predict`` stores a component's metadata as the lookup returned it,
+    at every position a component can take in a topology, and CON001
+    reports metadata wider than the component declared."""
 
     TOO_WIDE = 1 << 4  # one bit past the stubs' 4-bit declaration
 
@@ -92,12 +95,22 @@ class TestMetaWidthGate:
         )
 
     @pytest.mark.parametrize("meta", [TOO_WIDE, -1])
-    def test_out_of_range_meta_raises(self, meta):
+    def test_out_of_range_meta_fails_con001(self, meta):
         for where, topology in self.topologies(meta):
             predictor = ComposedPredictor(topology)
-            with pytest.raises(InterfaceError, match="does not fit"):
-                predictor.predict(0, [PLAIN] * 4)
-            assert len(predictor.history_file) == 0, where
+            result = predictor.predict(0, [PLAIN] * 4)
+            entry = predictor.history_file.get(result.ftq_id)
+            assert entry.metas["bad"] == meta, where
+        for n_inputs in (1, 2):
+            diags = check_component(
+                lambda name, latency: MetaStub(
+                    name, latency, meta=meta, n_inputs=n_inputs
+                ),
+                "BAD",
+                latency=3,
+            )
+            assert [d.code for d in diags] == ["CON001"], n_inputs
+            assert "does not fit" in diags[0].message
 
     def test_widest_fitting_meta_is_recorded(self):
         for where, topology in self.topologies(self.TOO_WIDE - 1):

@@ -5,6 +5,7 @@ from repro.components.perceptron import Perceptron
 from repro.components.statistical_corrector import StatisticalCorrector
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
+from tests.fixtures.meta import meta_fields
 
 
 def branch_base(pc=0, width=4, taken=False, all_slots=False):
@@ -32,7 +33,7 @@ class TestGTag:
         g = GTag("g", n_sets=32, history_bits=8)
         out, meta = g.lookup(PredictRequest(0, 4, 0b1010), [branch_base(taken=True)])
         assert out.slots[0].taken  # pass-through
-        assert g._codec.unpack(meta)["hit"] == 0
+        assert meta_fields(g, meta)["hit"] == 0
 
     def test_allocates_on_mispredict_and_overrides(self):
         g = GTag("g", n_sets=32, history_bits=8)
@@ -43,7 +44,7 @@ class TestGTag:
         _, meta = g.lookup(PredictRequest(0, 4, ghist), [branch_base()])
         g.on_update(bundle(0, 0, True, meta, ghist=ghist))
         out, meta = g.lookup(PredictRequest(0, 4, ghist), [branch_base()])
-        assert g._codec.unpack(meta)["hit"] == 1
+        assert meta_fields(g, meta)["hit"] == 1
         assert out.slots[0].taken
 
     def test_history_disambiguates(self):
@@ -69,7 +70,7 @@ class TestPerceptron:
         p = Perceptron("p", n_entries=32, history_bits=8)
         base = branch_base(all_slots=True)
         out, meta = p.lookup(PredictRequest(0, 4, 0), [base])
-        fields = p._codec.unpack(meta)
+        fields = meta_fields(p, meta)
         assert fields["cand_valid"] == 1 and fields["lane"] == 0
 
     def test_learns_history_correlation(self):
@@ -88,7 +89,7 @@ class TestPerceptron:
     def test_no_branch_no_candidate(self):
         p = Perceptron("p", n_entries=32, history_bits=8)
         out, meta = p.lookup(PredictRequest(0, 4, 0), [PredictionVector.fallthrough(0, 4)])
-        assert p._codec.unpack(meta)["cand_valid"] == 0
+        assert meta_fields(p, meta)["cand_valid"] == 0
 
     def test_weights_clamped(self):
         p = Perceptron("p", n_entries=8, history_bits=4, weight_bits=4)

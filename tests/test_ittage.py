@@ -5,6 +5,7 @@ import pytest
 from repro.components.ittage import ITTAGE
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector
+from tests.fixtures.meta import meta_fields
 
 
 def lookup(it, pc=0, ghist=0, width=4):
@@ -33,13 +34,13 @@ class TestITTAGE:
     def test_cold_passes_through(self, it):
         out, meta = lookup(it)
         assert not any(s.hit for s in out.slots)
-        assert it._codec.unpack(meta)["provider_valid"] == 0
+        assert meta_fields(it, meta)["provider_valid"] == 0
 
     def test_allocates_on_target_mispredict(self, it):
         _, meta = lookup(it, ghist=0b1010)
         jalr_commit(it, 0, 1, 40, meta, ghist=0b1010, mispredicted=True)
         out, meta2 = lookup(it, ghist=0b1010)
-        assert it._codec.unpack(meta2)["provider_valid"] == 1
+        assert meta_fields(it, meta2)["provider_valid"] == 1
         assert out.slots[1].is_jump
         assert out.slots[1].target == 40
 
@@ -86,7 +87,7 @@ class TestITTAGE:
             )
         )
         _, meta2 = lookup(it)
-        assert it._codec.unpack(meta2)["provider_valid"] == 0
+        assert meta_fields(it, meta2)["provider_valid"] == 0
 
     def test_provides_targets_flag(self, it):
         assert it.provides_targets

@@ -4,6 +4,7 @@ from repro.components.loop import LoopPredictor
 from repro.components.tournament import Tourney
 from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
+from tests.fixtures.meta import meta_fields
 
 
 def branch_base(pc=0, width=4, slot=0, taken=False):
@@ -71,7 +72,7 @@ class TestLoopPredictor:
             run_loop_iterations(loop, trips=trips, rounds=1)
         base = branch_base(taken=True)
         out, meta = loop.lookup(PredictRequest(0, 4), [base])
-        fields = loop._codec.unpack(meta)
+        fields = meta_fields(loop, meta)
         # Candidate exists but does not override with confidence...
         if fields["cand_valid"]:
             entry = loop._entry_for(0)
@@ -104,7 +105,7 @@ class TestLoopPredictor:
         loop = LoopPredictor("loop", n_entries=16)
         base = PredictionVector.fallthrough(0, 4)  # no is_branch hints
         out, meta = loop.lookup(PredictRequest(0, 4), [base])
-        assert loop._codec.unpack(meta)["cand_valid"] == 0
+        assert meta_fields(loop, meta)["cand_valid"] == 0
 
     def test_storage_and_reset(self):
         loop = LoopPredictor("loop", n_entries=64)
@@ -158,7 +159,7 @@ class TestTourney:
         t = Tourney("t", n_sets=16, history_bits=8)
         a, b = self._mk_inputs(True, False)
         _, meta = t.lookup(PredictRequest(0, 4, 0), [a, b])
-        fields = t._codec.unpack(meta)
+        fields = meta_fields(t, meta)
         assert fields["a_taken"][0] == 1
         assert fields["b_taken"][0] == 0
 

@@ -1,4 +1,4 @@
-"""Tests for the metadata bitfield codec and index schemes."""
+"""Tests for the metadata bit-image codec and index schemes."""
 
 import numpy as np
 import pytest
@@ -9,42 +9,43 @@ from repro.components.base import IndexScheme, MetaCodec
 
 class TestMetaCodec:
     def test_scalar_roundtrip(self):
-        codec = MetaCodec([("hit", 1), ("way", 2)])
-        meta = codec.pack(hit=1, way=3)
-        assert codec.unpack(meta) == {"hit": 1, "way": 3}
+        layout = [("hit", 1, 1), ("way", 2, 1)]
+        meta = MetaCodec(layout).image((1, 3))
+        assert reference_unpack(layout, meta) == {"hit": 1, "way": 3}
 
     def test_vector_roundtrip(self):
-        codec = MetaCodec([("ctr", 2, 4)])
-        meta = codec.pack(ctr=[0, 1, 2, 3])
-        assert codec.unpack(meta)["ctr"] == [0, 1, 2, 3]
+        layout = [("ctr", 2, 4)]
+        meta = MetaCodec(layout).image(([0, 1, 2, 3],))
+        assert reference_unpack(layout, meta)["ctr"] == [0, 1, 2, 3]
 
     def test_width_accumulates(self):
         codec = MetaCodec([("a", 3), ("b", 2, 4), ("c", 1)])
         assert codec.width == 3 + 8 + 1
 
-    def test_missing_field_defaults_zero(self):
+    def test_missing_field_rejected(self):
         codec = MetaCodec([("a", 2), ("b", 2)])
-        assert codec.unpack(codec.pack(b=3)) == {"a": 0, "b": 3}
+        with pytest.raises(ValueError, match="expected 2 metadata fields, got 1"):
+            codec.image((3,))
 
     def test_value_too_wide_rejected(self):
         codec = MetaCodec([("a", 2)])
         with pytest.raises(ValueError):
-            codec.pack(a=4)
+            codec.image((4,))
 
     def test_negative_rejected(self):
         codec = MetaCodec([("a", 2)])
         with pytest.raises(ValueError):
-            codec.pack(a=-1)
+            codec.image((-1,))
 
     def test_unknown_field_rejected(self):
         codec = MetaCodec([("a", 2)])
-        with pytest.raises(ValueError, match="unknown"):
-            codec.pack(a=1, z=1)
+        with pytest.raises(ValueError, match="expected 1 metadata fields, got 2"):
+            codec.image((1, 1))
 
     def test_wrong_lane_count_rejected(self):
         codec = MetaCodec([("v", 2, 4)])
         with pytest.raises(ValueError, match="lanes"):
-            codec.pack(v=[1, 2])
+            codec.image(([1, 2],))
 
     def test_duplicate_field_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -53,32 +54,33 @@ class TestMetaCodec:
     def test_empty_layout(self):
         codec = MetaCodec([])
         assert codec.width == 0
-        assert codec.pack() == 0 and codec.unpack(0) == {}
-        with pytest.raises(ValueError, match="unknown"):
-            codec.pack(a=1)
+        assert codec.image(()) == 0
+        with pytest.raises(ValueError, match="got 1"):
+            codec.image((1,))
 
     def test_fields_independent(self):
-        codec = MetaCodec([("lo", 4), ("hi", 4)])
-        meta = codec.pack(lo=0xF, hi=0x0)
-        assert codec.unpack(meta) == {"lo": 0xF, "hi": 0x0}
+        layout = [("lo", 4, 1), ("hi", 4, 1)]
+        meta = MetaCodec(layout).image((0xF, 0x0))
+        assert reference_unpack(layout, meta) == {"lo": 0xF, "hi": 0x0}
 
     @given(st.lists(st.integers(0, 7), min_size=4, max_size=4), st.integers(0, 1))
     def test_roundtrip_property(self, lanes, flag):
-        codec = MetaCodec([("flag", 1), ("lanes", 3, 4)])
-        meta = codec.pack(flag=flag, lanes=lanes)
-        out = codec.unpack(meta)
+        layout = [("flag", 1, 1), ("lanes", 3, 4)]
+        codec = MetaCodec(layout)
+        meta = codec.image((flag, lanes))
+        out = reference_unpack(layout, meta)
         assert out["flag"] == flag
         assert out["lanes"] == lanes
         assert 0 <= meta < (1 << codec.width)
 
 
 def reference_pack(fields, values):
-    """The plain field-by-field pack the codec's fast paths must reproduce."""
-    values = dict(values)
+    """The plain field-by-field pack of positional ``values``."""
+    if len(values) != len(fields):
+        raise ValueError(f"expected {len(fields)} metadata fields, got {len(values)}")
     meta = 0
     offset = 0
-    for name, bits, count in fields:
-        value = values.pop(name, 0)
+    for (name, bits, count), value in zip(fields, values):
         lane_mask = (1 << bits) - 1
         if count == 1:
             lane_int = int(value)
@@ -95,8 +97,6 @@ def reference_pack(fields, values):
                 raise ValueError(f"field {name!r}: value {lane_int} exceeds {bits} bits")
             meta |= lane_int << offset
             offset += bits
-    if values:
-        raise ValueError(f"unknown metadata fields: {sorted(values)}")
     return meta
 
 
@@ -152,13 +152,11 @@ def lane_value(draw, bits):
 
 @st.composite
 def pack_values(draw, layout):
-    """Keyword values for ``layout``: some fields missing, some malformed."""
-    values = {}
+    """Positional values for ``layout``: now and then malformed."""
+    values = []
     for name, bits, count in layout:
-        if draw(st.integers(0, 4)) == 0:
-            continue  # missing: packs as 0
         if count == 1:
-            values[name] = draw(lane_value(bits))
+            values.append(draw(lane_value(bits)))
             continue
         lanes_count = count if draw(st.integers(0, 9)) else count + 1
         lanes = [draw(lane_value(bits)) for _ in range(lanes_count)]
@@ -167,14 +165,17 @@ def pack_values(draw, layout):
             lanes = tuple(lanes)
         elif container == "numpy" and all(int(v) >= 0 for v in lanes):
             lanes = np.array([int(v) for v in lanes], dtype=np.int64)
-        values[name] = lanes
-    if draw(st.integers(0, 9)) == 0:
-        values["zz_unknown"] = 1
-    return values
+        values.append(lanes)
+    fate = draw(st.integers(0, 19))
+    if fate == 0:
+        values.append(1)  # one field too many
+    elif fate == 1:
+        values.pop()  # one field short
+    return tuple(values)
 
 
 class TestMetaCodecMatchesReference:
-    """The codec against a plain pack/unpack, value for value."""
+    """The codec's image against a plain field-by-field pack."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -185,72 +186,49 @@ class TestMetaCodecMatchesReference:
         for _ in range(3):
             values = data.draw(pack_values(layout))
             expected = outcome(reference_pack, layout, values)
-            assert outcome(codec.pack, **values) == expected
-            assert outcome(codec.pack, **values) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_unpack_matches_reference_and_is_fresh(self, data):
-        shape = data.draw(shapes)
-        layout = layout_of(shape, [f"f{i}" for i in range(len(shape))])
-        codec = MetaCodec(layout)
-        for _ in range(3):
-            meta = data.draw(st.integers(0, (1 << codec.width) - 1))
-            first = codec.unpack(meta)
-            assert first == reference_unpack(layout, meta)
-            assert list(first) == [name for name, _, _ in layout]
-            for value in first.values():
-                if isinstance(value, list):
-                    value.append(99)  # must not leak into the next call
-            first["extra"] = 1
-            assert codec.unpack(meta) == reference_unpack(layout, meta)
+            assert outcome(codec.image, values) == expected
+            assert outcome(codec.image, values) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equal_lane_shapes_never_share_results(self, data):
         """Codecs with one lane shape but different names or field order
-        each decode and encode by their own layout."""
+        each encode by their own layout."""
         shape = data.draw(shapes)
         names = [f"f{i}" for i in range(len(shape))]
         layout_a = layout_of(shape, names)
         layout_b = layout_of(shape, list(reversed(names)))
         layout_c = list(reversed(layout_a))
         codecs = [(layout, MetaCodec(layout)) for layout in (layout_a, layout_b, layout_c)]
-        meta = data.draw(st.integers(0, (1 << codecs[0][1].width) - 1))
-        for layout, codec in codecs * 2:
-            assert codec.unpack(meta) == reference_unpack(layout, meta)
-        values = data.draw(pack_values(layout_a))
-        for layout, codec in codecs * 2:
-            assert outcome(codec.pack, **values) == outcome(
-                reference_pack, layout, values
-            )
+        for values in (data.draw(pack_values(layout_a)), data.draw(pack_values(layout_c))):
+            for layout, codec in codecs * 2:
+                assert outcome(codec.image, values) == outcome(
+                    reference_pack, layout, values
+                )
 
     def test_errors_keep_their_messages(self):
         codec = MetaCodec([("a", 2), ("v", 2, 4)])
         cases = [
-            ({"a": 4}, "field 'a': value 4 exceeds 2 bits"),
-            ({"a": -1}, "field 'a': value -1 exceeds 2 bits"),
-            ({"v": [1, 2]}, "field 'v' expects 4 lanes, got 2"),
-            ({"v": [0, 0, 5, 0]}, "field 'v': value 5 exceeds 2 bits"),
-            ({"v": [0, -1, 0, 0]}, "field 'v': value -1 exceeds 2 bits"),
-            (
-                {"a": 1, "v": [0] * 4, "z": 1, "y": 0},
-                "unknown metadata fields: ['y', 'z']",
-            ),
+            ((4, [0] * 4), "field 'a': value 4 exceeds 2 bits"),
+            ((-1, [0] * 4), "field 'a': value -1 exceeds 2 bits"),
+            ((0, [1, 2]), "field 'v' expects 4 lanes, got 2"),
+            ((0, [0, 0, 5, 0]), "field 'v': value 5 exceeds 2 bits"),
+            ((0, [0, -1, 0, 0]), "field 'v': value -1 exceeds 2 bits"),
+            ((1, [0] * 4, 1, 0), "expected 2 metadata fields, got 4"),
         ]
         for values, message in cases:
             for _ in range(2):
                 with pytest.raises(ValueError) as raised:
-                    codec.pack(**values)
+                    codec.image(values)
                 assert str(raised.value) == message
-        for values in ({"v": 3}, {"a": 1}):  # no lanes where lanes belong
+        for values in ((0, 3), ([1], [0] * 4)):  # lanes and scalars swapped
             with pytest.raises(TypeError):
-                codec.pack(**values)
+                codec.image(values)
 
     def test_zero_dim_array_lanes_pack(self):
         codec = MetaCodec([("v", 3, 2)])
         lanes = [np.array(5), np.array(2)]
-        assert codec.pack(v=lanes) == reference_pack([("v", 3, 2)], {"v": lanes})
+        assert codec.image((lanes,)) == reference_pack([("v", 3, 2)], (lanes,))
 
 
 class TestIndexScheme:

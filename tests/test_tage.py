@@ -18,6 +18,7 @@ from repro.core.events import PredictRequest, UpdateBundle
 from repro.core.prediction import PredictionVector, SlotPrediction
 from repro.kernels.components import TAGEKernel
 from repro.spec import LEGAL_SIZINGS
+from tests.fixtures.meta import meta_fields
 
 
 def lookup(tage, pc=0, ghist=0, width=4, base_taken=False):
@@ -78,7 +79,7 @@ class TestPredictAllocate:
         tage = small_tage()
         out, meta = lookup(tage, base_taken=True)
         assert out.slots[0].taken  # base prediction untouched
-        fields = tage._codec.unpack(meta)
+        fields = meta_fields(tage, meta)
         assert fields["provider_valid"] == 0
 
     def test_allocates_on_mispredict(self):
@@ -86,7 +87,7 @@ class TestPredictAllocate:
         _, meta = lookup(tage, pc=0, ghist=0b1011)
         commit(tage, 0, 0, True, meta, ghist=0b1011, mispredicted=True)
         _, meta2 = lookup(tage, pc=0, ghist=0b1011)
-        fields = tage._codec.unpack(meta2)
+        fields = meta_fields(tage, meta2)
         assert fields["provider_valid"] == 1
 
     def test_no_allocation_without_mispredict(self):
@@ -94,7 +95,7 @@ class TestPredictAllocate:
         _, meta = lookup(tage, pc=0, ghist=0b1011)
         commit(tage, 0, 0, True, meta, ghist=0b1011, mispredicted=False)
         _, meta2 = lookup(tage, pc=0, ghist=0b1011)
-        assert tage._codec.unpack(meta2)["provider_valid"] == 0
+        assert meta_fields(tage, meta2)["provider_valid"] == 0
 
     def test_provider_prediction_follows_training(self):
         tage = small_tage()
@@ -152,7 +153,7 @@ class TestMeta:
     def test_meta_fits_declared_width(self):
         tage = small_tage()
         _, meta = lookup(tage)
-        assert meta <= (1 << tage.meta_bits) - 1
+        assert 0 <= tage.meta_image(meta) <= (1 << tage.meta_bits) - 1
 
     def test_storage_scales_with_tables(self):
         small = small_tage(n_tables=2).storage().total_bits
